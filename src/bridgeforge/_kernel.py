@@ -1,18 +1,32 @@
-"""Pure Python piece kernels.
+"""Piece kernels behind the small-cancellation analysis.
 
 The symmetrized set of a cyclic word u of length n consists of the n
-rotations of u and the n rotations of u^-1 (the caller guarantees all 2n
-are distinct words).  A piece is a common prefix of two distinct
-elements of that set, so the longest piece starting at a given rotation
-offset is the longest prefix that offset shares with any other offset.
+rotations of u and the n rotations of u^-1.  A piece is a common prefix
+of two distinct elements of that set, so the longest piece starting at a
+given rotation offset is the longest prefix that offset shares with any
+other offset.
 
-max_piece_table computes those maxima by iterative group refinement:
-offsets sharing a length-d prefix sit in one group, and a group member
-survives to depth d+1 while its group still has a partner.  Total work
-is the sum of all table entries.
+max_piece_table finds those maxima from the sorted order of the 2n
+rotations: the longest common prefix (LCP) a rotation shares with any
+other is the larger of its LCPs with its two sorted neighbours (the
+suffix-array idea of Kasai et al., CPM 2001).  Rotations are length-n
+slices of the doubled words encoded as bytes, so sorting and prefix
+comparison run in C.
 """
 
 IMPL = "pure"
+
+
+def _lcp(a, b):
+    """Length of the longest common prefix of two equal-length bytes."""
+    lo, hi = 0, len(a)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def max_piece_table(letters):
@@ -20,38 +34,26 @@ def max_piece_table(letters):
 
     Returns (fwd, bwd): fwd[s] is the largest L such that the length-L
     cyclic subword of u starting at offset s is a piece; bwd[s] the same
-    for u^-1.  Entries are 0 where even the single letter is unique.
+    for u^-1.  Entries are 0 where even the single letter is unique, and
+    n where two of the 2n rotations are the same word.
     """
     n = len(letters)
     if n == 0:
         return [], []
-    rows = (
-        list(letters) * 2,
-        [-x for x in reversed(letters)] * 2,
-    )
-    out = ([0] * n, [0] * n)
-    groups = {}
-    for d in (0, 1):
-        row = rows[d]
-        for s in range(n):
-            groups.setdefault(row[s], []).append((d, s))
-    live = [g for g in groups.values() if len(g) > 1]
-    depth = 1
-    while live:
-        for g in live:
-            for d, s in g:
-                out[d][s] = depth
-        if depth == n:
-            break
-        nxt = []
-        for g in live:
-            sub = {}
-            for d, s in g:
-                sub.setdefault(rows[d][s + depth], []).append((d, s))
-            nxt.extend(gg for gg in sub.values() if len(gg) > 1)
-        live = nxt
-        depth += 1
-    return out
+    # letters are +-1, +-2; shift them into byte range
+    fwd_row = bytes(x + 2 for x in letters) * 2
+    bwd_row = bytes(2 - x for x in reversed(letters)) * 2
+    slices = [fwd_row[s:s + n] for s in range(n)]
+    slices += [bwd_row[s:s + n] for s in range(n)]
+    order = sorted(range(2 * n), key=slices.__getitem__)
+    best = [0] * (2 * n)
+    for i, j in zip(order, order[1:]):
+        lcp = _lcp(slices[i], slices[j])
+        if lcp > best[i]:
+            best[i] = lcp
+        if lcp > best[j]:
+            best[j] = lcp
+    return best[:n], best[n:]
 
 
 def min_pieces_span(piece_len, start, length):

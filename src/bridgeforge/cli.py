@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -46,8 +47,15 @@ def _knot_from_args(args) -> GenusOneKnot:
     return GenusOneKnot(args.m, args.n, 1 if args.sign == "+" else -1)
 
 
+def _slope_from_args(args) -> Frac:
+    # Frac reduces q/p, so a non-coprime pair must be caught before it
+    if math.gcd(args.p, args.q) != 1:
+        raise ValueError(f"--p {args.p} and --q {args.q} must be coprime")
+    return Frac(args.q, args.p)
+
+
 def _cmd_relator(args) -> int:
-    rel = presentation.relator(Frac(args.q, args.p))
+    rel = presentation.relator(_slope_from_args(args))
     cs = cyclic_s_sequence(rel.u)
     payload = {
         "command": "relator",
@@ -206,7 +214,7 @@ def _cmd_freeness(args) -> int:
 
 
 def _cmd_reps(args) -> int:
-    f = Frac(args.q, args.p)
+    f = _slope_from_args(args)
     data = sl2_oracle.riley_polynomials(f)
     reps = sl2_oracle.numeric_reps(f, tol=args.tol)
     payload = {
@@ -233,6 +241,8 @@ def _cmd_reps(args) -> int:
 
 
 def _cmd_orbifold(args) -> int:
+    if args.m < 1:
+        raise ValueError("--m must be at least 1")
     r = Frac(2 * args.m, 4 * args.m * args.m - 1)
     if args.slope:
         slopes = [parse_fraction(args.slope)]

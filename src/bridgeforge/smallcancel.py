@@ -21,7 +21,6 @@ from .words import (
     cyclic_s_sequence,
     inverse,
     is_cyclically_reduced,
-    rotations,
 )
 
 UNREPRESENTABLE = math.inf
@@ -41,14 +40,14 @@ class SymmetrizedSet:
         if not is_cyclically_reduced(u):
             raise ValueError("relator must be cyclically reduced")
         n = len(u)
-        elems = rotations(u) + rotations(inverse(u))
-        if len(set(elems)) != 2 * n:
+        piece_len = _kernel.max_piece_table(list(u))
+        # a piece as long as the relator is a rotation shared by two elements
+        if n in piece_len[0] or n in piece_len[1]:
             raise ValueError("rotations collide; need all 2|u| elements distinct")
         self.word = u
         self.n = n
-        self.elements: tuple[Word, ...] = tuple(elems)
         self.doubled = (list(u) * 2, list(inverse(u)) * 2)
-        self.piece_len = _kernel.max_piece_table(list(u))
+        self.piece_len = piece_len
 
     def __len__(self):
         return 2 * self.n
@@ -137,26 +136,30 @@ def check_T(R: SymmetrizedSet, q: int = 4) -> bool:
     A triangle is a triple with r2 != r1^-1, r3 != r2^-1, r1 != r3^-1
     whose three junction products r1 r2, r2 r3, r3 r1 all cancel.  Only
     q = 4 is supported.
+
+    A triangle whose junction letters are l1, l2, l3 (the last letters
+    of r1, r2, r3) takes its elements from the (first, last) letter
+    classes (-l3, l1), (-l1, l2) and (-l2, l3), so T(4) fails exactly
+    when some of the 64 letter triples finds all three classes occupied.
+    Element (d, s) of R, rotation s of u (d = 0) or of u^-1 (d = 1), has
+    first letter row[s] and last letter row[s - 1] of its doubled row,
+    so one linear pass collects the classes.
     """
     if q != 4:
         raise ValueError("only T(4) is implemented")
-    elems = R.elements
-    inv_of = {e: inverse(e) for e in elems}
-    by_first: dict[int, list[Word]] = {}
-    bucket: dict[tuple[int, int], list[Word]] = {}
-    for e in elems:
-        by_first.setdefault(e[0], []).append(e)
-        bucket.setdefault((e[0], e[-1]), []).append(e)
-    for r1 in elems:
-        for r2 in by_first.get(-r1[-1], ()):
-            if r2 == inv_of[r1]:
-                continue
-            # r3 is constrained by both junctions; two exclusions at most,
-            # so three candidates suffice to decide existence
-            for r3 in bucket.get((-r2[-1], -r1[0]), ())[:3]:
-                if r3 != inv_of[r2] and r3 != inv_of[r1]:
-                    return False
-    return True
+    # The inverse exclusions never bind.  r2 = r1^-1 lies in class
+    # (-l1, -first(r1)) = (-l1, l3), so it needs l2 = l3, and then r3
+    # would need class (-l3, l3): first letter inverse to last, which no
+    # rotation of a cyclically reduced word has.  r3 = r2^-1 and
+    # r1 = r3^-1 likewise empty the class of r1 or of r2.
+    ends = {(row[s], row[s - 1]) for row in R.doubled for s in range(R.n)}
+    letters = (1, -1, 2, -2)
+    return not any(
+        (-l3, l1) in ends and (-l1, l2) in ends and (-l2, l3) in ends
+        for l1 in letters
+        for l2 in letters
+        for l3 in letters
+    )
 
 
 def _count_cyclic_pattern(cs, pattern) -> int:

@@ -131,6 +131,23 @@ def test_bad_value_exit_code(capsys):
     assert cli.main(["relator", "--p", "4", "--q", "1"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["relator", "reps"])
+def test_non_coprime_slope_rejected(capsys, command):
+    # 3/9 must not be silently reduced to 1/3
+    assert cli.main([command, "--p", "9", "--q", "3", "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coprime" in captured.err
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_orbifold_rejects_nonpositive_m(capsys, m):
+    assert cli.main(["orbifold", "--m", m, "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m must be at least 1" in captured.err
+
+
 def test_verify_all_jobs(capsys):
     code, payload = run_json(
         capsys, "verify-all", "--m-max", "1", "--n-max", "2", "--jobs", "2"

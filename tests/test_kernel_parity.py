@@ -1,8 +1,9 @@
-"""The compiled and pure kernels must agree everywhere.
+"""The piece kernels against brute-force oracles.
 
-The two implementations use different algorithms (pairwise longest
-common prefixes vs group refinement), so agreement on random inputs is a
-meaningful cross-check in addition to the brute-force oracle.
+max_piece_table sorts the rotations and takes neighbour LCPs; the oracle
+extends each rotation's prefix while any other rotation still shares
+it.  min_pieces_span is checked against a dynamic program over all
+piece lengths.
 """
 
 import random
@@ -11,18 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bridgeforge._kernel import _pure
-
-try:
-    from bridgeforge._kernel import _speed
-except ImportError:
-    _speed = None
-
+from bridgeforge import _kernel
 from bridgeforge.presentation import relator
 from bridgeforge.slope import GenusOneKnot
-from bridgeforge.words import inverse, rotations
-
-needs_speed = pytest.mark.skipif(_speed is None, reason="compiled kernel not built")
+from bridgeforge.words import inverse, parse_word, rotations
 
 
 def random_relator_like_words(count, rng):
@@ -47,18 +40,23 @@ def random_relator_like_words(count, rng):
 def brute_max_piece(word):
     n = len(word)
     rows = (list(word) * 2, list(inverse(word)) * 2)
-    starts = [(d, s) for d in (0, 1) for s in range(n)]
+    by_first = {}
+    for d in (0, 1):
+        for s in range(n):
+            by_first.setdefault(rows[d][s], []).append((d, s))
     out = ([0] * n, [0] * n)
-    for d, s in starts:
-        best = 0
-        for d2, s2 in starts:
-            if (d, s) == (d2, s2):
-                continue
+    for d in (0, 1):
+        row = rows[d]
+        for s in range(n):
+            # extend the prefix while some other rotation still shares it
+            others = [(rows[d2], s2) for d2, s2 in by_first[row[s]] if (d2, s2) != (d, s)]
             lcp = 0
-            while lcp < n and rows[d][s + lcp] == rows[d2][s2 + lcp]:
+            while others and lcp < n:
                 lcp += 1
-            best = max(best, lcp)
-        out[d][s] = best
+                if lcp < n:
+                    letter = row[s + lcp]
+                    others = [(r, s2) for r, s2 in others if r[s2 + lcp] == letter]
+            out[d][s] = lcp
     return out
 
 
@@ -80,61 +78,55 @@ def test_pure_against_brute_force():
     rng = random.Random(5)
     for w in random_relator_like_words(12, rng):
         expected = brute_max_piece(w)
-        got = _pure.max_piece_table(list(w))
+        got = _kernel.max_piece_table(list(w))
         assert (list(expected[0]), list(expected[1])) == (got[0], got[1])
         P = got[0]
         for _ in range(30):
             s = rng.randrange(len(w))
             L = rng.randint(1, len(w))
-            assert _pure.min_pieces_span(P, s, L) == brute_min_span(P, s, L)
+            assert _kernel.min_pieces_span(P, s, L) == brute_min_span(P, s, L)
 
 
 def test_pure_reach_consistent_with_spans():
     rng = random.Random(6)
     for w in random_relator_like_words(8, rng):
-        P = _pure.max_piece_table(list(w))[0]
-        reach = _pure.reach_table(P, 4)
+        P = _kernel.max_piece_table(list(w))[0]
+        reach = _kernel.reach_table(P, 4)
         n = len(w)
         for s in range(n):
             for k in range(1, 5):
                 r = reach[k][s]
                 if r:
-                    assert 0 < _pure.min_pieces_span(P, s, min(r, n)) <= k
+                    assert 0 < _kernel.min_pieces_span(P, s, min(r, n)) <= k
                 if r < n:
-                    beyond = _pure.min_pieces_span(P, s, r + 1)
+                    beyond = _kernel.min_pieces_span(P, s, r + 1)
                     assert beyond == -1 or beyond > k
 
 
-@needs_speed
-def test_speed_matches_pure_random():
-    rng = random.Random(7)
-    for w in random_relator_like_words(25, rng):
-        pure = _pure.max_piece_table(list(w))
-        fast = _speed.max_piece_table(list(w))
-        assert tuple(pure) == tuple(fast)
-        P = pure[0]
-        assert _pure.reach_table(P, 3) == _speed.reach_table(P, 3)
-        for _ in range(40):
-            s = rng.randrange(len(w))
-            L = rng.randint(0, len(w))
-            assert _pure.min_pieces_span(P, s, L) == _speed.min_pieces_span(P, s, L)
+def test_max_piece_table_on_grid_relators():
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for sign in (1, -1):
+                u = relator(GenusOneKnot(m, n, sign).fraction).u
+                expected = brute_max_piece(u)
+                assert _kernel.max_piece_table(list(u)) == (expected[0], expected[1])
 
 
-@needs_speed
-def test_speed_matches_pure_on_relators():
-    for m, n, sign in ((1, 1, 1), (2, 3, -1), (4, 4, 1), (3, 2, -1)):
-        u = list(relator(GenusOneKnot(m, n, sign).fraction).u)
-        pure = _pure.max_piece_table(u)
-        fast = _speed.max_piece_table(u)
-        assert tuple(pure) == tuple(fast)
+def test_max_piece_table_marks_collisions():
+    # in abab rotations 0 and 2 are the same word, so the whole word is
+    # shared; the symmetrized set rejects exactly this
+    w = parse_word("abab")
+    got = _kernel.max_piece_table(list(w))
+    assert got == (brute_max_piece(w)[0], brute_max_piece(w)[1])
+    assert got == ([4, 4, 4, 4], [4, 4, 4, 4])
 
 
 def test_span_edge_cases():
     P = [2, 1, 0, 2]
-    assert _pure.min_pieces_span(P, 0, 0) == 0
-    assert _pure.min_pieces_span(P, 2, 1) == -1  # dead position
+    assert _kernel.min_pieces_span(P, 0, 0) == 0
+    assert _kernel.min_pieces_span(P, 2, 1) == -1  # dead position
     with pytest.raises(ValueError):
-        _pure.min_pieces_span(P, 0, 5)
+        _kernel.min_pieces_span(P, 0, 5)
 
 
 @given(
@@ -146,8 +138,4 @@ def test_span_greedy_matches_dp_on_arbitrary_tables(P, data):
     # nonnegative jump table, not just realizable piece tables
     start = data.draw(st.integers(min_value=0, max_value=len(P) - 1))
     length = data.draw(st.integers(min_value=0, max_value=len(P)))
-    assert _pure.min_pieces_span(P, start, length) == brute_min_span(P, start, length)
-    if _speed is not None:
-        assert _speed.min_pieces_span(P, start, length) == brute_min_span(
-            P, start, length
-        )
+    assert _kernel.min_pieces_span(P, start, length) == brute_min_span(P, start, length)

@@ -1,4 +1,5 @@
 import math
+import random
 from functools import lru_cache
 
 import pytest
@@ -74,7 +75,7 @@ def test_min_pieces_against_brute_force():
     for f in (Frac(2, 5), Frac(2, 3), Frac(2, 9)):
         u = relator(f).u
         R = SymmetrizedSet(u)
-        mp = brute_min_pieces(tuple(R.elements))
+        mp = brute_min_pieces(tuple(rotations(u) + rotations(inverse(u))))
         dbl = list(u) * 2
         for s in range(len(u)):
             for L in range(1, len(u) + 1):
@@ -148,6 +149,43 @@ def test_check_T_examples():
         check_T(SymmetrizedSet(relator(Frac(2, 5)).u), 5)
 
 
+def brute_has_triangle(elements):
+    """Some triple r1, r2, r3 with no neighbour pair mutually inverse and
+    all three junctions r1 r2, r2 r3, r3 r1 cancelling."""
+    for r1 in elements:
+        for r2 in elements:
+            if r1[-1] != -r2[0] or r2 == inverse(r1):
+                continue
+            for r3 in elements:
+                if r2[-1] != -r3[0] or r3[-1] != -r1[0]:
+                    continue
+                if r3 != inverse(r2) and r1 != inverse(r3):
+                    return True
+    return False
+
+
+def test_check_T_against_brute_force_triangles():
+    rng = random.Random(1)
+    verdicts = []
+    while len(verdicts) < 300:
+        n = rng.randint(2, 14)
+        w = [rng.choice([1, -1, 2, -2])]
+        while len(w) < n:
+            nxt = rng.choice([1, -1, 2, -2])
+            if nxt != -w[-1]:
+                w.append(nxt)
+        w = tuple(w)
+        if w[0] == -w[-1]:
+            continue
+        elements = rotations(w) + rotations(inverse(w))
+        if len(set(elements)) != 2 * n:
+            continue
+        verdict = check_T(SymmetrizedSet(w))
+        assert verdict == (not brute_has_triangle(elements)), w
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
 def test_trefoil_two_piece_word():
     # S-sequence (2) subwords of the (1,1,-) relator are two pieces, not one
     R = SymmetrizedSet(relator(Frac(2, 3)).u)
@@ -175,9 +213,8 @@ def test_three_piece_against_brute_force():
         knot = GenusOneKnot(*params)
         rel = relator(knot.fraction)
         u = rel.u
-        R = SymmetrizedSet(u)
         s1, s2 = canonical_decomposition(knot)
-        mp = brute_min_pieces(tuple(R.elements))
+        mp = brute_min_pieces(tuple(rotations(u) + rotations(inverse(u))))
         dbl = list(u) * 2
         k = len(s1) + len(s2)
 
