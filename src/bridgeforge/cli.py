@@ -174,6 +174,8 @@ def _sign_patterns(t_max: int):
 def _cmd_freeness(args) -> int:
     if args.t < 1:
         raise ValueError("--t must be at least 1")
+    if args.scan_syllables < 0:
+        raise ValueError("--scan-syllables must be at least 0")
     knot = _knot_from_args(args)
     results = []
     all_ok = True
@@ -215,8 +217,10 @@ def _cmd_freeness(args) -> int:
 
 def _cmd_reps(args) -> int:
     f = _slope_from_args(args)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be a finite number above 0, got {args.tol}")
     data = sl2_oracle.riley_polynomials(f)
-    reps = sl2_oracle.numeric_reps(f, tol=args.tol)
+    reps = sl2_oracle.numeric_reps(data, tol=args.tol)
     payload = {
         "command": "reps",
         "p": args.p, "q": args.q,
@@ -391,6 +395,9 @@ def _verify_cell(cell) -> dict:
 def _cmd_verify_all(args) -> int:
     if args.m_max < 1 or args.n_max < 1:
         print("error: grid bounds must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.scan_syllables < 0:
+        print("error: --scan-syllables must be at least 0", file=sys.stderr)
         return EXIT_USAGE
     cells = [
         (m, n, sign, args.scan_syllables if args.scan else 0)

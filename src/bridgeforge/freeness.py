@@ -168,7 +168,8 @@ def no_relation_scan(
     not proof, of freeness.
     """
     mw = long_meridian_words(knot)
-    reps = sl2_oracle.numeric_reps(knot.fraction, tol=rep_tol)
+    data = sl2_oracle.riley_polynomials(knot.fraction)
+    reps = sl2_oracle.numeric_reps(data, tol=rep_tol)
     if not reps:
         raise RuntimeError("no parabolic representation root below tolerance")
     report = ScanReport(

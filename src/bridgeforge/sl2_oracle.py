@@ -1,22 +1,27 @@
 """Parabolic 2x2 matrix representations used as a nontriviality oracle.
 
 The generators map to a -> [[1, 1], [0, 1]] and b -> [[1, 0], [w, 1]]
-with w an indeterminate.  Evaluating the relator symbolically gives four
-integer polynomials in w (the entries of the relator image minus the
-identity); their gcd is the defining polynomial of the parabolic
-representation variety, and its numeric roots give concrete
-representations.  Words whose images stay far from +-identity at every
-root are certified nontrivial only up to numeric error; the module
-reports margins, never proofs.
+with w an indeterminate.  For the relator u = a uhat b uhat^-1 of an
+even-numerator slope q/p, the (2,2) entry of rho(uhat) is an integer
+polynomial of degree (p - 1)/2 with constant term 1 whose roots are
+exactly the parabolic representations (Riley, Proc. LMS 24, 1972): the
+Riley polynomial.  Its roots are found by simultaneous Aberth-Ehrlich
+iteration (Aberth, Math. Comp. 27, 1973) that evaluates the polynomial
+and its derivative through the product of generator matrices, never
+through the monomial coefficients, which are ill-conditioned once p is
+large.  Every root is checked against the relator in double precision.
+Words whose images stay far from +-identity at every root are certified
+nontrivial only up to numeric error; the module reports margins, never
+proofs.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
-
-import mpmath
 
 from .presentation import relator
 from .slope import Frac
@@ -54,50 +59,6 @@ def poly_eval(f: Poly, x):
     for c in reversed(f):
         acc = acc * x + c
     return acc
-
-
-def _primitive(fracs) -> Poly:
-    """Integer polynomial: denominators cleared, content 1, positive lead."""
-    from math import gcd, lcm
-
-    fracs = [Fraction(c) for c in fracs]
-    if not fracs:
-        return ()
-    denom = 1
-    for c in fracs:
-        denom = lcm(denom, c.denominator)
-    ints = [int(c * denom) for c in fracs]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
-
-
-def _poly_gcd_pair(f: Poly, g: Poly) -> Poly:
-    a = [Fraction(c) for c in f]
-    b = [Fraction(c) for c in g]
-    while b:
-        # a mod b
-        while len(a) >= len(b) and a:
-            factor = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i in range(len(b)):
-                a[shift + i] -= factor * b[i]
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return _primitive(a)
-
-
-def poly_gcd(*polys: Poly) -> Poly:
-    acc: Poly = ()
-    for f in polys:
-        f = _trim(f)
-        acc = f if not acc else _poly_gcd_pair(acc, f)
-    return _primitive(acc)
 
 
 # 2x2 matrices over the polynomial ring, stored as 4-tuples row-major
@@ -138,8 +99,7 @@ def poly_det(mat: PolyMatrix) -> Poly:
 @dataclass(frozen=True)
 class RileyData:
     fraction: Frac             # even-numerator representative actually used
-    poly: Poly                 # gcd of the four entries of rho(u) - I
-    entries: PolyMatrix        # the raw entry polynomials, for diagnostics
+    poly: Poly                 # Riley polynomial, positive leading coefficient
 
 
 def even_slope_rep(f: Frac) -> Frac:
@@ -156,20 +116,31 @@ def even_slope_rep(f: Frac) -> Frac:
 
 
 def riley_polynomials(f: Frac) -> RileyData:
-    """Defining polynomial of the parabolic representations of slope f."""
+    """Riley polynomial of slope f: the (2,2) entry of rho(uhat).
+
+    Right-multiplying by a^e adds e * column 0 to column 1, and by b^e
+    adds e * w * column 1 to column 0, so only the bottom row
+    (x, y) = (rho(uhat)[1][0], rho(uhat)[1][1]) is carried.  The entry's
+    constant term is 1, so it is primitive as it stands; only its sign is
+    normalised.
+    """
     f = even_slope_rep(f)
-    u = relator(f).u
-    img = poly_evaluate_word(u)
-    entries = (
-        poly_add(img[0], (-1,)),
-        img[1],
-        img[2],
-        poly_add(img[3], (-1,)),
-    )
-    g = poly_gcd(*entries)
-    if not g:
-        raise AssertionError("relator image is identically the identity")
-    return RileyData(f, g, entries)
+    x: list[int] = []
+    y: list[int] = [1]
+    for letter in relator(f).u_hat:
+        e = 1 if letter > 0 else -1
+        if abs(letter) == 1:
+            y.extend([0] * (len(x) - len(y)))
+            for i, c in enumerate(x):
+                y[i] += e * c
+        else:
+            x.extend([0] * (len(y) + 1 - len(x)))
+            for i, c in enumerate(y):
+                x[i + 1] += e * c
+    poly = _trim(y)
+    if poly[-1] < 0:
+        poly = tuple(-c for c in poly)
+    return RileyData(f, poly)
 
 
 # numeric 2x2 matrices as complex 4-tuples row-major
@@ -219,57 +190,110 @@ def evaluate(word, rep: NumericRep):
     return out
 
 
-def _all_roots(poly: Poly) -> list[complex]:
-    """All roots of an integer polynomial, found at 60 digits.
+def _riley_value(u_hat, w: complex) -> tuple[complex, complex]:
+    """(2,2) entry of rho(uhat) at w and its derivative in w.
 
-    Double-precision companion-matrix estimates lose roots once the
-    defining polynomial has clustered roots (large p); solving at high
-    precision from the exact coefficients keeps every root before the
-    final rounding to double.
+    The column operations of riley_polynomials on complex numbers, with
+    the derivative carried alongside (forward mode).
     """
-    with mpmath.workdps(60):
-        roots = mpmath.polyroots(
-            [mpmath.mpf(c) for c in reversed(poly)], maxsteps=200, extraprec=200
-        )
-        return [complex(z) for z in roots]
+    x = dx = dy = 0j
+    y = 1 + 0j
+    for letter in u_hat:
+        if letter == 1:
+            y += x
+            dy += dx
+        elif letter == -1:
+            y -= x
+            dy -= dx
+        elif letter == 2:
+            dx += y + w * dy
+            x += w * y
+        else:
+            dx -= y + w * dy
+            x -= w * y
+    return y, dy
 
 
-def numeric_reps(f: Frac, tol: float = 1e-9) -> list[NumericRep]:
-    """All distinct parabolic representation roots for slope f.
+_MAX_ITER = 200
+# a correction below a few ulps of max(|z|, 1): near w = 0 the product's
+# rounding error is absolute, as the polynomial's constant term is +-1
+_STOP = 4 * sys.float_info.epsilon
 
-    Roots are Newton-polished, deduplicated, ordered by (real, imag), and
-    packaged with generator images and the relator residual; roots whose
-    residual exceeds tol are dropped with a warning.
+
+def _all_roots(u_hat, poly: Poly) -> list[complex]:
+    """All roots of the Riley polynomial of uhat by Aberth-Ehrlich iteration.
+
+    The n = deg(poly) starting points lie on the circle around the mean
+    root -a(n-1) / (n a(n)) whose radius is the geometric mean distance
+    from that centre to the roots, |g(centre) / a(n)|^(1/n); the angular
+    offset keeps every start off the real axis.  Each sweep updates the
+    roots in turn (Gauss-Seidel); a root whose correction falls below
+    _STOP is frozen, and the sweeps stop when every root is frozen or
+    after _MAX_ITER (every slope with p <= 151 needs at most 41 sweeps).
+    Unconverged iterates are returned as they are, for the caller's
+    residual check to reject.
     """
-    data = riley_polynomials(f)
+    n = len(poly) - 1
+    lead = poly[-1]
+    centre = -poly[-2] / (n * lead)
+    radius = abs(_riley_value(u_hat, centre)[0] / lead) ** (1 / n)
+    if not 0 < radius < math.inf:
+        radius = 1.0
+    zs = [centre + radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    active = range(n)
+    for _ in range(_MAX_ITER):
+        moving = []
+        for k in active:
+            z = zs[k]
+            g, dg = _riley_value(u_hat, z)
+            s = 0j
+            for other in zs:
+                if other != z:
+                    s += 1 / (z - other)
+            try:
+                ratio = g / dg
+                z_new = z - ratio / (1 - ratio * s)
+            except ZeroDivisionError:
+                z_new = complex("nan")
+            if not cmath.isfinite(z_new):
+                # keep z rather than spread inf/nan into every other sum
+                moving.append(k)
+                continue
+            zs[k] = z_new
+            if not abs(z_new - z) <= _STOP * max(abs(z_new), 1.0):
+                moving.append(k)
+        if not moving:
+            break
+        active = moving
+    return zs
+
+
+def numeric_reps(data: RileyData, tol: float = 1e-9) -> list[NumericRep]:
+    """All distinct parabolic representations at the roots of data.poly.
+
+    Each root is packaged with the generator images and its relator
+    residual; a root whose residual is not at most tol (nan included) is
+    dropped with a warning.  The kept roots are deduplicated to 1e-8 and
+    ordered by (real, imag).
+    """
     if len(data.poly) < 2:
-        warnings.warn(f"slope {f} has a constant defining polynomial; no roots")
+        warnings.warn(f"slope {data.fraction} has a constant defining polynomial; no roots")
         return []
-    roots: list[complex] = []
-    for r in _all_roots(data.poly):
-        if all(abs(r - s) > 1e-8 for s in roots):
-            roots.append(r)
-    roots.sort(key=lambda z: (z.real, z.imag))
-    u = relator(data.fraction).u
-    reps = []
-    for omega in roots:
-        rep = NumericRep(
-            omega=omega,
-            mat_a=(1 + 0j, 1 + 0j, 0j, 1 + 0j),
-            mat_b=(1 + 0j, 0j, omega, 1 + 0j),
-            residual=0.0,
-        )
-        img = evaluate(u, rep)
-        residual = max(
-            abs(img[0] - 1), abs(img[1]), abs(img[2]), abs(img[3] - 1)
-        )
-        rep = NumericRep(rep.omega, rep.mat_a, rep.mat_b, float(residual))
-        if rep.residual > tol:
+    rel = relator(data.fraction)
+    mat_a = (1 + 0j, 1 + 0j, 0j, 1 + 0j)
+    reps: list[NumericRep] = []
+    for omega in _all_roots(rel.u_hat, data.poly):
+        rep = NumericRep(omega, mat_a, (1 + 0j, 0j, omega, 1 + 0j), 0.0)
+        img = evaluate(rel.u, rep)
+        residual = float(max(abs(img[0] - 1), abs(img[1]), abs(img[2]), abs(img[3] - 1)))
+        if not residual <= tol:
             warnings.warn(
                 f"dropping root {omega} with relator residual {residual:.3e}"
             )
             continue
-        reps.append(rep)
+        if all(abs(omega - kept.omega) > 1e-8 for kept in reps):
+            reps.append(NumericRep(omega, rep.mat_a, rep.mat_b, residual))
+    reps.sort(key=lambda rep: (rep.omega.real, rep.omega.imag))
     if not reps:
-        warnings.warn(f"no representation root of {f} met tolerance {tol}")
+        warnings.warn(f"no representation root of {data.fraction} met tolerance {tol}")
     return reps

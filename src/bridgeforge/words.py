@@ -174,5 +174,13 @@ def least_rotation(seq):
 
 
 def cyclic_seq_eq(s, t) -> bool:
-    """Equality of sequences modulo rotation (not reversal)."""
-    return len(s) == len(t) and least_rotation(tuple(s)) == least_rotation(tuple(t))
+    """Equality of integer sequences modulo rotation (not reversal).
+
+    t is a rotation of s exactly when it occurs in s + s.  Each value is
+    written with a comma on both sides, so matches align with values:
+    (1, 12) never matches (11, 2), and no value is too large.
+    """
+    if len(s) != len(t):
+        return False
+    doubled = "," + "".join(f"{x}," for x in s) * 2
+    return "," + "".join(f"{x}," for x in t) in doubled

@@ -148,6 +148,26 @@ def test_orbifold_rejects_nonpositive_m(capsys, m):
     assert "--m must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_reps_rejects_tol_outside_gate(capsys, tol):
+    # nan and inf would switch the residual gate off; tol <= 0 drops every root
+    assert cli.main(["reps", "--p", "5", "--q", "2", f"--tol={tol}", "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be a finite number above 0" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["freeness", "--m", "1", "--n", "1", "--sign", "+"],
+    ["verify-all", "--m-max", "1", "--n-max", "1", "--scan"],
+])
+def test_negative_scan_syllables_rejected(capsys, command):
+    assert cli.main([*command, "--scan-syllables=-1", "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--scan-syllables must be at least 0" in captured.err
+
+
 def test_verify_all_jobs(capsys):
     code, payload = run_json(
         capsys, "verify-all", "--m-max", "1", "--n-max", "2", "--jobs", "2"

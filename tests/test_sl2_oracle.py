@@ -1,5 +1,12 @@
+import math
 import random
+import warnings
+from fractions import Fraction
 
+import mpmath
+import pytest
+
+from bridgeforge import sl2_oracle
 from bridgeforge.meridians import long_meridian_words
 from bridgeforge.presentation import relator
 from bridgeforge.sl2_oracle import (
@@ -9,14 +16,73 @@ from bridgeforge.sl2_oracle import (
     mat_inv,
     mat_mul,
     numeric_reps,
+    poly_add,
     poly_det,
     poly_eval,
     poly_evaluate_word,
-    poly_gcd,
     riley_polynomials,
 )
 from bridgeforge.slope import Frac, GenusOneKnot
 from bridgeforge.words import inverse, parse_word
+
+
+# Reference oracle: the defining polynomial as the gcd of the four entries
+# of rho(u) - I, by Euclid over the rationals.
+
+def _primitive(fracs):
+    """Integer polynomial: denominators cleared, content 1, positive lead."""
+    fracs = [Fraction(c) for c in fracs]
+    if not fracs:
+        return ()
+    denom = math.lcm(*(c.denominator for c in fracs))
+    ints = [int(c * denom) for c in fracs]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    return tuple(ints)
+
+
+def _poly_gcd_pair(f, g):
+    a = [Fraction(c) for c in f]
+    b = [Fraction(c) for c in g]
+    while b:
+        while len(a) >= len(b) and a:  # a mod b
+            factor = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i in range(len(b)):
+                a[shift + i] -= factor * b[i]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return _primitive(a)
+
+
+def poly_gcd(*polys):
+    acc = ()
+    for f in polys:
+        f = sl2_oracle._trim(f)
+        acc = f if not acc else _poly_gcd_pair(acc, f)
+    return _primitive(acc)
+
+
+def relator_entries(f):
+    """The four entry polynomials of rho(u) - I for the relator u of f."""
+    img = poly_evaluate_word(relator(f).u)
+    return (poly_add(img[0], (-1,)), img[1], img[2], poly_add(img[3], (-1,)))
+
+
+def even_slopes(p_max):
+    return [
+        Frac(q, p)
+        for p in range(3, p_max + 1, 2)
+        for q in range(2, p, 2)
+        if math.gcd(q, p) == 1
+    ]
+
+
+def reps_of(f, tol=1e-9):
+    return numeric_reps(riley_polynomials(f), tol=tol)
 
 
 def test_poly_gcd_basics():
@@ -46,37 +112,86 @@ def test_riley_data_small_slopes():
 
 def test_numeric_reps_residuals_and_count():
     for q, p in ((2, 5), (2, 3), (2, 7), (4, 7), (2, 15)):
-        reps = numeric_reps(Frac(q, p))
+        reps = reps_of(Frac(q, p))
         assert len(reps) == (p - 1) // 2
         assert all(rep.residual < 1e-9 for rep in reps)
     # figure-eight has non-real parabolic representations
-    assert any(abs(rep.omega.imag) > 0.1 for rep in numeric_reps(Frac(2, 5)))
+    assert any(abs(rep.omega.imag) > 0.1 for rep in reps_of(Frac(2, 5)))
     # trefoil root is real with tiny residual
-    trefoil = numeric_reps(Frac(2, 3))
+    trefoil = reps_of(Frac(2, 3))
     assert len(trefoil) == 1 and trefoil[0].residual < 1e-12
 
 
 def test_reps_sorted_deterministically():
-    reps = numeric_reps(Frac(6, 25))
+    reps = reps_of(Frac(6, 25))
     keys = [(rep.omega.real, rep.omega.imag) for rep in reps]
     assert keys == sorted(keys)
 
 
 def test_roots_annihilate_defining_polynomial():
     for q, p in ((2, 5), (2, 7), (6, 25)):
-        data = riley_polynomials(Frac(q, p))
+        f = Frac(q, p)
+        data = riley_polynomials(f)
         scale = sum(abs(c) for c in data.poly)
-        for rep in numeric_reps(Frac(q, p)):
+        for rep in reps_of(f):
             assert abs(poly_eval(data.poly, rep.omega)) < 1e-10 * scale
-            # the entry polynomials vanish simultaneously at each root
-            for entry in data.entries:
+            # the entry polynomials of rho(u) - I vanish at each root
+            for entry in relator_entries(f):
                 assert abs(poly_eval(entry, rep.omega)) < 1e-8 * (
                     1 + sum(abs(c) for c in entry)
                 )
 
 
+def test_riley_entry_is_gcd_of_relator_entries():
+    # Riley's one-entry polynomial against the gcd oracle, every slope p < 60
+    slopes = even_slopes(59)
+    assert len(slopes) == 364
+    for f in slopes:
+        data = riley_polynomials(f)
+        assert data.poly == poly_gcd(*relator_entries(f)), f
+        assert len(data.poly) - 1 == (f.den - 1) // 2
+        assert abs(data.poly[0]) == 1
+
+
+def _mpmath_roots(poly):
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(
+            [mpmath.mpf(c) for c in reversed(poly)], maxsteps=200, extraprec=200
+        )
+        return [complex(z) for z in roots]
+
+
+@pytest.mark.parametrize(
+    "f", even_slopes(25) + [Frac(16, 65), Frac(34, 67)], ids=str
+)
+def test_roots_match_mpmath_reference(f):
+    reference = _mpmath_roots(riley_polynomials(f).poly)
+    reps = reps_of(f)
+    assert len(reps) == len(reference) == (f.den - 1) // 2
+    for rep in reps:
+        assert min(abs(rep.omega - z) for z in reference) < 1e-9
+    for z in reference:
+        assert min(abs(rep.omega - z) for rep in reps) < 1e-9
+
+
+def test_numeric_reps_never_keeps_nan_residual(monkeypatch):
+    found = sl2_oracle._all_roots
+    nan, inf = float("nan"), float("inf")
+
+    def with_bad_iterates(u_hat, poly):
+        return [complex(nan, nan), complex(inf, 0)] + found(u_hat, poly)
+
+    monkeypatch.setattr(sl2_oracle, "_all_roots", with_bad_iterates)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reps = reps_of(Frac(2, 7))
+    assert len(reps) == 3
+    assert all(rep.residual <= 1e-9 for rep in reps)
+    assert sum("dropping root" in str(w.message) for w in caught) == 2
+
+
 def test_evaluate_basics():
-    rep = numeric_reps(Frac(2, 5))[0]
+    rep = reps_of(Frac(2, 5))[0]
     assert evaluate((), rep) == (1, 0, 0, 1)
     assert evaluate(parse_word("a"), rep) == (1, 1, 0, 1)
     w = parse_word("abAB")
@@ -88,7 +203,7 @@ def test_relator_image_is_identity():
     for q, p in ((2, 5), (2, 7), (4, 7)):
         f = Frac(q, p)
         u = relator(f).u
-        for rep in numeric_reps(f):
+        for rep in reps_of(f):
             img = evaluate(u, rep)
             assert max(abs(img[0] - 1), abs(img[1]), abs(img[2]), abs(img[3] - 1)) < 1e-9
 
@@ -97,7 +212,7 @@ def test_long_meridians_are_parabolic():
     for params in ((1, 1, 1), (2, 1, 1), (1, 2, -1)):
         knot = GenusOneKnot(*params)
         mw = long_meridian_words(knot)
-        for rep in numeric_reps(knot.fraction):
+        for rep in reps_of(knot.fraction):
             for w in (mw.x_l, mw.y_l):
                 tr = evaluate(w, rep)[0] + evaluate(w, rep)[3]
                 assert min(abs(tr - 2), abs(tr + 2)) < 1e-8
@@ -105,7 +220,7 @@ def test_long_meridians_are_parabolic():
 
 def test_evaluate_is_multiplicative():
     rng = random.Random(11)
-    rep = numeric_reps(Frac(2, 7))[0]
+    rep = reps_of(Frac(2, 7))[0]
     for _ in range(40):
         u = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 12)))
         v = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 12)))
@@ -115,6 +230,6 @@ def test_evaluate_is_multiplicative():
 
 
 def test_mat_inv():
-    rep = numeric_reps(Frac(2, 5))[0]
+    rep = reps_of(Frac(2, 5))[0]
     m = evaluate(parse_word("ab"), rep)
     assert dist_pm_identity(mat_mul(m, mat_inv(m))) < 1e-14

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,36 @@ def test_apply_f_examples():
 def test_apply_f_involution_commutes_with_reduce(w):
     assert apply_f(apply_f(w)) == tuple(w)
     assert free_reduce(apply_f(w)) == apply_f(free_reduce(w))
+
+
+def test_cyclic_seq_eq_aligns_values():
+    assert not cyclic_seq_eq((1, 12), (11, 2))
+    assert not cyclic_seq_eq((1, 12), (2, 11))
+    assert cyclic_seq_eq((1, 12), (12, 1))
+    assert cyclic_seq_eq((300, -1, 2), (2, 300, -1))
+    assert not cyclic_seq_eq((1, 2), (1, 2, 1))
+    assert cyclic_seq_eq((), ())
+
+
+def test_cyclic_seq_eq_matches_least_rotation():
+    # brute-force oracle: equal lengths and equal least rotations
+    rng = random.Random(5)
+    values = (1, 2, 3, 11, 12, 21, 22, 255, 256, 1000)
+    agree = 0
+    for _ in range(3000):
+        s = tuple(rng.choice(values) for _ in range(rng.randint(0, 8)))
+        if rng.random() < 0.5:
+            k = rng.randint(0, len(s))
+            t = s[k:] + s[:k]
+            if t and rng.random() < 0.3:
+                i = rng.randrange(len(t))
+                t = t[:i] + (rng.choice(values),) + t[i + 1:]
+        else:
+            t = tuple(rng.choice(values) for _ in range(len(s) + rng.randint(-1, 1)))
+        expected = len(s) == len(t) and least_rotation(s) == least_rotation(t)
+        assert cyclic_seq_eq(s, t) == expected, (s, t)
+        agree += expected
+    assert agree > 1000  # the rotated cases exercise the True branch
 
 
 @settings(max_examples=60)
