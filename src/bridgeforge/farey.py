@@ -1,13 +1,13 @@
-"""Farey tessellation reflections and the epimorphism orbit search.
+"""Farey tessellation reflections and the exact epimorphism orbit test.
 
 Two extended rationals span a Farey edge when |q1 p2 - q2 p1| = 1.  The
 reflection in that edge is an integral Mobius involution of determinant
--1 fixing both endpoints.  The group generated by the reflections in all
-edges with an endpoint at infinity or at a slope r classifies, through
-its orbit of {r, infinity}, which two-bridge knot groups surject onto
-the group of K(r).  The generating set is infinite, so the search is an
-explicit semi-decision: bounded generators, bounded depth, answers
-"yes" or "unknown" and never a false "no".
+-1 fixing both endpoints.  The group Gamma_r generated by the reflections
+in all edges with an endpoint at infinity or at a slope r classifies,
+through its orbit of {r, infinity}, which two-bridge knot groups surject
+onto the group of K(r).  Gamma_r has a fundamental domain bounded by four
+Farey edges, so orbit membership is decided exactly by a descent onto
+that domain: "yes" with a witness chain of reflections, or "no".
 """
 
 from __future__ import annotations
@@ -99,75 +99,98 @@ def reflection_generators(r: Frac, neighbor_bound: int) -> list[Reflection]:
 
 @dataclass
 class OrbitSearch:
+    """Outcome of one descent: ``found`` when the target lies in the orbit
+    of {r, infinity} under Gamma_r.  ``visited`` counts the reflections
+    applied, ``landing`` is where the descent stopped (r or infinity on a
+    yes, a point of the free sides [k, r1] and [r2, k + 1] on a no), and
+    ``witness`` is the chain of reflections from r or infinity to the
+    target (empty on a no, and when the target is r or infinity)."""
+
     found: bool
+    r: Frac
     target: Frac
-    depth_used: int
     visited: int
-    cap_hits: int
+    landing: Frac
     witness: list[dict] = field(default_factory=list)
 
     @property
     def verdict(self) -> str:
-        return "yes" if self.found else "unknown"
+        return "yes" if self.found else "no"
 
 
-def orbit_contains(
-    r: Frac,
-    target: Frac,
-    depth: int,
-    neighbor_bound: int,
-    den_cap: int = 10**6,
-) -> OrbitSearch:
-    """Bounded breadth-first search of the orbit of {r, infinity}.
+def orbit_contains(r: Frac, target: Frac) -> OrbitSearch:
+    """Decide whether target lies in the orbit of {r, infinity} under the
+    group generated by the reflections in the Farey edges with an
+    endpoint at infinity or at r.
 
-    "found" means the target was reached within the bounds; a negative is
-    always "unknown" since the true generating set is infinite.  Images
-    with denominator above den_cap are skipped and counted.
+    With k = floor(r), that group has the fundamental domain bounded by
+    the edges <inf, k>, <inf, k + 1>, <r1, r> and <r, r2>, where r1 < r < r2
+    are the Farey parents of r.  Each step reflects the point across the
+    fan of edges at infinity into [k, k + 1], or across the fan at r into
+    the arc from r2 through infinity to r1.  The point lands on r or
+    infinity exactly when it is in their orbit; otherwise it lands on
+    the domain's free sides [k, r1] and [r2, k + 1].  In the fan
+    coordinate phi(X/Y) = (bX - aY)/(qY - pX) the neighbours
+    n_j = (a + jq)/(b + jp) of r = q/p sit at the integers j, r at
+    infinity, and the reflection in <r, n_j> is phi -> 2j - phi.
     """
-    gens = reflection_generators(r, neighbor_bound)
-    parent: dict[Frac, tuple[Frac, int] | None] = {r: None, INFINITY: None}
-    frontier = [r, INFINITY]
-    cap_hits = 0
-    depth_used = 0
+    q, p = r.num, r.den
+    if p < 2:
+        raise ValueError(f"r must be a non-integer rational, got {r}")
+    k = q // p
+    b = pow(q, -1, p)  # left parent r1 = n_0 = a/b, with qb - pa = 1
+    a = (q * b - 1) // p
+    x, y = target.num, target.den
+    edges = []  # the reflections applied, from the target down
 
-    def build_result(found, depth_used):
-        witness = []
-        if found and parent.get(target) is not None:
-            node = target
-            while parent[node] is not None:
-                prev, gi = parent[node]
-                witness.append(
-                    {
-                        "edge": [str(e) for e in gens[gi].edge],
-                        "from": str(prev),
-                        "to": str(node),
-                    }
-                )
-                node = prev
-            witness.reverse()
-        return OrbitSearch(found, target, depth_used, len(parent), cap_hits, witness)
+    def step(edge, x2, y2):
+        nonlocal x, y
+        edges.append(edge)
+        x, y = (-x2, -y2) if y2 < 0 else (x2, y2)
 
-    if target in parent:
-        return build_result(True, 0)
-    for level in range(1, depth + 1):
-        nxt = []
-        for node in frontier:
-            for gi, g in enumerate(gens):
-                image = g.apply(node)
-                if image.den > den_cap:
-                    cap_hits += 1
-                    continue
-                if image in parent:
-                    continue
-                parent[image] = (node, gi)
-                if image == target:
-                    return build_result(True, level)
-                nxt.append(image)
-        frontier = nxt
-        depth_used = level
-        if not frontier:
-            break
-    return build_result(False, depth_used)
+    # An image in (k + 1, k + 2), or with phi in (-2, -1), is sent on by
+    # the next pass through <inf, k + 1>, or <r, n_-1> = <r, r2>.
+    while y and (x, y) != (q, p):
+        t = x - k * y  # x/y - k = t/y
+        if not 0 <= t <= y:
+            m = -(-t // (2 * y))  # ceil(t / 2y): 2m - t/y lands in [0, 2)
+            step((INFINITY, Frac(k + m)), 2 * (k + m) * y - x, y)
+            continue
+        u, v = b * x - a * y, q * y - p * x
+        if v < 0:
+            u, v = -u, -v
+        if -v <= u <= 0:
+            break  # phi in [-1, 0]: the free sides [k, r1] and [r2, k + 1]
+        j = u // (2 * v)  # 2j - phi lands in (-2, 0]
+        u = 2 * j * v - u
+        step((r, Frac(a + j * q, b + j * p)), q * u + a * v, p * u + b * v)
+
+    landing = Frac(x, y)
+    found = landing in (r, INFINITY)
+    witness = []
+    if found:
+        # replay the reflections backwards from the landing point, exactly
+        at = landing
+        for edge in reversed(edges):
+            image = reflection_in_edge(*edge).apply(at)
+            witness.append(
+                {"edge": [str(e) for e in edge], "from": str(at), "to": str(image)}
+            )
+            at = image
+        if at != target:
+            raise RuntimeError(f"witness ends at {at}, not at the target {target}")
+    return OrbitSearch(found, r, target, len(edges), landing, witness)
+
+
+# What turns a "no" of the orbit test into "no epimorphism".
+EPI_BASIS = (
+    "classification of epimorphisms onto genus-one hyperbolic 2-bridge "
+    "knot groups (arXiv:1508.03793, Parabolic generating pairs of "
+    "genus-one 2-bridge knot groups): G(K(r~)) surjects onto G(K(r)) iff "
+    "r~ or r~+1 lies in the Gamma_r-orbit of r or infinity or in the "
+    "Gamma_r'-orbit of r' or infinity; orbits decided on the fundamental "
+    "domain of Gamma_r (Lee-Sakuma, Proc. LMS 104, 2012)"
+)
 
 
 @dataclass
@@ -176,24 +199,19 @@ class EpiResult:
     target: Frac
     verdict: str
     route: str | None
-    searches: list[OrbitSearch]
+    searches: dict[str, OrbitSearch]
     witness: list[dict]
 
 
-def epimorphism_exists(
-    r_tilde: Frac,
-    r: Frac,
-    depth: int = 5,
-    neighbor_bound: int = 6,
-    den_cap: int = 10**6,
-) -> EpiResult:
-    """Semi-decision for an epimorphism onto the group of a double-twist knot.
+def epimorphism_exists(r_tilde: Frac, r: Frac) -> EpiResult:
+    """Decide whether the group of K(r_tilde) surjects onto that of K(r).
 
     The target slope r must be a hyperbolic genus-one slope 2n/(4mn +- 1)
     and the source a two-bridge knot slope (odd denominator >= 3).
-    "yes" when r_tilde or r_tilde + 1 (taken mod 1) lies in the bounded
-    orbit of {r, infinity} or of {r', infinity} with q q' = 1 mod p;
-    otherwise "unknown".
+    "yes" when r_tilde or r_tilde + 1 (taken mod 1) lies in the orbit of
+    {r, infinity} or of {r', infinity} with q q' = 1 mod p, and "no"
+    otherwise; the "no" rests on the classification in EPI_BASIS.
+    ``searches`` maps each route tried to its descent, in order.
     """
     knot = GenusOneKnot.from_fraction(r)
     if not knot.is_hyperbolic:
@@ -207,14 +225,11 @@ def epimorphism_exists(
             "denominator >= 3)"
         )
     rt = Frac(r_tilde.num % r_tilde.den, r_tilde.den)
-    searches = []
+    searches = {}
     for base, base_name in ((r, "r"), (r_prime(r), "r'")):
         for t, t_name in ((rt, "rt"), (rt + 1, "rt+1")):
-            res = orbit_contains(base, t, depth, neighbor_bound, den_cap)
-            searches.append(res)
+            route = f"{t_name} in orbit of {base_name}"
+            res = searches[route] = orbit_contains(base, t)
             if res.found:
-                return EpiResult(
-                    r_tilde, r, "yes", f"{t_name} in orbit of {base_name}",
-                    searches, res.witness,
-                )
-    return EpiResult(r_tilde, r, "unknown", None, searches, [])
+                return EpiResult(r_tilde, r, "yes", route, searches, res.witness)
+    return EpiResult(r_tilde, r, "no", None, searches, [])

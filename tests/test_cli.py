@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,16 +89,54 @@ def test_orbifold_command(capsys):
 
 
 def test_epi_command(capsys):
-    code, payload = run_json(
-        capsys, "epi", "--source", "2/5", "--target", "2/5", "--depth", "2"
-    )
+    code, payload = run_json(capsys, "epi", "--source", "2/5", "--target", "2/5")
     assert code == 0
     assert payload["verdict"] == "yes"
-    code, payload = run_json(
-        capsys, "epi", "--source", "1/3", "--target", "2/5", "--depth", "1",
-        "--neighbors", "1",
-    )
-    assert payload["verdict"] in ("yes", "unknown")
+    assert payload["algorithm"] == "gamma_r_descent"
+    assert payload["reflections"] == 0 and payload["witness"] == []
+    code, payload = run_json(capsys, "epi", "--source", "1/3", "--target", "2/5")
+    assert code == 0
+    assert payload["verdict"] == "no" and payload["route"] is None
+    assert "arXiv:1508.03793" in payload["basis"]
+    assert [s["route"] for s in payload["searches"]] == [
+        "rt in orbit of r", "rt+1 in orbit of r", "rt in orbit of r'", "rt+1 in orbit of r'",
+    ]
+    assert payload["reflections"] == sum(s["reflections"] for s in payload["searches"])
+    assert "cap_hits" not in payload and "note" not in payload
+    code, out = run_cli(capsys, "epi", "--source", "1/7", "--target", "2/5")
+    assert code == 0
+    assert out.splitlines()[0].endswith(": no")
+    assert "rt+1 in orbit of r': 8/7 is not in the orbit of {3/5, 1/0}" in out
+    assert "basis:" in out
+
+
+@pytest.mark.parametrize("knob", [["--depth", "2"], ["--neighbors", "1"]])
+def test_epi_search_knobs_are_gone(knob):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["epi", "--source", "1/3", "--target", "2/5", *knob])
+    assert err.value.code == 2
+
+
+def test_parser_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, payload = run_json(capsys, "relator", "--p", "5", "--q", "2")
+    assert code == 0 and payload["command"] == "relator"
+    code, payload = run_json(capsys, "epi", "--source", "3/5", "--target", "2/5")
+    assert code == 0 and payload["command"] == "epi" and payload["verdict"] == "yes"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["reps", "--p", "5"])
+    assert err.value.code == 2
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bridgeforge.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_verify_all_small_grid(capsys):
