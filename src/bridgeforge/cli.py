@@ -13,6 +13,8 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from . import (
     _kernel,
@@ -141,12 +143,8 @@ def _cmd_pieces(args) -> int:
         ]
         _emit(payload, args.json, lines)
         return EXIT_PASS
-    checks = {
-        "piece_prop": smallcancel.verify_piece_prop(knot),
-        "three_piece": smallcancel.verify_three_piece_property(knot),
-        "C4": smallcancel.check_C(R, 4),
-        "T4": smallcancel.check_T(R, 4),
-    }
+    ctx = CheckContext(knot, R, 0)
+    checks = {c.name: c.run(ctx) for c in CHECKS if c.name in _PIECE_CHECKS}
     payload = {
         "command": "pieces",
         "m": knot.m, "n": knot.n, "sign": knot.sign,
@@ -323,95 +321,102 @@ def _cmd_epi(args) -> int:
     return EXIT_PASS
 
 
-_BATTERY = (
-    "relator_cs",
-    "meridian_forms",
-    "piece_prop",
-    "three_piece",
-    "C4",
-    "T4",
-    "alternating_cs",
-    "alternating_bounds",
-    "dihedral_orders",
+@dataclass(frozen=True)
+class CheckContext:
+    """What a check reads: the knot, the symmetrized set of its relator
+    (built once per knot) and the matrix-scan depth (0 for no scan)."""
+
+    knot: GenusOneKnot
+    R: smallcancel.SymmetrizedSet
+    scan_syllables: int
+
+
+@dataclass(frozen=True)
+class Check:
+    """One battery check: run(ctx) is True when it passes.  On a knot
+    where applies(knot) is False it does not run and reports unsupported."""
+
+    name: str
+    run: Callable[[CheckContext], bool]
+    applies: Callable[[GenusOneKnot], bool] = lambda knot: True
+
+
+# The battery, in report order.  verify-all runs every check (matrix_scan
+# only under --scan), pieces the _PIECE_CHECKS.  Each run looks its
+# library function up when it runs, so tracing sees the call.
+CHECKS = (
+    Check("relator_cs", lambda ctx: presentation.verify_cs_closed_form(ctx.knot)),
+    Check("meridian_forms", lambda ctx: meridians.verify_meridian_forms(ctx.knot)),
+    Check("piece_prop", lambda ctx: smallcancel.verify_piece_prop(ctx.knot)),
+    Check("three_piece", lambda ctx: smallcancel.verify_three_piece_property(ctx.knot)),
+    Check("C4", lambda ctx: smallcancel.check_C(ctx.R, 4)),
+    Check("T4", lambda ctx: smallcancel.check_T(ctx.R, 4)),
+    Check(
+        "alternating_cs",
+        lambda ctx: all(
+            cyclic_seq_eq(
+                cyclic_s_sequence(freeness.alternating_relation_word(ctx.knot, pattern)),
+                freeness.alternating_cs_closed_form(ctx.knot, pattern),
+            )
+            for pattern in _sign_patterns(2)
+        ),
+        # the torus knot [2,-2] has no closed form
+        applies=lambda knot: knot.is_hyperbolic,
+    ),
+    Check(
+        "alternating_bounds",
+        lambda ctx: all(
+            freeness.verify_alternating_cs(ctx.knot, pattern)
+            for pattern in _sign_patterns(2)
+        ),
+    ),
+    Check(
+        "dihedral_orders",
+        lambda ctx: orbifold.standard_arcs_proper(ctx.knot.m),
+        # the slope 2m/(4m^2 - 1) of the standard arcs is that of [2m,-2m]
+        applies=lambda knot: knot.sign == -1 and knot.m == knot.n >= 2,
+    ),
+    Check(
+        "matrix_scan",
+        lambda ctx: freeness.no_relation_scan(ctx.knot, ctx.scan_syllables).clean,
+    ),
 )
+
+_PIECE_CHECKS = ("piece_prop", "three_piece", "C4", "T4")
 
 
 def _verify_cell(cell) -> dict:
     m, n, sign, scan_syllables = cell
     knot = GenusOneKnot(m, n, sign)
+    R = smallcancel.SymmetrizedSet(presentation.relator(knot.fraction).u)
+    ctx = CheckContext(knot, R, scan_syllables)
     checks = []
-
-    def run(name, fn, applicable=True):
-        if not applicable:
-            checks.append({"name": name, "status": "unsupported", "elapsed_s": 0.0})
-            return
+    for check in CHECKS:
+        if check.name == "matrix_scan" and not scan_syllables:
+            continue
+        if not check.applies(knot):
+            checks.append({"name": check.name, "status": "unsupported", "elapsed_s": 0.0})
+            continue
         t0 = time.perf_counter()
-        try:
-            ok = fn()
-            status = "pass" if ok else "fail"
-        except freeness.UnsupportedCaseError:
-            status = "unsupported"
+        status = "pass" if check.run(ctx) else "fail"
         checks.append(
-            {"name": name, "status": status,
+            {"name": check.name, "status": status,
              "elapsed_s": round(time.perf_counter() - t0, 6)}
         )
-
-    rel = presentation.relator(knot.fraction)
-    R = smallcancel.SymmetrizedSet(rel.u)
-    patterns = _sign_patterns(2)
-
-    run("relator_cs", lambda: presentation.verify_cs_closed_form(knot))
-    run("meridian_forms", lambda: meridians.verify_meridian_forms(knot))
-    run("piece_prop", lambda: smallcancel.verify_piece_prop(knot))
-    run("three_piece", lambda: smallcancel.verify_three_piece_property(knot))
-    run("C4", lambda: smallcancel.check_C(R, 4))
-    run("T4", lambda: smallcancel.check_T(R, 4))
-
-    def closed_forms():
-        for pattern in patterns:
-            computed = cyclic_s_sequence(
-                freeness.alternating_relation_word(knot, pattern)
-            )
-            closed = freeness.alternating_cs_closed_form(knot, pattern)
-            if not cyclic_seq_eq(computed, closed):
-                return False
-        return True
-
-    def bounds():
-        return all(
-            freeness.verify_alternating_cs(knot, pattern) for pattern in patterns
-        )
-
-    def dihedral_orders():
-        r = Frac(2 * m, 4 * m * m - 1)
-        v1 = orbifold.subgroup_verdict(Frac(1, 2 * m - 1), r)
-        v2 = orbifold.subgroup_verdict(Frac(1, 2 * m + 1), r)
-        return (
-            v1.proper and v1.order_in_homology == 2 * m + 1
-            and v2.proper and v2.order_in_homology == 2 * m - 1
-        )
-
-    run("alternating_cs", closed_forms)
-    run("alternating_bounds", bounds)
-    run(
-        "dihedral_orders",
-        dihedral_orders,
-        applicable=(sign == -1 and m == n and m >= 2),
-    )
-    if scan_syllables:
-        run("matrix_scan", lambda: freeness.no_relation_scan(knot, scan_syllables).clean)
-    expected = _BATTERY + (("matrix_scan",) if scan_syllables else ())
-    assert tuple(c["name"] for c in checks) == expected
     return {"m": m, "n": n, "sign": sign, "checks": checks}
 
 
 def _cmd_verify_all(args) -> int:
     if args.m_max < 1 or args.n_max < 1:
-        print("error: grid bounds must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("grid bounds must be at least 1")
     if args.scan_syllables < 0:
-        print("error: --scan-syllables must be at least 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--scan-syllables must be at least 0")
+    if not (math.isfinite(args.max_seconds) and args.max_seconds >= 0):
+        raise ValueError(
+            f"--max-seconds must be a finite number of at least 0, got {args.max_seconds}"
+        )
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     cells = [
         (m, n, sign, args.scan_syllables if args.scan else 0)
         for m in range(1, args.m_max + 1)

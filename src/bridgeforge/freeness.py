@@ -151,13 +151,14 @@ class ScanReport:
 
 
 _SYLLABLES = ("x", "X", "y", "Y")
+# relator residual a representation root must meet to enter the scan
+_REP_TOL = 1e-9
 
 
 def no_relation_scan(
     knot: GenusOneKnot,
     max_syllables: int = 6,
     tol: float = 1e-3,
-    rep_tol: float = 1e-9,
 ) -> ScanReport:
     """Numeric evidence scan over words in the long meridian pair.
 
@@ -169,7 +170,7 @@ def no_relation_scan(
     """
     mw = long_meridian_words(knot)
     data = sl2_oracle.riley_polynomials(knot.fraction)
-    reps = sl2_oracle.numeric_reps(data, tol=rep_tol)
+    reps = sl2_oracle.numeric_reps(data, tol=_REP_TOL)
     if not reps:
         raise RuntimeError("no parabolic representation root below tolerance")
     report = ScanReport(

@@ -150,21 +150,25 @@ def long_meridian_words(knot: GenusOneKnot) -> MeridianWords:
     return MeridianWords(d0, d1, w_x, w_y, x_l, y_l)
 
 
-def verify_meridian_forms(knot: GenusOneKnot, k_range=range(-4, 5)) -> bool:
+# exponents k of the power identity checked by verify_meridian_forms
+_K_RANGE = range(-4, 5)
+
+
+def verify_meridian_forms(knot: GenusOneKnot) -> bool:
     """Raw Wirtinger reduction vs closed forms, plus the power identity.
 
     Checks free_reduce(raw y_l) == closed-form y_l, the f-symmetry
-    x_l = f(y_l), and that for each nonzero k the freely reduced k-th
-    power of x_l (resp. y_l) is literally w_x a^k w_x^-1 (resp.
-    w_y b^-k w_y^-1), already reduced, and alternating exactly when
-    |k| = 1.
+    x_l = f(y_l), and that for each k with 0 < |k| <= 4 the freely
+    reduced k-th power of x_l (resp. y_l) is literally w_x a^k w_x^-1
+    (resp. w_y b^-k w_y^-1), already reduced, and alternating exactly
+    when |k| = 1.
     """
     mw = long_meridian_words(knot)
     if free_reduce(long_meridian_raw(knot)) != mw.y_l:
         return False
     if apply_f(mw.y_l) != mw.x_l:
         return False
-    for k in k_range:
+    for k in _K_RANGE:
         if k == 0:
             continue
         for base, conj, letter in ((mw.x_l, mw.w_x, 1), (mw.y_l, mw.w_y, -2)):

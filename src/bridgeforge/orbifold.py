@@ -19,44 +19,6 @@ from .slope import Frac
 
 
 @dataclass(frozen=True)
-class DihedralElement:
-    """Element (rotation, flip) of the dihedral group of order 2p."""
-
-    rotation: int
-    flip: bool
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "rotation", self.rotation % self.modulus)
-
-    def __mul__(self, other: "DihedralElement") -> "DihedralElement":
-        if self.modulus != other.modulus:
-            raise ValueError("mixed dihedral groups")
-        rot = self.rotation + (-other.rotation if self.flip else other.rotation)
-        return DihedralElement(rot, self.flip ^ other.flip, self.modulus)
-
-    def inverse(self) -> "DihedralElement":
-        if self.flip:
-            return self
-        return DihedralElement(-self.rotation, False, self.modulus)
-
-    @classmethod
-    def identity(cls, modulus: int) -> "DihedralElement":
-        return cls(0, False, modulus)
-
-
-def dihedral_group(modulus: int):
-    """All 2p elements, for exhaustive axiom checks at small p."""
-    return [
-        DihedralElement(r, f, modulus)
-        for f in (False, True)
-        for r in range(modulus)
-    ]
-
-
-@dataclass(frozen=True)
 class HomologyClass:
     value: int
     modulus: int
@@ -96,20 +58,18 @@ def subgroup_verdict(s: Frac, f: Frac) -> SubgroupVerdict:
     return SubgroupVerdict(s, order, 2 * order, order < p)
 
 
-def proper_subgroup_sweep(m_max: int) -> bool:
-    """Proper-subgroup verdicts for the slopes 2m/(4m^2 - 1), m = 2..m_max.
+def standard_arcs_proper(m: int) -> bool:
+    """Proper-subgroup verdicts for the slope 2m/(4m^2 - 1), m >= 2.
 
     The two arc slopes 1/(2m-1) and 1/(2m+1) must give proper subgroups
     of orders 2m+1 and 2m-1 respectively.
     """
-    if m_max < 2:
-        raise ValueError("m_max must be at least 2")
-    for m in range(2, m_max + 1):
-        r = Frac(2 * m, 4 * m * m - 1)
-        v1 = subgroup_verdict(Frac(1, 2 * m - 1), r)
-        v2 = subgroup_verdict(Frac(1, 2 * m + 1), r)
-        if not (v1.proper and v1.order_in_homology == 2 * m + 1):
-            return False
-        if not (v2.proper and v2.order_in_homology == 2 * m - 1):
-            return False
-    return True
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    r = Frac(2 * m, 4 * m * m - 1)
+    v1 = subgroup_verdict(Frac(1, 2 * m - 1), r)
+    v2 = subgroup_verdict(Frac(1, 2 * m + 1), r)
+    return (
+        v1.proper and v1.order_in_homology == 2 * m + 1
+        and v2.proper and v2.order_in_homology == 2 * m - 1
+    )

@@ -36,66 +36,6 @@ def _trim(coeffs) -> Poly:
     return tuple(coeffs)
 
 
-def poly_add(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    return _trim(
-        (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)
-    )
-
-
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def poly_eval(f: Poly, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-# 2x2 matrices over the polynomial ring, stored as 4-tuples row-major
-PolyMatrix = tuple[Poly, Poly, Poly, Poly]
-
-_ONE: Poly = (1,)
-_W: Poly = (0, 1)
-_PGEN = {
-    1: (_ONE, _ONE, (), _ONE),           # a
-    -1: (_ONE, (-1,), (), _ONE),         # a^-1
-    2: (_ONE, (), _W, _ONE),             # b
-    -2: (_ONE, (), (0, -1), _ONE),       # b^-1
-}
-
-
-def poly_mat_mul(x: PolyMatrix, y: PolyMatrix) -> PolyMatrix:
-    return (
-        poly_add(poly_mul(x[0], y[0]), poly_mul(x[1], y[2])),
-        poly_add(poly_mul(x[0], y[1]), poly_mul(x[1], y[3])),
-        poly_add(poly_mul(x[2], y[0]), poly_mul(x[3], y[2])),
-        poly_add(poly_mul(x[2], y[1]), poly_mul(x[3], y[3])),
-    )
-
-
-def poly_evaluate_word(word) -> PolyMatrix:
-    out: PolyMatrix = (_ONE, (), (), _ONE)
-    for letter in word:
-        out = poly_mat_mul(out, _PGEN[letter])
-    return out
-
-
-def poly_det(mat: PolyMatrix) -> Poly:
-    return poly_add(
-        poly_mul(mat[0], mat[3]), tuple(-c for c in poly_mul(mat[1], mat[2]))
-    )
-
-
 @dataclass(frozen=True)
 class RileyData:
     fraction: Frac             # even-numerator representative actually used

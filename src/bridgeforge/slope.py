@@ -159,11 +159,6 @@ class GenusOneKnot:
         return f"[{2 * self.m},{self.sign * 2 * self.n}]"
 
 
-def genus_one_fraction(knot: GenusOneKnot) -> Frac:
-    """The slope 2n/(4mn + sign); agrees with cf_value([2m, sign*2n])."""
-    return knot.fraction
-
-
 def r_prime(f: Frac) -> Frac:
     """The partner slope q'/p with q q' = 1 (mod p) and 0 < q' < p."""
     q, p = f.num, f.den

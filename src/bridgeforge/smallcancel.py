@@ -1,4 +1,4 @@
-"""Symmetrized relator sets and brute-force small-cancellation analysis.
+"""Symmetrized relator sets and small-cancellation analysis.
 
 A piece (relative to the symmetrized set R of all cyclic permutations of
 the relator and of its inverse) is a word that is a common prefix of two
@@ -52,21 +52,6 @@ class SymmetrizedSet:
     def __len__(self):
         return 2 * self.n
 
-    def count_prefix(self, v: Word) -> int:
-        """Number of elements of the set having v as a prefix."""
-        L = len(v)
-        if L == 0 or L > self.n:
-            return 0
-        count = 0
-        for row in self.doubled:
-            for s in range(self.n):
-                for i in range(L):
-                    if row[s + i] != v[i]:
-                        break
-                else:
-                    count += 1
-        return count
-
     def find(self, v: Word):
         """First (direction, offset) where v occurs as a subword, or None."""
         L = len(v)
@@ -82,15 +67,20 @@ class SymmetrizedSet:
         return None
 
 
-def symmetrized_set(u: Word) -> SymmetrizedSet:
-    return SymmetrizedSet(u)
-
-
 def is_piece(v: Word, R: SymmetrizedSet) -> bool:
-    """True when at least two distinct elements of R begin with v."""
+    """True when at least two distinct elements of R begin with v.
+
+    The element at the first occurrence of v begins with v, and another
+    element does too exactly when the longest piece at that offset is at
+    least |v| long.
+    """
     if not v:
         raise ValueError("the empty word is not a piece candidate")
-    return R.count_prefix(tuple(v)) >= 2
+    loc = R.find(tuple(v))
+    if loc is None:
+        return False
+    d, s = loc
+    return R.piece_len[d][s] >= len(v)
 
 
 def min_pieces(v: Word, R: SymmetrizedSet):

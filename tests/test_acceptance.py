@@ -9,6 +9,7 @@ import time
 from itertools import product
 
 from bridgeforge import _kernel
+from bridgeforge.cli import _PIECE_CHECKS, CHECKS, CheckContext
 from bridgeforge.farey import orbit_contains, reflection_generators
 from bridgeforge.freeness import (
     UnsupportedCaseError,
@@ -17,16 +18,10 @@ from bridgeforge.freeness import (
     no_relation_scan,
 )
 from bridgeforge.meridians import long_meridian_words, verify_meridian_forms
-from bridgeforge.orbifold import subgroup_verdict
+from bridgeforge.orbifold import standard_arcs_proper
 from bridgeforge.presentation import canonical_decomposition, relator
 from bridgeforge.slope import INFINITY, Frac, GenusOneKnot
-from bridgeforge.smallcancel import (
-    SymmetrizedSet,
-    check_C,
-    check_T,
-    verify_piece_prop,
-    verify_three_piece_property,
-)
+from bridgeforge.smallcancel import SymmetrizedSet
 from bridgeforge.words import (
     alt_word,
     apply_f,
@@ -82,7 +77,7 @@ def test_criterion_2_meridian_identities():
     t0 = time.perf_counter()
     ok = True
     for knot in grid(10, 10):
-        ok &= verify_meridian_forms(knot, k_range=range(-4, 5))
+        ok &= verify_meridian_forms(knot)
     # the exceptional degenerate case keeps its closed form
     mw = long_meridian_words(GenusOneKnot(1, 1, -1))
     ok &= word_str(mw.w_x) == "b" and word_str(mw.w_y) == "A"
@@ -93,12 +88,10 @@ def test_criterion_2_meridian_identities():
 def test_criterion_3_small_cancellation():
     t0 = time.perf_counter()
     ok = True
+    checks = [c for c in CHECKS if c.name in _PIECE_CHECKS]
     for knot in grid(4, 4):
-        R = SymmetrizedSet(relator(knot.fraction).u)
-        ok &= verify_piece_prop(knot)
-        ok &= verify_three_piece_property(knot)
-        ok &= check_C(R, 4)
-        ok &= check_T(R, 4)
+        ctx = CheckContext(knot, SymmetrizedSet(relator(knot.fraction).u), 0)
+        ok &= all(c.applies(knot) and c.run(ctx) for c in checks)
     _report(3, f"piece battery with {_kernel.IMPL} kernel, grid 4x4", ok,
             time.perf_counter() - t0, 120.0)
 
@@ -129,13 +122,12 @@ def test_criterion_4_alternating_cs_closed_forms():
 
 def test_criterion_5_dihedral_orders():
     t0 = time.perf_counter()
+    check = next(c for c in CHECKS if c.name == "dihedral_orders")
     ok = True
     for m in range(2, 21):
-        r = Frac(2 * m, 4 * m * m - 1)
-        v1 = subgroup_verdict(Frac(1, 2 * m - 1), r)
-        v2 = subgroup_verdict(Frac(1, 2 * m + 1), r)
-        ok &= v1.proper and v1.dihedral_image_order == 2 * (2 * m + 1)
-        ok &= v2.proper and v2.dihedral_image_order == 2 * (2 * m - 1)
+        # check.run(ctx) is standard_arcs_proper(ctx.knot.m); a context would
+        # build a symmetrized set of (8m^2 - 2)-letter words it never reads
+        ok &= check.applies(GenusOneKnot(m, m, -1)) and standard_arcs_proper(m)
     _report(5, "dihedral image orders 2m+1 / 2m-1, m = 2..20", ok,
             time.perf_counter() - t0, 1.0)
 

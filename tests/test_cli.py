@@ -210,6 +210,21 @@ def test_negative_scan_syllables_rejected(capsys, command):
     assert "--scan-syllables must be at least 0" in captured.err
 
 
+@pytest.mark.parametrize("flag,message", [
+    ("--max-seconds=-1", "--max-seconds must be a finite number of at least 0"),
+    ("--max-seconds=nan", "--max-seconds must be a finite number of at least 0"),
+    ("--max-seconds=inf", "--max-seconds must be a finite number of at least 0"),
+    ("--jobs=0", "--jobs must be at least 1"),
+    ("--jobs=-2", "--jobs must be at least 1"),
+])
+def test_verify_all_rejects_bad_budget_and_jobs(capsys, flag, message):
+    # -1 truncated every cell, nan switched the budget off, 0 jobs ran serially
+    assert cli.main(["verify-all", "--m-max", "1", "--n-max", "1", flag, "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_verify_all_jobs(capsys):
     code, payload = run_json(
         capsys, "verify-all", "--m-max", "1", "--n-max", "2", "--jobs", "2"

@@ -1,12 +1,10 @@
 import pytest
 
 from bridgeforge.orbifold import (
-    DihedralElement,
     arc_class,
-    dihedral_group,
     homology_order,
+    standard_arcs_proper,
     subgroup_verdict,
-    proper_subgroup_sweep,
 )
 from bridgeforge.slope import INFINITY, Frac
 
@@ -34,10 +32,10 @@ def test_subgroup_verdicts():
 
 
 def test_proper_subgroup_sweep():
-    assert proper_subgroup_sweep(2)
-    assert proper_subgroup_sweep(20)
+    assert standard_arcs_proper(2)
+    assert all(standard_arcs_proper(m) for m in range(2, 21))
     with pytest.raises(ValueError):
-        proper_subgroup_sweep(1)
+        standard_arcs_proper(1)
 
 
 def test_verdict_orders_multiply_to_p():
@@ -46,29 +44,3 @@ def test_verdict_orders_multiply_to_p():
         v1 = subgroup_verdict(Frac(1, 2 * m - 1), r)
         v2 = subgroup_verdict(Frac(1, 2 * m + 1), r)
         assert v1.order_in_homology * v2.order_in_homology == r.den
-
-
-def test_dihedral_group_axioms():
-    for p in (1, 2, 5, 7):
-        G = dihedral_group(p)
-        assert len(G) == 2 * p
-        e = DihedralElement.identity(p)
-        for g in G:
-            assert g * e == g and e * g == g
-            assert g * g.inverse() == e and g.inverse() * g == e
-            for h in G:
-                for k in G:
-                    assert (g * h) * k == g * (h * k)
-
-
-def test_flip_conjugation_inverts_rotation():
-    for p in (3, 8, 13):
-        flip = DihedralElement(0, True, p)
-        for r in range(p):
-            rot = DihedralElement(r, False, p)
-            assert flip * rot * flip == rot.inverse()
-
-
-def test_mixed_modulus_rejected():
-    with pytest.raises(ValueError):
-        DihedralElement(1, False, 3) * DihedralElement(1, False, 5)

@@ -16,14 +16,71 @@ from bridgeforge.sl2_oracle import (
     mat_inv,
     mat_mul,
     numeric_reps,
-    poly_add,
-    poly_det,
-    poly_eval,
-    poly_evaluate_word,
     riley_polynomials,
 )
 from bridgeforge.slope import Frac, GenusOneKnot
 from bridgeforge.words import inverse, parse_word
+
+
+# Integer polynomials (coefficient tuples, low degree first) and 2x2
+# matrices over them, stored as 4-tuples row-major: the exact image of a
+# word under a -> [[1, 1], [0, 1]], b -> [[1, 0], [w, 1]].
+
+def poly_add(f, g):
+    n = max(len(f), len(g))
+    return sl2_oracle._trim(
+        (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)
+    )
+
+
+def poly_mul(f, g):
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return sl2_oracle._trim(out)
+
+
+def poly_eval(f, x):
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+_ONE = (1,)
+_W = (0, 1)
+_PGEN = {
+    1: (_ONE, _ONE, (), _ONE),           # a
+    -1: (_ONE, (-1,), (), _ONE),         # a^-1
+    2: (_ONE, (), _W, _ONE),             # b
+    -2: (_ONE, (), (0, -1), _ONE),       # b^-1
+}
+
+
+def poly_mat_mul(x, y):
+    return (
+        poly_add(poly_mul(x[0], y[0]), poly_mul(x[1], y[2])),
+        poly_add(poly_mul(x[0], y[1]), poly_mul(x[1], y[3])),
+        poly_add(poly_mul(x[2], y[0]), poly_mul(x[3], y[2])),
+        poly_add(poly_mul(x[2], y[1]), poly_mul(x[3], y[3])),
+    )
+
+
+def poly_evaluate_word(word):
+    out = (_ONE, (), (), _ONE)
+    for letter in word:
+        out = poly_mat_mul(out, _PGEN[letter])
+    return out
+
+
+def poly_det(mat):
+    return poly_add(
+        poly_mul(mat[0], mat[3]), tuple(-c for c in poly_mul(mat[1], mat[2]))
+    )
 
 
 # Reference oracle: the defining polynomial as the gcd of the four entries

@@ -9,7 +9,6 @@ from bridgeforge.slope import (
     GenusOneKnot,
     cf_identity_check,
     cf_value,
-    genus_one_fraction,
     parse_fraction,
     r_prime,
 )
@@ -62,9 +61,9 @@ def test_cf_value_against_oracle():
 
 
 def test_genus_one_fraction():
-    assert genus_one_fraction(GenusOneKnot(1, 1, 1)) == Frac(2, 5)
-    assert genus_one_fraction(GenusOneKnot(1, 1, -1)) == Frac(2, 3)
-    assert genus_one_fraction(GenusOneKnot(2, 3, 1)) == Frac(6, 25)
+    assert GenusOneKnot(1, 1, 1).fraction == Frac(2, 5)
+    assert GenusOneKnot(1, 1, -1).fraction == Frac(2, 3)
+    assert GenusOneKnot(2, 3, 1).fraction == Frac(6, 25)
 
 
 def test_genus_one_fraction_matches_cf_value():

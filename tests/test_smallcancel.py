@@ -14,7 +14,6 @@ from bridgeforge.smallcancel import (
     is_piece,
     min_pieces,
     piece_report,
-    symmetrized_set,
     verify_piece_prop,
     verify_three_piece_property,
 )
@@ -47,27 +46,36 @@ def brute_min_pieces(elements):
 
 
 def test_symmetrized_set_sizes():
-    assert len(symmetrized_set(relator(Frac(2, 5)).u)) == 20
-    assert len(symmetrized_set(relator(Frac(2, 3)).u)) == 12
-    assert len(symmetrized_set(parse_word("ab"))) == 4
+    assert len(SymmetrizedSet(relator(Frac(2, 5)).u)) == 20
+    assert len(SymmetrizedSet(relator(Frac(2, 3)).u)) == 12
+    assert len(SymmetrizedSet(parse_word("ab"))) == 4
     with pytest.raises(ValueError):
-        symmetrized_set(parse_word("abA"))
+        SymmetrizedSet(parse_word("abA"))
     with pytest.raises(ValueError):
-        symmetrized_set(parse_word("abab"))  # rotations collide
+        SymmetrizedSet(parse_word("abab"))  # rotations collide
 
 
 def test_is_piece_against_brute_force():
-    u = relator(Frac(2, 5)).u
-    R = SymmetrizedSet(u)
-    elements = rotations(u) + rotations(inverse(u))
-    count = brute_piece_counter(elements)
-    dbl = list(u) * 2
-    for s in range(len(u)):
-        for L in range(1, len(u) + 1):
-            w = tuple(dbl[s : s + L])
-            assert is_piece(w, R) == (count(w) >= 2)
+    rng = random.Random(5)
+    for f in (Frac(2, 5), Frac(2, 3), Frac(2, 9), Frac(4, 17)):
+        u = relator(f).u
+        R = SymmetrizedSet(u)
+        elements = rotations(u) + rotations(inverse(u))
+        count = brute_piece_counter(elements)
+        for dbl in (list(u) * 2, list(inverse(u)) * 2):
+            for s in range(len(u)):
+                for L in range(1, len(u) + 1):
+                    w = tuple(dbl[s : s + L])
+                    assert is_piece(w, R) == (count(w) >= 2)
+        strangers = 0
+        for _ in range(200):
+            w = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 8)))
+            strangers += count(w) == 0
+            assert is_piece(w, R) == (count(w) >= 2), w
+        assert strangers > 0  # words that are not subwords were tried
+    R = SymmetrizedSet(relator(Frac(2, 5)).u)
     assert is_piece(parse_word("ab"), R)
-    assert not is_piece(u, R)  # a full relator is never a piece here
+    assert not is_piece(R.word, R)  # a full relator is never a piece here
     assert is_piece(parse_word("a"), R) and is_piece(parse_word("b"), R)
 
 
