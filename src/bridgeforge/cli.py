@@ -2,7 +2,9 @@
 
 Every subcommand accepts --json for machine-readable output under the
 versioned "bridge-forge/1" schema.  Exit codes: 0 all checks pass, 1 any
-check failed, 2 usage error, 3 resource truncation.
+check failed or a check could not run (a RuntimeError, such as a matrix
+scan finding no representation root below tolerance; an "error:" line
+goes to stderr), 2 usage error, 3 resource truncation.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
+
+# freeness --t t checks sum(4^k, k <= t) sign patterns: 5,460 at t = 6
+MAX_T = 6
 
 
 def _emit(payload: dict, as_json: bool, human_lines) -> None:
@@ -170,8 +175,8 @@ def _sign_patterns(t_max: int):
 
 
 def _cmd_freeness(args) -> int:
-    if args.t < 1:
-        raise ValueError("--t must be at least 1")
+    if not 1 <= args.t <= MAX_T:
+        raise ValueError(f"--t must be between 1 and {MAX_T}, got {args.t}")
     if args.scan_syllables < 0:
         raise ValueError("--scan-syllables must be at least 0")
     knot = _knot_from_args(args)
@@ -512,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("freeness", help="alternating-word S-sequence checks")
     _add_knot_args(sub)
-    sub.add_argument("--t", type=int, default=2, help="max syllable pairs")
+    sub.add_argument("--t", type=int, default=2, help=f"max syllable pairs (1..{MAX_T})")
     sub.add_argument("--scan-syllables", type=int, default=0,
                      help="run the matrix scan up to this many syllables")
     sub.add_argument("--json", action="store_true")
@@ -558,6 +563,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

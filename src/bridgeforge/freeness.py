@@ -167,7 +167,17 @@ def no_relation_scan(
     parabolic representation root of the knot's slope; any image within
     tol of +-identity is reported as a hit.  An empty report is evidence,
     not proof, of freeness.
+
+    The words are walked in pre-order on one explicit stack, so a word
+    costs one 2x2 product with its parent's image, written out as in
+    sl2_oracle.mat_mul.  Its distance from +-I is that of
+    sl2_oracle.dist_pm_identity, but both of that function's maxima are
+    at least max(|b|, |c|) and division is monotone, so a word whose
+    max(|b|, |c|) / scale already reaches the running minimum and exceeds
+    tol can change neither; the rest of its distance is skipped.
     """
+    if max_syllables < 1:
+        raise ValueError(f"max_syllables must be at least 1, got {max_syllables}")
     mw = long_meridian_words(knot)
     data = sl2_oracle.riley_polynomials(knot.fraction)
     reps = sl2_oracle.numeric_reps(data, tol=_REP_TOL)
@@ -182,26 +192,41 @@ def no_relation_scan(
         words_checked=0,
         min_distance=float("inf"),
     )
+    best = report.min_distance
+    path = [0]  # path[k]: the syllable index at depth k + 1 of the current word
     for rep in reps:
         x = sl2_oracle.evaluate(mw.x_l, rep)
         y = sl2_oracle.evaluate(mw.y_l, rep)
         gens = (x, sl2_oracle.mat_inv(x), y, sl2_oracle.mat_inv(y))
-        stack = [(i, gens[i], _SYLLABLES[i]) for i in range(4)]
+        # nxt[i]: the letters that may follow letter i (not its inverse)
+        nxt = [[(j, *gens[j]) for j in range(4) if j != i ^ 1] for i in range(4)]
+        stack = [(i, 1, *gens[i]) for i in range(4)]
+        pop, push = stack.pop, stack.append
         count = 0
         while stack:
-            idx, mat, label = stack.pop()
+            i, depth, a, b, c, d = pop()
             count += 1
-            dist = sl2_oracle.dist_pm_identity(mat)
-            if dist < report.min_distance:
-                report.min_distance = dist
-            if dist <= tol:
-                report.hits.append(ScanHit(label, rep.omega, dist))
-            if len(label) < max_syllables:
-                for j in range(4):
-                    if j == idx ^ 1:
-                        continue  # x after X (and friends) is not reduced
-                    stack.append(
-                        (j, sl2_oracle.mat_mul(mat, gens[j]), label + _SYLLABLES[j])
-                    )
+            path[depth - 1] = i
+            abs_b = abs(b)
+            abs_c = abs(c)
+            # nested as in dist_pm_identity, so a nan entry gives the same scale
+            scale = max(1.0, max(abs(a), abs_b, abs_c, abs(d)))
+            bound = max(abs_b, abs_c) / scale
+            if not (bound >= best and bound > tol):
+                plus = max(abs(a - 1), abs_b, abs_c, abs(d - 1))
+                minus = max(abs(a + 1), abs_b, abs_c, abs(d + 1))
+                dist = min(plus, minus) / scale
+                if dist < best:
+                    best = dist
+                if dist <= tol:
+                    word = "".join(_SYLLABLES[k] for k in path[:depth])
+                    report.hits.append(ScanHit(word, rep.omega, dist))
+            if depth < max_syllables:
+                depth += 1
+                if depth > len(path):
+                    path.append(0)
+                for j, e, f, g, h in nxt[i]:
+                    push((j, depth, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
         report.words_checked = count
+    report.min_distance = best
     return report

@@ -210,6 +210,27 @@ def test_negative_scan_syllables_rejected(capsys, command):
     assert "--scan-syllables must be at least 0" in captured.err
 
 
+@pytest.mark.parametrize("t", ["7", "12"])
+def test_freeness_t_capped(capsys, t):
+    # the sign patterns grow as 4^t: --t 12 would list 22.4 million of them
+    assert cli.main(["freeness", "--m", "1", "--n", "1", "--sign", "+", "--t", t, "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --t must be between 1 and {cli.MAX_T}, got {t}" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["freeness", "--m", "1", "--n", "1", "--sign", "+", "--scan-syllables", "2"],
+    ["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "--scan-syllables", "2"],
+])
+def test_scan_without_roots_exits_fail(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli.sl2_oracle, "numeric_reps", lambda data, tol: [])
+    assert cli.main([*command, "--json"]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no parabolic representation root below tolerance" in captured.err
+
+
 @pytest.mark.parametrize("flag,message", [
     ("--max-seconds=-1", "--max-seconds must be a finite number of at least 0"),
     ("--max-seconds=nan", "--max-seconds must be a finite number of at least 0"),

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from bridgeforge import sl2_oracle
 from bridgeforge.freeness import (
     UnsupportedCaseError,
     alternating_cs_closed_form,
@@ -138,3 +139,71 @@ def test_no_relation_scan_small():
 def test_no_relation_scan_negative_slope():
     report = no_relation_scan(GenusOneKnot(2, 1, -1), max_syllables=4)
     assert report.clean and report.min_distance > 1e-3
+
+
+def stack_scan(knot, max_syllables, tol=1e-3):
+    """The matrix scan as it was before the flat loop, kept as the oracle:
+    a stack of (letter, image, label) tuples, one mat_mul and one
+    dist_pm_identity per word.  Returns (words per root, min distance,
+    hits as (word, omega, distance))."""
+    mw = long_meridian_words(knot)
+    data = sl2_oracle.riley_polynomials(knot.fraction)
+    reps = sl2_oracle.numeric_reps(data, tol=1e-9)
+    syllables = ("x", "X", "y", "Y")
+    min_distance = float("inf")
+    hits = []
+    for rep in reps:
+        x = sl2_oracle.evaluate(mw.x_l, rep)
+        y = sl2_oracle.evaluate(mw.y_l, rep)
+        gens = (x, sl2_oracle.mat_inv(x), y, sl2_oracle.mat_inv(y))
+        stack = [(i, gens[i], syllables[i]) for i in range(4)]
+        count = 0
+        while stack:
+            idx, mat, label = stack.pop()
+            count += 1
+            dist = sl2_oracle.dist_pm_identity(mat)
+            if dist < min_distance:
+                min_distance = dist
+            if dist <= tol:
+                hits.append((label, rep.omega, dist))
+            if len(label) < max_syllables:
+                for j in range(4):
+                    if j == idx ^ 1:
+                        continue  # x after X (and friends) is not reduced
+                    stack.append(
+                        (j, sl2_oracle.mat_mul(mat, gens[j]), label + syllables[j])
+                    )
+    return count, min_distance, hits
+
+
+@pytest.mark.parametrize("m,n,sign,max_syllables,tol", [
+    # the scan knots of the numeric_reps benchmark workload
+    (1, 1, 1, 6, 1e-3),
+    (1, 2, -1, 6, 1e-3),
+    (2, 1, -1, 6, 1e-3),
+    (1, 2, 1, 6, 1e-3),
+    (2, 1, 1, 6, 1e-3),
+    # 16/63: 16 hits at the small real root w ~ 0.079
+    (2, 8, -1, 8, 1e-3),
+    # a tol so large that the lower-bound skip must still keep every hit
+    (1, 1, 1, 4, 0.9),
+])
+def test_scan_matches_stack_oracle(m, n, sign, max_syllables, tol):
+    knot = GenusOneKnot(m, n, sign)
+    report = no_relation_scan(knot, max_syllables, tol)
+    words, min_distance, hits = stack_scan(knot, max_syllables, tol)
+    assert report.words_checked == words == 2 * (3 ** max_syllables - 1)
+    assert report.min_distance == min_distance
+    assert [(h.word, h.omega, h.distance) for h in report.hits] == hits
+    if (m, n) == (2, 8):
+        assert len(hits) == 16
+    if tol == 0.9:
+        assert hits
+
+
+def test_scan_rejects_fewer_than_one_syllable():
+    knot = GenusOneKnot(1, 1, 1)
+    assert no_relation_scan(knot, 1).words_checked == 4
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="max_syllables must be at least 1"):
+            no_relation_scan(knot, k)
