@@ -12,6 +12,15 @@ other is the larger of its LCPs with its two sorted neighbours (the
 suffix-array idea of Kasai et al., CPM 2001).  Rotations are length-n
 slices of the doubled words encoded as bytes, so sorting and prefix
 comparison run in C.
+
+reach_table gives, for every offset s and every k up to kmax, how far
+from s at most k pieces reach.  Pieces are prefix-closed, so the spans k
+pieces cover from s are exactly the lengths up to reach[k][s], and a
+(k+1)-th piece can start at any cut i in [s, s + reach[k][s]].  So
+reach[k+1][s] is a range maximum of i + piece_len[i mod n] over those
+cuts.  A sparse table of the maxima over power-of-two windows answers
+each range in O(1) after an O(n log n) build (Bender and Farach-Colton,
+LATIN 2000): a whole table costs O(n log n + kmax n).
 """
 
 IMPL = "pure"
@@ -29,6 +38,17 @@ def _lcp(a, b):
     return lo
 
 
+def encode(word):
+    """A word over +-1, +-2 as bytes: each letter shifted up by 2."""
+    return bytes(x + 2 for x in word)
+
+
+def doubled_rows(letters):
+    """The encoded words u u and u^-1 u^-1.  Rotation s of u (of u^-1) is
+    the length-n slice at s of the first (second) row."""
+    return encode(letters) * 2, bytes(2 - x for x in reversed(letters)) * 2
+
+
 def max_piece_table(letters):
     """Longest-piece lengths per rotation offset, for u and for u^-1.
 
@@ -40,9 +60,7 @@ def max_piece_table(letters):
     n = len(letters)
     if n == 0:
         return [], []
-    # letters are +-1, +-2; shift them into byte range
-    fwd_row = bytes(x + 2 for x in letters) * 2
-    bwd_row = bytes(2 - x for x in reversed(letters)) * 2
+    fwd_row, bwd_row = doubled_rows(letters)
     slices = [fwd_row[s:s + n] for s in range(n)]
     slices += [bwd_row[s:s + n] for s in range(n)]
     order = sorted(range(2 * n), key=slices.__getitem__)
@@ -88,21 +106,33 @@ def min_pieces_span(piece_len, start, length):
 def reach_table(piece_len, kmax):
     """reach[k][s]: longest span from offset s coverable by <= k pieces.
 
-    reach[0] is all zeros; entries are capped at n.
+    reach[0] is all zeros; entries are capped at n.  For k >= 2,
+    reach[k][s] is the largest a[i] = i + piece_len[i mod n] over the cuts
+    i in [s, s + reach[k-1][s]], minus s.  The last cut alone gives at
+    least reach[k-1][s], so the reach never shrinks as k grows.
     """
     n = len(piece_len)
     tables = [[0] * n]
     if kmax >= 1:
         tables.append([x if x < n else n for x in piece_len])
+    if kmax < 2:
+        return tables
+    # sparse[j][i] = max(a[i : i + 2^j]); a query spans at most n + 1 cuts
+    a = [i + x for i, x in enumerate(piece_len * 2)]
+    sparse = [a]
+    w = 1
+    while 2 * w <= n + 1:
+        lv = sparse[-1]
+        sparse.append(list(map(max, lv[:-w], lv[w:])))
+        w *= 2
     for _ in range(2, kmax + 1):
-        prev = tables[-1]
-        nxt = [0] * n
-        for s in range(n):
-            best = prev[s]
-            for pos in range(1, prev[s] + 1):
-                reach = pos + piece_len[(s + pos) % n]
-                if reach > best:
-                    best = reach
-            nxt[s] = n if best > n else best
+        nxt = []
+        for s, r in enumerate(tables[-1]):
+            # the range [s, s + r] as two overlapping windows of 2^j cuts
+            j = (r + 1).bit_length() - 1
+            lv = sparse[j]
+            left, right = lv[s], lv[s + r + 1 - (1 << j)]
+            best = (left if left > right else right) - s
+            nxt.append(best if best < n else n)
         tables.append(nxt)
     return tables

@@ -3,8 +3,10 @@
 Every subcommand accepts --json for machine-readable output under the
 versioned "bridge-forge/1" schema.  Exit codes: 0 all checks pass, 1 any
 check failed or a check could not run (a RuntimeError, such as a matrix
-scan finding no representation root below tolerance; an "error:" line
-goes to stderr), 2 usage error, 3 resource truncation.
+scan finding no representation root below tolerance, or an
+AssertionError, a word the library built failing its own validation in
+presentation, meridians, freeness or farey; an "error:" line goes to
+stderr), 2 usage error, 3 resource truncation.
 """
 
 from __future__ import annotations
@@ -180,10 +182,11 @@ def _cmd_freeness(args) -> int:
     if args.scan_syllables < 0:
         raise ValueError("--scan-syllables must be at least 0")
     knot = _knot_from_args(args)
+    mw = meridians.long_meridian_words(knot)
     results = []
     all_ok = True
     for pattern in _sign_patterns(args.t):
-        ok = freeness.verify_alternating_cs(knot, pattern)
+        ok = freeness.verify_alternating_cs(knot, pattern, mw)
         all_ok &= ok
         results.append({"pattern": [list(p) for p in pattern], "ok": ok})
     payload = {
@@ -335,6 +338,12 @@ class CheckContext:
     R: smallcancel.SymmetrizedSet
     scan_syllables: int
 
+    @functools.cached_property
+    def meridian_words(self) -> meridians.MeridianWords:
+        """The knot's long meridian words, built on first use and shared
+        by the checks that run on this context."""
+        return meridians.long_meridian_words(self.knot)
+
 
 @dataclass(frozen=True)
 class Check:
@@ -360,7 +369,9 @@ CHECKS = (
         "alternating_cs",
         lambda ctx: all(
             cyclic_seq_eq(
-                cyclic_s_sequence(freeness.alternating_relation_word(ctx.knot, pattern)),
+                cyclic_s_sequence(
+                    freeness.alternating_relation_word(ctx.knot, pattern, ctx.meridian_words)
+                ),
                 freeness.alternating_cs_closed_form(ctx.knot, pattern),
             )
             for pattern in _sign_patterns(2)
@@ -371,7 +382,7 @@ CHECKS = (
     Check(
         "alternating_bounds",
         lambda ctx: all(
-            freeness.verify_alternating_cs(ctx.knot, pattern)
+            freeness.verify_alternating_cs(ctx.knot, pattern, ctx.meridian_words)
             for pattern in _sign_patterns(2)
         ),
     ),
@@ -563,7 +574,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
+    except (RuntimeError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -51,7 +51,8 @@ def reflection_in_edge(s: Frac, t: Frac) -> Reflection:
     q2, p2 = t.num, t.den
     tr = q1 * p2 + q2 * p1
     refl = Reflection(tr, -2 * q1 * q2, 2 * p1 * p2, -tr, (s, t))
-    assert refl.det == -1
+    if refl.det != -1:
+        raise AssertionError(f"reflection in ({s}, {t}) has determinant {refl.det}")
     return refl
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import sl2_oracle
-from .meridians import long_meridian_words
+from .meridians import MeridianWords, long_meridian_words
 from .slope import GenusOneKnot
 from .words import (
     Word,
@@ -52,12 +52,19 @@ def relation_word(knot: GenusOneKnot, exponent_pairs) -> Word:
     return w
 
 
-def alternating_relation_word(knot: GenusOneKnot, sign_pairs) -> Word:
-    """The cyclically alternating word x_l^e1x y_l^e1y ... for signs +-1."""
+def alternating_relation_word(
+    knot: GenusOneKnot, sign_pairs, mw: MeridianWords | None = None
+) -> Word:
+    """The cyclically alternating word x_l^e1x y_l^e1y ... for signs +-1.
+
+    mw is long_meridian_words(knot); a caller that loops over sign
+    patterns builds it once and passes it in.
+    """
     signs = [(int(ex), int(ey)) for ex, ey in sign_pairs]
     if not signs or any(abs(ex) != 1 or abs(ey) != 1 for ex, ey in signs):
         raise ValueError("sign pattern entries must be +-1")
-    mw = long_meridian_words(knot)
+    if mw is None:
+        mw = long_meridian_words(knot)
     parts = []
     for ex, ey in signs:
         parts.append(mw.x_l if ex == 1 else inverse(mw.x_l))
@@ -112,12 +119,15 @@ def _forbidden_terms_ok(knot: GenusOneKnot, cs) -> bool:
     return all(t in (2, 3, 4) for t in cs)
 
 
-def verify_alternating_cs(knot: GenusOneKnot, sign_pairs) -> bool:
+def verify_alternating_cs(
+    knot: GenusOneKnot, sign_pairs, mw: MeridianWords | None = None
+) -> bool:
     """Computed cyclic S-sequence vs closed form, plus forbidden terms.
 
     For the (1, 1, -) slope only the membership bound {2, 3, 4} applies.
+    mw is passed on to alternating_relation_word.
     """
-    cs = cyclic_s_sequence(alternating_relation_word(knot, sign_pairs))
+    cs = cyclic_s_sequence(alternating_relation_word(knot, sign_pairs, mw))
     try:
         closed = alternating_cs_closed_form(knot, sign_pairs)
     except UnsupportedCaseError:

@@ -52,7 +52,8 @@ def c_word(i: int, m: int) -> Word:
             w = concat(alt_power(_B, _A, j), alt_power(_BI, _AI, j + 1))
         else:
             w = concat(alt_power(_B, _A, j + 1), alt_power(_BI, _AI, j))
-    assert is_reduced(w) and is_alternating(w)
+    if not (is_reduced(w) and is_alternating(w)):
+        raise AssertionError(f"c_{i} failed to be reduced alternating")
     return w
 
 

@@ -6,12 +6,22 @@ distinct elements of R.  On top of the piece notion this module checks
 the C(4) and T(4) conditions, computes minimal piece decompositions, and
 verifies the piece characterizations and the three-piece subword shape
 that the freeness argument consumes.
+
+Every check reads the longest-piece table of _kernel.max_piece_table,
+one entry per element, and is near-linear in the relator length n.
+C(p) reads the (p-1)-piece reach table, O(n log n).  T(4) collects the
+(first, last) letter classes, O(n).  The piece shapes are matched one
+sign run at a time against a trie of the listed shapes, O(n b) for
+shapes of at most b runs.  The three-piece shape reads the 2- and
+3-piece reach tables.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _kernel
 from .presentation import canonical_decomposition, relator
@@ -52,18 +62,29 @@ class SymmetrizedSet:
     def __len__(self):
         return 2 * self.n
 
+    @cached_property
+    def encoded(self):
+        """The doubled rows as bytes (_kernel.doubled_rows), built on the
+        first find."""
+        return _kernel.doubled_rows(self.word)
+
     def find(self, v: Word):
-        """First (direction, offset) where v occurs as a subword, or None."""
+        """First (direction, offset) where v occurs as a subword, or None.
+
+        A bytes search of each encoded doubled row, limited to matches
+        that start at an offset below n.
+        """
         L = len(v)
         if L == 0 or L > self.n:
             return None
-        for d, row in enumerate(self.doubled):
-            for s in range(self.n):
-                for i in range(L):
-                    if row[s + i] != v[i]:
-                        break
-                else:
-                    return d, s
+        try:
+            pattern = _kernel.encode(v)
+        except ValueError:  # a letter outside -2..253, in no relator word
+            return None
+        for d, row in enumerate(self.encoded):
+            s = row.find(pattern, 0, self.n - 1 + L)
+            if s >= 0:
+                return d, s
         return None
 
 
@@ -109,15 +130,15 @@ def piece_report(v: Word, R: SymmetrizedSet) -> PieceReport:
 
 
 def check_C(R: SymmetrizedSet, p: int) -> bool:
-    """C(p): no element of R is a product of fewer than p pieces."""
-    n = R.n
-    for d in (0, 1):
-        row = R.piece_len[d]
-        for s in range(n):
-            t = _kernel.min_pieces_span(row, s, n)
-            if 0 < t < p:
-                return False
-    return True
+    """C(p): no element of R is a product of fewer than p pieces.
+
+    Element (d, s) is a product of at most p - 1 pieces exactly when p - 1
+    pieces reach across all n letters from offset s of row d, so one
+    (p-1)-piece reach table per row decides.  C(1) holds vacuously.
+    """
+    if p < 2:
+        return True
+    return not any(R.n in _kernel.reach_table(row, p - 1)[p - 1] for row in R.piece_len)
 
 
 def check_T(R: SymmetrizedSet, q: int = 4) -> bool:
@@ -190,6 +211,71 @@ def _piece_patterns(knot: GenusOneKnot) -> set[tuple[int, ...]]:
     return pats
 
 
+def _pattern_trie(pats):
+    """The shapes as a trie of (children, ends) nodes: children maps a
+    full run length to the next node, ends lists in ascending order the
+    last run lengths that complete a shape there."""
+    root = ({}, [])
+    for pat in pats:
+        node = root
+        for x in pat[:-1]:
+            node = node[0].setdefault(x, ({}, []))
+        node[1].append(pat[-1])
+    stack = [root]
+    while stack:
+        children, ends = stack.pop()
+        ends.sort()
+        stack.extend(children.values())
+    return root
+
+
+def _run_ends(row):
+    """run_end[i]: the index just past the constant-sign run holding i."""
+    run_end = [len(row)] * len(row)
+    end = len(row)
+    for i in range(len(row) - 2, -1, -1):
+        if (row[i] > 0) != (row[i + 1] > 0):
+            end = i + 1
+        run_end[i] = end
+    return run_end
+
+
+def shapes_are_pieces(R: SymmetrizedSet, pats) -> bool:
+    """Every subword of an element of R whose S-sequence is in pats is a
+    piece.
+
+    Pieces are prefix-closed, so per offset only the longest matching
+    subword needs a look: it is a piece exactly when the longest piece
+    there is at least as long.  The walk finds it one sign run at a time:
+    every run but the last must be a full run of the subword and match a
+    trie edge, and the last may be cut short.  An offset costs one step
+    per run walked, at most the longest shape's run count.
+    """
+    trie = _pattern_trie(pats)
+    n = R.n
+    for row, piece_len in zip(R.doubled, R.piece_len):
+        run_end = _run_ends(row)
+        for s in range(n):
+            stop = s + n  # the subwords at s lie in row[s:stop]
+            i, node, longest = s, trie, 0
+            while node is not None:
+                children, ends = node
+                e = run_end[i]
+                if e > stop:
+                    e = stop
+                full = e - i
+                k = bisect_right(ends, full)
+                if k:
+                    longest = i - s + ends[k - 1]
+                if e == stop:
+                    break
+                node = children.get(full)
+                i = e
+            if longest > piece_len[s]:
+                return False
+    return True
+
+
 def verify_piece_prop(knot: GenusOneKnot) -> bool:
     """Piece characterization battery for one knot.
 
@@ -206,27 +292,7 @@ def verify_piece_prop(knot: GenusOneKnot) -> bool:
     cs = cyclic_s_sequence(rel.u)
     if _count_cyclic_pattern(cs, s1) != 2 or _count_cyclic_pattern(cs, s2) != 2:
         return False
-    pats = _piece_patterns(knot)
-    max_blocks = max(len(p) for p in pats)
-    n = R.n
-    for d in (0, 1):
-        row = R.doubled[d]
-        piece_len = R.piece_len[d]
-        for s in range(n):
-            runs: list[int] = []
-            last_sign = 0
-            for L in range(1, n + 1):
-                sgn = 1 if row[s + L - 1] > 0 else -1
-                if sgn == last_sign:
-                    runs[-1] += 1
-                else:
-                    runs.append(1)
-                    last_sign = sgn
-                if len(runs) > max_blocks:
-                    break
-                if tuple(runs) in pats and piece_len[s] < L:
-                    return False
-    return True
+    return shapes_are_pieces(R, _piece_patterns(knot))
 
 
 def _linear_runs(letters):

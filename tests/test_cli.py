@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -229,6 +230,32 @@ def test_scan_without_roots_exits_fail(capsys, monkeypatch, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: no parabolic representation root below tolerance" in captured.err
+
+
+def _failed_validation(*args, **kwargs):
+    raise AssertionError("word failed its validation")
+
+
+@pytest.mark.parametrize("module,name,command", [
+    ("presentation", "relator", ["pieces", "--m", "1", "--n", "1", "--sign", "+"]),
+    ("meridians", "long_meridian_words", ["meridians", "--m", "1", "--n", "1", "--sign", "+"]),
+    ("meridians", "long_meridian_words", ["freeness", "--m", "1", "--n", "2", "--sign", "-"]),
+    ("freeness", "alternating_relation_word", ["verify-all", "--m-max", "1", "--n-max", "1"]),
+])
+def test_library_assertion_exits_fail(capsys, monkeypatch, module, name, command):
+    monkeypatch.setattr(getattr(cli, module), name, _failed_validation)
+    assert cli.main([*command, "--json"]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: word failed its validation\n"
+
+
+def test_library_has_no_bare_asserts():
+    # python -O strips assert statements, so validations raise explicitly
+    src = Path(cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
 @pytest.mark.parametrize("flag,message", [

@@ -3,7 +3,8 @@
 max_piece_table sorts the rotations and takes neighbour LCPs; the oracle
 extends each rotation's prefix while any other rotation still shares
 it.  min_pieces_span is checked against a dynamic program over all
-piece lengths.
+piece lengths.  reach_table's sparse-table range maximum is checked
+against the quadratic sweep over every cut that it replaced.
 """
 
 import random
@@ -74,6 +75,34 @@ def brute_min_span(piece_len, start, length):
     return -1 if best[length] == INF else best[length]
 
 
+def quadratic_reach_table(piece_len, kmax):
+    """reach_table by trying every cut in [s, s + reach[k-1][s]]."""
+    n = len(piece_len)
+    tables = [[0] * n]
+    if kmax >= 1:
+        tables.append([x if x < n else n for x in piece_len])
+    for _ in range(2, kmax + 1):
+        prev = tables[-1]
+        nxt = [0] * n
+        for s in range(n):
+            best = prev[s]
+            for pos in range(1, prev[s] + 1):
+                reach = pos + piece_len[(s + pos) % n]
+                if reach > best:
+                    best = reach
+            nxt[s] = n if best > n else best
+        tables.append(nxt)
+    return tables
+
+
+def grid_piece_rows(size):
+    for m in range(1, size + 1):
+        for n in range(1, size + 1):
+            for sign in (1, -1):
+                u = relator(GenusOneKnot(m, n, sign).fraction).u
+                yield _kernel.max_piece_table(list(u))
+
+
 def test_pure_against_brute_force():
     rng = random.Random(5)
     for w in random_relator_like_words(12, rng):
@@ -101,6 +130,33 @@ def test_pure_reach_consistent_with_spans():
                 if r < n:
                     beyond = _kernel.min_pieces_span(P, s, r + 1)
                     assert beyond == -1 or beyond > k
+
+
+def test_reach_table_matches_quadratic_on_random_tables():
+    # arbitrary jump tables, entries equal to n (a whole-word piece) and 0
+    # (a dead cut) included, for every kmax from 0 to 6
+    rng = random.Random(7)
+    for _ in range(1500):
+        n = rng.randint(1, 24)
+        P = [rng.choice((0, n, rng.randint(0, n))) for _ in range(n)]
+        kmax = rng.randint(0, 6)
+        assert _kernel.reach_table(P, kmax) == quadratic_reach_table(P, kmax), (P, kmax)
+
+
+def test_reach_table_matches_quadratic_on_grid_relators():
+    # the 3-piece tables that three_piece reads, on the 8x8 grid; check_C
+    # reads the same tables of both rows, and its test covers 10x10
+    for fwd, _ in grid_piece_rows(8):
+        assert _kernel.reach_table(fwd, 3) == quadratic_reach_table(fwd, 3)
+
+
+def test_reach_table_matches_quadratic_on_lowered_rows():
+    # grid rows with about one entry in ten lowered, some of them to 0
+    rng = random.Random(8)
+    for rows in grid_piece_rows(6):
+        for row in rows:
+            cut = [x if rng.random() < 0.9 else rng.randint(0, x) for x in row]
+            assert _kernel.reach_table(cut, 4) == quadratic_reach_table(cut, 4)
 
 
 def test_max_piece_table_on_grid_relators():

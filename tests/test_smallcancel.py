@@ -4,20 +4,94 @@ from functools import lru_cache
 
 import pytest
 
+from bridgeforge import _kernel
 from bridgeforge.presentation import relator
 from bridgeforge.slope import Frac, GenusOneKnot
 from bridgeforge.smallcancel import (
     UNREPRESENTABLE,
     SymmetrizedSet,
+    _piece_patterns,
     check_C,
     check_T,
     is_piece,
     min_pieces,
     piece_report,
+    shapes_are_pieces,
     verify_piece_prop,
     verify_three_piece_property,
 )
 from bridgeforge.words import inverse, parse_word, rotations, s_sequence
+
+from test_kernel_parity import random_relator_like_words
+
+
+def loop_find(R, v):
+    """SymmetrizedSet.find by comparing v letter by letter at every offset."""
+    L = len(v)
+    if L == 0 or L > R.n:
+        return None
+    for d, row in enumerate(R.doubled):
+        for s in range(R.n):
+            for i in range(L):
+                if row[s + i] != v[i]:
+                    break
+            else:
+                return d, s
+    return None
+
+
+def span_check_C(R, p):
+    """check_C by the minimal piece count of every element in turn."""
+    n = R.n
+    for d in (0, 1):
+        row = R.piece_len[d]
+        for s in range(n):
+            t = _kernel.min_pieces_span(row, s, n)
+            if 0 < t < p:
+                return False
+    return True
+
+
+def letter_shapes_are_pieces(R, pats):
+    """shapes_are_pieces by growing the subword at each offset one letter
+    at a time and testing each length's run shape against pats."""
+    max_blocks = max(len(p) for p in pats)
+    n = R.n
+    for d in (0, 1):
+        row = R.doubled[d]
+        piece_len = R.piece_len[d]
+        for s in range(n):
+            runs: list[int] = []
+            last_sign = 0
+            for L in range(1, n + 1):
+                sgn = 1 if row[s + L - 1] > 0 else -1
+                if sgn == last_sign:
+                    runs[-1] += 1
+                else:
+                    runs.append(1)
+                    last_sign = sgn
+                if len(runs) > max_blocks:
+                    break
+                if tuple(runs) in pats and piece_len[s] < L:
+                    return False
+    return True
+
+
+def grid_sets(size):
+    for m in range(1, size + 1):
+        for n in range(1, size + 1):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                yield knot, SymmetrizedSet(relator(knot.fraction).u)
+
+
+def lowered(R, rng, rate):
+    """R with about a fraction rate of its piece-table entries lowered."""
+    R.piece_len = tuple(
+        [x if rng.random() >= rate else rng.randint(0, x) for x in row]
+        for row in R.piece_len
+    )
+    return R
 
 
 def brute_piece_counter(elements):
@@ -77,6 +151,29 @@ def test_is_piece_against_brute_force():
     assert is_piece(parse_word("ab"), R)
     assert not is_piece(R.word, R)  # a full relator is never a piece here
     assert is_piece(parse_word("a"), R) and is_piece(parse_word("b"), R)
+
+
+def test_find_matches_letter_loop():
+    rng = random.Random(9)
+    words = [relator(f).u for f in (Frac(2, 5), Frac(2, 3), Frac(4, 17), Frac(6, 25))]
+    words += random_relator_like_words(10, rng)
+    found = missing = 0
+    for u in words:
+        R = SymmetrizedSet(u)
+        for dbl in R.doubled:
+            for _ in range(30):  # subwords of both rows, up to the whole word
+                s = rng.randrange(R.n)
+                v = tuple(dbl[s : s + rng.randint(1, R.n)])
+                assert R.find(v) == loop_find(R, v) is not None
+        for _ in range(200):
+            v = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, R.n + 2)))
+            got = R.find(v)
+            assert got == loop_find(R, v), v
+            found += got is not None
+            missing += got is None
+        for v in ((0,), (3,), (-3,), (1, 300), ()):  # letters in no relator
+            assert R.find(v) is None is loop_find(R, v)
+    assert found and missing
 
 
 def test_min_pieces_against_brute_force():
@@ -150,6 +247,36 @@ def test_relator_is_at_least_four_pieces():
         assert not check_C(R, 5)
 
 
+def test_check_C_below_two_is_vacuous():
+    for f in (Frac(2, 5), Frac(2, 3), Frac(4, 17)):
+        R = SymmetrizedSet(relator(f).u)
+        assert check_C(R, 1) and check_C(R, 0)
+        assert check_C(R, 2) == span_check_C(R, 2) is True
+
+
+def test_piece_checks_match_oracles_on_grid():
+    # on every knot of the 10x10 grid C(4) holds, C(5) fails and the
+    # listed shapes are pieces, by check_C and shapes_are_pieces and by
+    # their oracles
+    for knot, R in grid_sets(10):
+        assert check_C(R, 4) is span_check_C(R, 4) is True, knot
+        assert check_C(R, 5) is span_check_C(R, 5) is False, knot
+        pats = _piece_patterns(knot)
+        assert shapes_are_pieces(R, pats) is letter_shapes_are_pieces(R, pats) is True, knot
+
+
+def test_check_C_matches_span_oracle_on_lowered_rows():
+    rng = random.Random(10)
+    verdicts = set()
+    for knot, R in grid_sets(6):
+        lowered(R, rng, 0.05)
+        for p in (2, 3, 4, 5):
+            verdict = check_C(R, p)
+            assert verdict == span_check_C(R, p), (knot, p)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_check_T_examples():
     assert check_T(SymmetrizedSet(relator(Frac(2, 5)).u))
     assert check_T(SymmetrizedSet(relator(Frac(2, 3)).u))
@@ -205,6 +332,38 @@ def test_verify_piece_prop_examples():
     assert verify_piece_prop(GenusOneKnot(1, 1, 1))
     assert verify_piece_prop(GenusOneKnot(2, 2, -1))
     assert verify_piece_prop(GenusOneKnot(1, 1, -1))
+
+
+def test_shapes_match_letter_scan_on_lowered_rows():
+    rng = random.Random(11)
+    verdicts = set()
+    for knot, R in grid_sets(6):
+        pats = _piece_patterns(knot)
+        lowered(R, rng, 0.2)
+        verdict = shapes_are_pieces(R, pats)
+        assert verdict == letter_shapes_are_pieces(R, pats), knot
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_shapes_match_letter_scan_on_random_tables():
+    # random words, random shape sets and random piece tables with
+    # entries up to n, so the longest matching subword can be the whole
+    # word and the first run can be cut by the window
+    rng = random.Random(12)
+    verdicts = []
+    for u in random_relator_like_words(150, rng):
+        R = SymmetrizedSet(u)
+        n = R.n
+        R.piece_len = tuple([rng.randint(n // 2, n) for _ in range(n)] for _ in range(2))
+        pats = {
+            tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 12))
+        }
+        verdict = shapes_are_pieces(R, pats)
+        assert verdict == letter_shapes_are_pieces(R, pats), (u, pats)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_verify_three_piece_examples():
