@@ -10,8 +10,11 @@ max_piece_table finds those maxima from the sorted order of the 2n
 rotations: the longest common prefix (LCP) a rotation shares with any
 other is the larger of its LCPs with its two sorted neighbours (the
 suffix-array idea of Kasai et al., CPM 2001).  Rotations are length-n
-slices of the doubled words encoded as bytes, so sorting and prefix
-comparison run in C.
+slices of the doubled words encoded as bytes, and each is keyed by the
+integer int.from_bytes(slice, "big").  All slices have n bytes, so the
+keys sort as the bytes do, and two keys first differ in the byte where
+the slices do: the XOR of sorted neighbours has (n - LCP) significant
+bytes, so one XOR and one bit_length give each LCP, in C.
 
 reach_table gives, for every offset s and every k up to kmax, how far
 from s at most k pieces reach.  Pieces are prefix-closed, so the spans k
@@ -24,18 +27,6 @@ LATIN 2000): a whole table costs O(n log n + kmax n).
 """
 
 IMPL = "pure"
-
-
-def _lcp(a, b):
-    """Length of the longest common prefix of two equal-length bytes."""
-    lo, hi = 0, len(a)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def encode(word):
@@ -61,16 +52,22 @@ def max_piece_table(letters):
     if n == 0:
         return [], []
     fwd_row, bwd_row = doubled_rows(letters)
-    slices = [fwd_row[s:s + n] for s in range(n)]
-    slices += [bwd_row[s:s + n] for s in range(n)]
-    order = sorted(range(2 * n), key=slices.__getitem__)
+    key = int.from_bytes
+    keys = [key(fwd_row[s:s + n], "big") for s in range(n)]
+    keys += [key(bwd_row[s:s + n], "big") for s in range(n)]
+    order = sorted(range(2 * n), key=keys.__getitem__)
     best = [0] * (2 * n)
-    for i, j in zip(order, order[1:]):
-        lcp = _lcp(slices[i], slices[j])
+    i = order[0]
+    ki = keys[i]
+    for j in order[1:]:
+        kj = keys[j]
+        # equal keys (two equal rotations) give n
+        lcp = n - ((ki ^ kj).bit_length() + 7) // 8
         if lcp > best[i]:
             best[i] = lcp
         if lcp > best[j]:
             best[j] = lcp
+        i, ki = j, kj
     return best[:n], best[n:]
 
 

@@ -63,6 +63,16 @@ def _slope_from_args(args) -> Frac:
     return Frac(args.q, args.p)
 
 
+def _parse_slope(text: str, flag: str) -> Frac:
+    """parse_fraction for a slope flag, but a q/p with a common factor is
+    a usage error: Frac would reduce it and answer for another slope."""
+    if "/" in text:
+        num, den = text.split("/", 1)
+        if math.gcd(int(num), int(den)) > 1:
+            raise ValueError(f"{flag} {text} is not in lowest terms")
+    return parse_fraction(text)
+
+
 def _cmd_relator(args) -> int:
     rel = presentation.relator(_slope_from_args(args))
     cs = cyclic_s_sequence(rel.u)
@@ -100,7 +110,7 @@ def _cmd_meridians(args) -> int:
         "slope": str(knot.fraction),
         "words": {k: word_str(v) for k, v in fields.items()},
         "s_sequences": {k: list(s_sequence(v)) for k, v in fields.items()},
-        "verified": meridians.verify_meridian_forms(knot),
+        "verified": meridians.verify_meridian_forms(knot, mw),
     }
     lines = [f"long meridian pair for {knot} (slope {knot.fraction}):"]
     lines += [
@@ -255,7 +265,7 @@ def _cmd_orbifold(args) -> int:
         raise ValueError("--m must be at least 1")
     r = Frac(2 * args.m, 4 * args.m * args.m - 1)
     if args.slope:
-        slopes = [parse_fraction(args.slope)]
+        slopes = [_parse_slope(args.slope, "--slope")]
     else:
         slopes = [Frac(1, 2 * args.m - 1), Frac(1, 2 * args.m + 1)]
     verdicts = [orbifold.subgroup_verdict(s, r) for s in slopes]
@@ -288,7 +298,7 @@ def _cmd_orbifold(args) -> int:
 
 def _cmd_epi(args) -> int:
     result = farey.epimorphism_exists(
-        parse_fraction(args.source), parse_fraction(args.target)
+        _parse_slope(args.source, "--source"), _parse_slope(args.target, "--target")
     )
     payload = {
         "command": "epi",
@@ -360,7 +370,10 @@ class Check:
 # library function up when it runs, so tracing sees the call.
 CHECKS = (
     Check("relator_cs", lambda ctx: presentation.verify_cs_closed_form(ctx.knot)),
-    Check("meridian_forms", lambda ctx: meridians.verify_meridian_forms(ctx.knot)),
+    Check(
+        "meridian_forms",
+        lambda ctx: meridians.verify_meridian_forms(ctx.knot, ctx.meridian_words),
+    ),
     Check("piece_prop", lambda ctx: smallcancel.verify_piece_prop(ctx.knot)),
     Check("three_piece", lambda ctx: smallcancel.verify_three_piece_property(ctx.knot)),
     Check("C4", lambda ctx: smallcancel.check_C(ctx.R, 4)),

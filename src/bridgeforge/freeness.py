@@ -6,6 +6,12 @@ determines a cyclically alternating word whose cyclic S-sequence has an
 exact closed form.  The forbidden-term facts extracted from that closed
 form are what the small-cancellation contradiction consumes, and the
 numeric no-relation scan adds evidence from parabolic matrix images.
+
+The checks compose that S-sequence from the runs of the four factors
+x_l^+-1, y_l^+-1, each validated once, and check only the junctions
+between factors (alternating_cs_from_runs); alternating_relation_word
+builds the whole word letter by letter and is the reference it is
+tested against.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from .slope import GenusOneKnot
 from .words import (
     Word,
     concat,
-    cyclic_s_sequence,
     cyclic_seq_eq,
     free_reduce,
     inverse,
@@ -52,17 +57,23 @@ def relation_word(knot: GenusOneKnot, exponent_pairs) -> Word:
     return w
 
 
+def _checked_signs(sign_pairs) -> list[tuple[int, int]]:
+    signs = [(int(ex), int(ey)) for ex, ey in sign_pairs]
+    if not signs or any(abs(ex) != 1 or abs(ey) != 1 for ex, ey in signs):
+        raise ValueError("sign pattern entries must be +-1")
+    return signs
+
+
 def alternating_relation_word(
     knot: GenusOneKnot, sign_pairs, mw: MeridianWords | None = None
 ) -> Word:
     """The cyclically alternating word x_l^e1x y_l^e1y ... for signs +-1.
 
     mw is long_meridian_words(knot); a caller that loops over sign
-    patterns builds it once and passes it in.
+    patterns builds it once and passes it in.  This is the letter-by-letter
+    reference for alternating_cs_from_runs.
     """
-    signs = [(int(ex), int(ey)) for ex, ey in sign_pairs]
-    if not signs or any(abs(ex) != 1 or abs(ey) != 1 for ex, ey in signs):
-        raise ValueError("sign pattern entries must be +-1")
+    signs = _checked_signs(sign_pairs)
     if mw is None:
         mw = long_meridian_words(knot)
     parts = []
@@ -73,6 +84,43 @@ def alternating_relation_word(
     if not (is_cyclically_reduced(w) and is_cyclically_alternating(w)):
         raise AssertionError("sign-pattern word failed to be alternating")
     return w
+
+
+def alternating_cs_from_runs(
+    knot: GenusOneKnot, sign_pairs, mw: MeridianWords | None = None
+) -> tuple[int, ...]:
+    """cyclic_s_sequence(alternating_relation_word(knot, sign_pairs, mw)),
+    composed from the factors' runs without building the word.
+
+    Each factor x_l^+-1, y_l^+-1 is checked and its S-sequence taken once
+    per MeridianWords (MeridianWords.factor_runs).  A pattern then checks
+    only its junctions, the cyclic one from the last factor to the first
+    included: the word is cyclically alternating, and so cyclically
+    reduced, exactly when its factors are and no junction joins two
+    letters of one generator.  The factors' runs are concatenated, the
+    two runs at a junction merge when its letters have one sign, and the
+    first and last runs merge as in cyclic_s_sequence.  The cost is
+    O(runs), not O(letters), per pattern.
+    """
+    signs = _checked_signs(sign_pairs)
+    if mw is None:
+        mw = long_meridian_words(knot)
+    x_runs, y_runs = mw.factor_runs
+    factors = [f for ex, ey in signs for f in (x_runs[ex], y_runs[ey])]
+    runs: list[int] = []
+    prev = factors[-1][1]  # the last letter before the first factor, cyclically
+    for first, last, seq, ok in factors:
+        if not ok or abs(prev) == abs(first):
+            raise AssertionError("sign-pattern word failed to be alternating")
+        if runs and (prev > 0) == (first > 0):
+            runs[-1] += seq[0]
+            runs += seq[1:]
+        else:
+            runs += seq
+        prev = last
+    if len(runs) >= 2 and (factors[0][0] > 0) == (prev > 0):
+        runs[0] += runs.pop()
+    return tuple(runs)
 
 
 def alternating_cs_closed_form(knot: GenusOneKnot, sign_pairs) -> tuple[int, ...]:
@@ -125,9 +173,9 @@ def verify_alternating_cs(
     """Computed cyclic S-sequence vs closed form, plus forbidden terms.
 
     For the (1, 1, -) slope only the membership bound {2, 3, 4} applies.
-    mw is passed on to alternating_relation_word.
+    The sequence comes from alternating_cs_from_runs, which mw is passed to.
     """
-    cs = cyclic_s_sequence(alternating_relation_word(knot, sign_pairs, mw))
+    cs = alternating_cs_from_runs(knot, sign_pairs, mw)
     try:
         closed = alternating_cs_closed_form(knot, sign_pairs)
     except UnsupportedCaseError:

@@ -11,6 +11,7 @@ plus S-sequences.  verify_meridian_forms checks that they agree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .slope import GenusOneKnot
@@ -88,6 +89,20 @@ class MeridianWords:
     x_l: Word
     y_l: Word
 
+    @functools.cached_property
+    def factor_runs(self) -> tuple[dict, dict]:
+        """The factors x_l^e and y_l^e (e = +-1) of a sign-pattern word,
+        summarised once: x_runs[e] and y_runs[e] are (first letter, last
+        letter, S-sequence, nonempty reduced and alternating)."""
+        def summary(w):
+            if not (w and is_reduced(w) and is_alternating(w)):
+                return 0, 0, (), False
+            return w[0], w[-1], s_sequence(w), True
+
+        return tuple(
+            {1: summary(w), -1: summary(inverse(w))} for w in (self.x_l, self.y_l)
+        )
+
 
 def _conjugator_runs(knot: GenusOneKnot) -> tuple[int, ...]:
     """S-sequence of w_x and w_y (zero-length blocks dropped)."""
@@ -155,16 +170,18 @@ def long_meridian_words(knot: GenusOneKnot) -> MeridianWords:
 _K_RANGE = range(-4, 5)
 
 
-def verify_meridian_forms(knot: GenusOneKnot) -> bool:
+def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords | None = None) -> bool:
     """Raw Wirtinger reduction vs closed forms, plus the power identity.
 
     Checks free_reduce(raw y_l) == closed-form y_l, the f-symmetry
     x_l = f(y_l), and that for each k with 0 < |k| <= 4 the freely
     reduced k-th power of x_l (resp. y_l) is literally w_x a^k w_x^-1
     (resp. w_y b^-k w_y^-1), already reduced, and alternating exactly
-    when |k| = 1.
+    when |k| = 1.  mw is long_meridian_words(knot); a caller that has
+    built it already passes it in.
     """
-    mw = long_meridian_words(knot)
+    if mw is None:
+        mw = long_meridian_words(knot)
     if free_reduce(long_meridian_raw(knot)) != mw.y_l:
         return False
     if apply_f(mw.y_l) != mw.x_l:

@@ -183,6 +183,30 @@ def test_non_coprime_slope_rejected(capsys, command):
     assert "coprime" in captured.err
 
 
+@pytest.mark.parametrize("argv,flag,text", [
+    (["epi", "--source", "4/10", "--target", "2/5"], "--source", "4/10"),
+    (["epi", "--source", "3/5", "--target", "6/21"], "--target", "6/21"),
+    (["epi", "--source", "2/4", "--target", "2/5"], "--source", "2/4"),
+    (["orbifold", "--m", "2", "--slope", "2/4"], "--slope", "2/4"),
+    (["orbifold", "--m", "2", "--slope", "6/21"], "--slope", "6/21"),
+    (["orbifold", "--m", "2", "--slope", "2/0"], "--slope", "2/0"),
+])
+def test_slope_not_in_lowest_terms_rejected(capsys, argv, flag, text):
+    # Frac would reduce 4/10 to 2/5 and answer for that slope instead
+    assert cli.main([*argv, "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {text} is not in lowest terms\n"
+
+
+@pytest.mark.parametrize("slope,arc,code", [("1/0", "1/0", 0), ("3", "3/1", 1), ("-1/3", "-1/3", 0)])
+def test_orbifold_slope_in_lowest_terms_accepted(capsys, slope, arc, code):
+    # infinity and bare integers are in lowest terms too
+    got, payload = run_json(capsys, "orbifold", "--m", "2", f"--slope={slope}")
+    assert got == code
+    assert payload["verdicts"][0]["arc_slope"] == arc
+
+
 @pytest.mark.parametrize("m", ["0", "-1"])
 def test_orbifold_rejects_nonpositive_m(capsys, m):
     assert cli.main(["orbifold", "--m", m, "--json"]) == cli.EXIT_USAGE
@@ -241,6 +265,7 @@ def _failed_validation(*args, **kwargs):
     ("meridians", "long_meridian_words", ["meridians", "--m", "1", "--n", "1", "--sign", "+"]),
     ("meridians", "long_meridian_words", ["freeness", "--m", "1", "--n", "2", "--sign", "-"]),
     ("freeness", "alternating_relation_word", ["verify-all", "--m-max", "1", "--n-max", "1"]),
+    ("freeness", "alternating_cs_from_runs", ["freeness", "--m", "2", "--n", "1", "--sign", "+"]),
 ])
 def test_library_assertion_exits_fail(capsys, monkeypatch, module, name, command):
     monkeypatch.setattr(getattr(cli, module), name, _failed_validation)
@@ -248,6 +273,26 @@ def test_library_assertion_exits_fail(capsys, monkeypatch, module, name, command
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: word failed its validation\n"
+
+
+class _ReflectionToNowhere:
+    """A reflection that fixes every point, so a witness replay ends where
+    the descent landed instead of at the target."""
+
+    def __init__(self, *edge):
+        pass
+
+    def apply(self, x):
+        return x
+
+
+def test_epi_witness_replay_off_target_exits_fail(capsys, monkeypatch):
+    monkeypatch.setattr(cli.farey, "reflection_in_edge", _ReflectionToNowhere)
+    assert cli.main(["epi", "--source", "3/5", "--target", "2/5", "--json"]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: witness ends at ")
+    assert captured.err.endswith(", not at the target 8/5\n")
 
 
 def test_library_has_no_bare_asserts():

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -6,12 +7,13 @@ from bridgeforge import sl2_oracle
 from bridgeforge.freeness import (
     UnsupportedCaseError,
     alternating_cs_closed_form,
+    alternating_cs_from_runs,
     alternating_relation_word,
     no_relation_scan,
     relation_word,
     verify_alternating_cs,
 )
-from bridgeforge.meridians import long_meridian_words
+from bridgeforge.meridians import MeridianWords, long_meridian_words
 from bridgeforge.slope import GenusOneKnot
 from bridgeforge.words import (
     cyclic_s_sequence,
@@ -19,6 +21,7 @@ from bridgeforge.words import (
     free_reduce,
     is_cyclically_alternating,
     least_rotation,
+    parse_word,
 )
 
 
@@ -109,6 +112,73 @@ def test_closed_form_matches_computed_sweep():
                         closed = alternating_cs_closed_form(knot, pattern)
                         assert cyclic_seq_eq(cs, closed)
                     assert verify_alternating_cs(knot, pattern)
+
+
+def test_runs_match_word_on_grid():
+    # the run composition against the letter-by-letter word, 10x10 grid:
+    # every pattern with t <= 3 and seeded random patterns with t <= 6
+    rng = random.Random(11)
+    for m in range(1, 11):
+        for n in range(1, 11):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                mw = long_meridian_words(knot)
+                patterns = sign_patterns(3) + [
+                    [(rng.choice((1, -1)), rng.choice((1, -1))) for _ in range(t)]
+                    for t in range(4, 7)
+                    for _ in range(4)
+                ]
+                for pattern in patterns:
+                    word = alternating_relation_word(knot, pattern, mw)
+                    assert alternating_cs_from_runs(knot, pattern, mw) == cyclic_s_sequence(word)
+
+
+def hand_built(x_l, y_l):
+    return MeridianWords((), (), (), (), tuple(x_l), tuple(y_l))
+
+
+def outcome(fn, mw, pattern):
+    try:
+        return fn(GenusOneKnot(1, 1, 1), pattern, mw)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_runs_raise_as_the_word_does():
+    # x_l = ab and y_l = bab leave a junction of two b-letters in every
+    # pattern; a factor aab is not alternating on its own
+    message = "sign-pattern word failed to be alternating"
+    for mw in (hand_built(parse_word("ab"), parse_word("bab")),
+               hand_built(parse_word("aab"), parse_word("ab"))):
+        for pattern in sign_patterns(2):
+            with pytest.raises(AssertionError, match=message):
+                alternating_relation_word(None, pattern, mw)
+            with pytest.raises(AssertionError, match=message):
+                alternating_cs_from_runs(None, pattern, mw)
+
+
+def test_runs_match_word_on_hand_built_factors():
+    # arbitrary short factors over a, A, b, B: the two agree on the cyclic
+    # S-sequence or raise the same error, pattern by pattern
+    rng = random.Random(12)
+    letters = (1, -1, 2, -2)
+    for _ in range(300):
+        mw = hand_built(
+            [rng.choice(letters) for _ in range(rng.randint(1, 4))],
+            [rng.choice(letters) for _ in range(rng.randint(1, 4))],
+        )
+        for pattern in rng.sample(sign_patterns(3), 10):
+            expected = outcome(alternating_relation_word, mw, pattern)
+            if not isinstance(expected, str):
+                expected = cyclic_s_sequence(expected)
+            assert outcome(alternating_cs_from_runs, mw, pattern) == expected
+
+
+def test_runs_reject_bad_signs():
+    knot = GenusOneKnot(1, 1, 1)
+    for pattern in ([], [(1, 2)], [(0, 1)]):
+        with pytest.raises(ValueError):
+            alternating_cs_from_runs(knot, pattern)
 
 
 def test_forbidden_terms_by_case():

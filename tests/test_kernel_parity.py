@@ -1,8 +1,8 @@
 """The piece kernels against brute-force oracles.
 
-max_piece_table sorts the rotations and takes neighbour LCPs; the oracle
-extends each rotation's prefix while any other rotation still shares
-it.  min_pieces_span is checked against a dynamic program over all
+max_piece_table sorts the rotations by integer key and takes each
+neighbour LCP from the XOR of two keys; the oracle extends each
+rotation's prefix while any other rotation still shares it.  min_pieces_span is checked against a dynamic program over all
 piece lengths.  reach_table's sparse-table range maximum is checked
 against the quadratic sweep over every cut that it replaced.
 """
@@ -166,6 +166,23 @@ def test_max_piece_table_on_grid_relators():
                 u = relator(GenusOneKnot(m, n, sign).fraction).u
                 expected = brute_max_piece(u)
                 assert _kernel.max_piece_table(list(u)) == (expected[0], expected[1])
+
+
+def test_max_piece_table_on_random_words():
+    # any words over +-1, +-2 (reduced or not), n = 1 and 2 included, and
+    # proper powers, whose rotations collide so that every entry is n
+    rng = random.Random(9)
+    letters = (1, -1, 2, -2)
+    for _ in range(400):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 24)))
+        expected = brute_max_piece(w)
+        assert _kernel.max_piece_table(list(w)) == (expected[0], expected[1]), w
+        power = w * rng.randint(2, 3)
+        n = len(power)
+        assert _kernel.max_piece_table(list(power)) == ([n] * n, [n] * n), power
+    for w in ((1,), (2,), (-1, -1), (1, 2), (1, -1), (2, -1)):
+        expected = brute_max_piece(w)
+        assert _kernel.max_piece_table(list(w)) == (expected[0], expected[1]), w
 
 
 def test_max_piece_table_marks_collisions():
