@@ -186,6 +186,12 @@ def _sign_patterns(t_max: int):
     return pats
 
 
+def _dropped_payload(dropped) -> list:
+    """[[omega, residual], ...] for the roots the residual gate dropped; a
+    residual that is not finite (nan, inf) becomes null."""
+    return [[str(z), r if math.isfinite(r) else None] for z, r in dropped]
+
+
 def _cmd_freeness(args) -> int:
     if not 1 <= args.t <= MAX_T:
         raise ValueError(f"--t must be between 1 and {MAX_T}, got {args.t}")
@@ -213,17 +219,20 @@ def _cmd_freeness(args) -> int:
         f"{'all pass' if all_ok else 'FAILURES'}",
     ]
     if args.scan_syllables:
-        report = freeness.no_relation_scan(knot, args.scan_syllables)
+        report = freeness.no_relation_scan(knot, args.scan_syllables, mw=mw)
         payload["scan"] = {
             "max_syllables": report.max_syllables,
             "words_checked": report.words_checked,
             "roots": [str(z) for z in report.roots],
+            "roots_scanned": report.roots_scanned,
+            "dropped_roots": _dropped_payload(report.dropped_roots),
             "max_residual": report.max_residual,
             "min_distance": report.min_distance,
             "hits": [[h.word, str(h.omega), h.distance] for h in report.hits],
         }
         lines.append(
-            f"  matrix scan: {report.words_checked} words x {len(report.roots)} roots, "
+            f"  matrix scan: {report.words_checked} words x {len(report.roots)} roots "
+            f"({report.roots_scanned} walked, the rest by conjugation), "
             f"min distance {report.min_distance:.3e}, hits: {len(report.hits)}"
         )
         all_ok &= report.clean
@@ -245,6 +254,7 @@ def _cmd_reps(args) -> int:
         "roots": [
             {"omega": str(rep.omega), "residual": rep.residual} for rep in reps
         ],
+        "dropped_roots": _dropped_payload(reps.dropped),
     }
     lines = [
         f"parabolic representations of slope {args.q}/{args.p}"
@@ -407,7 +417,9 @@ CHECKS = (
     ),
     Check(
         "matrix_scan",
-        lambda ctx: freeness.no_relation_scan(ctx.knot, ctx.scan_syllables).clean,
+        lambda ctx: freeness.no_relation_scan(
+            ctx.knot, ctx.scan_syllables, mw=ctx.meridian_words
+        ).clean,
     ),
 )
 

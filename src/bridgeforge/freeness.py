@@ -202,6 +202,10 @@ class ScanReport:
     words_checked: int
     min_distance: float
     hits: list[ScanHit] = field(default_factory=list)
+    # roots walked; each other root took a walked root's results by conjugation
+    roots_scanned: int = 0
+    # (omega, residual) of each root the relator-residual gate dropped
+    dropped_roots: list[tuple[complex, float]] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -213,10 +217,52 @@ _SYLLABLES = ("x", "X", "y", "Y")
 _REP_TOL = 1e-9
 
 
+def _walk(
+    mw: MeridianWords, rep: sl2_oracle.NumericRep, max_syllables: int, tol: float, best: float
+):
+    """Every word of the scan at one root: (words walked, the running
+    minimum distance updated from best, hits as (word, distance))."""
+    x = sl2_oracle.evaluate(mw.x_l, rep)
+    y = sl2_oracle.evaluate(mw.y_l, rep)
+    gens = (x, sl2_oracle.mat_inv(x), y, sl2_oracle.mat_inv(y))
+    # nxt[i]: the letters that may follow letter i (not its inverse)
+    nxt = [[(j, *gens[j]) for j in range(4) if j != i ^ 1] for i in range(4)]
+    stack = [(i, 1, *gens[i]) for i in range(4)]
+    pop, push = stack.pop, stack.append
+    path = [0]  # path[k]: the syllable index at depth k + 1 of the current word
+    hits = []
+    count = 0
+    while stack:
+        i, depth, a, b, c, d = pop()
+        count += 1
+        path[depth - 1] = i
+        abs_b = abs(b)
+        abs_c = abs(c)
+        # nested as in dist_pm_identity, so a nan entry gives the same scale
+        scale = max(1.0, max(abs(a), abs_b, abs_c, abs(d)))
+        bound = max(abs_b, abs_c) / scale
+        if not (bound >= best and bound > tol):
+            plus = max(abs(a - 1), abs_b, abs_c, abs(d - 1))
+            minus = max(abs(a + 1), abs_b, abs_c, abs(d + 1))
+            dist = min(plus, minus) / scale
+            if dist < best:
+                best = dist
+            if dist <= tol:
+                hits.append(("".join(_SYLLABLES[k] for k in path[:depth]), dist))
+        if depth < max_syllables:
+            depth += 1
+            if depth > len(path):
+                path.append(0)
+            for j, e, f, g, h in nxt[i]:
+                push((j, depth, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+    return count, best, hits
+
+
 def no_relation_scan(
     knot: GenusOneKnot,
     max_syllables: int = 6,
     tol: float = 1e-3,
+    mw: MeridianWords | None = None,
 ) -> ScanReport:
     """Numeric evidence scan over words in the long meridian pair.
 
@@ -224,7 +270,8 @@ def no_relation_scan(
     with at most max_syllables syllables and evaluates it at every
     parabolic representation root of the knot's slope; any image within
     tol of +-identity is reported as a hit.  An empty report is evidence,
-    not proof, of freeness.
+    not proof, of freeness.  mw is long_meridian_words(knot); a caller
+    that holds it passes it in.
 
     The words are walked in pre-order on one explicit stack, so a word
     costs one 2x2 product with its parent's image, written out as in
@@ -233,10 +280,20 @@ def no_relation_scan(
     at least max(|b|, |c|) and division is monotone, so a word whose
     max(|b|, |c|) / scale already reaches the running minimum and exceeds
     tol can change neither; the rest of its distance is skipped.
+
+    numeric_reps returns conjugate roots as exact conjugates, and at
+    conj(w) every word's image is the entrywise conjugate of its image at
+    w, at the same distance bit for bit.  So a root with imag < 0 whose
+    exact conjugate is also a root is not walked: it takes the hits of
+    its conjugate's walk, each with its own omega.  Hits are listed in
+    root order, as a walk of every root would list them, and
+    words_checked counts words per root; roots_scanned counts the roots
+    actually walked.
     """
     if max_syllables < 1:
         raise ValueError(f"max_syllables must be at least 1, got {max_syllables}")
-    mw = long_meridian_words(knot)
+    if mw is None:
+        mw = long_meridian_words(knot)
     data = sl2_oracle.riley_polynomials(knot.fraction)
     reps = sl2_oracle.numeric_reps(data, tol=_REP_TOL)
     if not reps:
@@ -249,42 +306,19 @@ def no_relation_scan(
         max_residual=max(rep.residual for rep in reps),
         words_checked=0,
         min_distance=float("inf"),
+        dropped_roots=list(reps.dropped),
     )
+    at = {rep.omega: rep for rep in reps}
+    walked: dict[complex, list[tuple[str, float]]] = {}  # walked root -> its hits
     best = report.min_distance
-    path = [0]  # path[k]: the syllable index at depth k + 1 of the current word
     for rep in reps:
-        x = sl2_oracle.evaluate(mw.x_l, rep)
-        y = sl2_oracle.evaluate(mw.y_l, rep)
-        gens = (x, sl2_oracle.mat_inv(x), y, sl2_oracle.mat_inv(y))
-        # nxt[i]: the letters that may follow letter i (not its inverse)
-        nxt = [[(j, *gens[j]) for j in range(4) if j != i ^ 1] for i in range(4)]
-        stack = [(i, 1, *gens[i]) for i in range(4)]
-        pop, push = stack.pop, stack.append
-        count = 0
-        while stack:
-            i, depth, a, b, c, d = pop()
-            count += 1
-            path[depth - 1] = i
-            abs_b = abs(b)
-            abs_c = abs(c)
-            # nested as in dist_pm_identity, so a nan entry gives the same scale
-            scale = max(1.0, max(abs(a), abs_b, abs_c, abs(d)))
-            bound = max(abs_b, abs_c) / scale
-            if not (bound >= best and bound > tol):
-                plus = max(abs(a - 1), abs_b, abs_c, abs(d - 1))
-                minus = max(abs(a + 1), abs_b, abs_c, abs(d + 1))
-                dist = min(plus, minus) / scale
-                if dist < best:
-                    best = dist
-                if dist <= tol:
-                    word = "".join(_SYLLABLES[k] for k in path[:depth])
-                    report.hits.append(ScanHit(word, rep.omega, dist))
-            if depth < max_syllables:
-                depth += 1
-                if depth > len(path):
-                    path.append(0)
-                for j, e, f, g, h in nxt[i]:
-                    push((j, depth, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
-        report.words_checked = count
+        omega = rep.omega
+        source = omega.conjugate() if omega.imag < 0 and omega.conjugate() in at else omega
+        if source not in walked:
+            report.words_checked, best, walked[source] = _walk(
+                mw, at[source], max_syllables, tol, best
+            )
+        report.hits += [ScanHit(word, omega, dist) for word, dist in walked[source]]
+    report.roots_scanned = len(walked)
     report.min_distance = best
     return report

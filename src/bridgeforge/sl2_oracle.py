@@ -9,7 +9,9 @@ Riley polynomial.  Its roots are found by simultaneous Aberth-Ehrlich
 iteration (Aberth, Math. Comp. 27, 1973) that evaluates the polynomial
 and its derivative through the product of generator matrices, never
 through the monomial coefficients, which are ill-conditioned once p is
-large.  Every root is checked against the relator in double precision.
+large.  Conjugate roots are made exact conjugates, so a word's images at
+the two are exact conjugates too.  Every root is checked against the
+relator in double precision.
 Words whose images stay far from +-identity at every root are certified
 nontrivial only up to numeric error; the module reports margins, never
 proofs.
@@ -208,31 +210,84 @@ def _all_roots(u_hat, poly: Poly) -> list[complex]:
     return zs
 
 
-def numeric_reps(data: RileyData, tol: float = 1e-9) -> list[NumericRep]:
+# conjugate roots and near-real roots are matched within this relative distance
+_PAIR_TOL = 1e-8
+
+
+def _conjugate_pairs(zs: list[complex]) -> list[complex]:
+    """zs with the conjugate symmetry of a real polynomial's roots made exact.
+
+    For each finite root z_k let j be the finite root nearest conj(z_k).
+    If j = k and |Im z_k| <= _PAIR_TOL max(1, |z_k|), z_k becomes real
+    with imaginary part 0.0.  If j != k, k is also j's nearest and
+    |z_k - conj z_j| <= _PAIR_TOL max(1, |z_k|), the upper root u of the
+    two is kept and its partner becomes exactly u.conjugate().  Every
+    other root, non-finite iterates and unconverged roots included, is
+    left as it is.
+    """
+    out = list(zs)
+    finite = [k for k, z in enumerate(zs) if cmath.isfinite(z)]
+    nearest = {
+        k: min(finite, key=lambda j: abs(zs[j] - zs[k].conjugate())) for k in finite
+    }
+    for k, j in nearest.items():
+        z = zs[k]
+        bound = _PAIR_TOL * max(1.0, abs(z))
+        if j == k:
+            if abs(z.imag) <= bound:
+                out[k] = complex(z.real, 0.0)
+        elif k < j and nearest[j] == k and abs(z - zs[j].conjugate()) <= bound:
+            upper, lower = (k, j) if z.imag >= zs[j].imag else (j, k)
+            out[lower] = zs[upper].conjugate()
+    return out
+
+
+class NumericReps(list):
+    """The kept representations, as a list; dropped holds (omega, residual)
+    for each root the residual gate rejected, in the order found."""
+
+    def __init__(self, reps=(), dropped=()):
+        super().__init__(reps)
+        self.dropped: list[tuple[complex, float]] = list(dropped)
+
+
+def numeric_reps(data: RileyData, tol: float = 1e-9) -> NumericReps:
     """All distinct parabolic representations at the roots of data.poly.
 
-    Each root is packaged with the generator images and its relator
-    residual; a root whose residual is not at most tol (nan included) is
-    dropped with a warning.  The kept roots are deduplicated to 1e-8 and
-    ordered by (real, imag).
+    The polynomial has integer coefficients, so its non-real roots come
+    in conjugate pairs; _conjugate_pairs makes each pair that the
+    iteration found exact conjugates and each real root exactly real.
+    Each root is then packaged with the generator images and its relator
+    residual.  At conj(w) every generator image, and so the image of
+    every word, is the entrywise conjugate of the one at w, bit for bit
+    (IEEE rounding is symmetric in sign), so the residual is computed at
+    the root in the upper half-plane and shared by its conjugate.  A root
+    whose residual is not at most tol (nan included) is dropped with a
+    warning and listed in the result's dropped.  The kept roots are
+    deduplicated to 1e-8 and ordered by (real, imag).
     """
     if len(data.poly) < 2:
         warnings.warn(f"slope {data.fraction} has a constant defining polynomial; no roots")
-        return []
+        return NumericReps()
     rel = relator(data.fraction)
     mat_a = (1 + 0j, 1 + 0j, 0j, 1 + 0j)
-    reps: list[NumericRep] = []
-    for omega in _all_roots(rel.u_hat, data.poly):
-        rep = NumericRep(omega, mat_a, (1 + 0j, 0j, omega, 1 + 0j), 0.0)
-        img = evaluate(rel.u, rep)
-        residual = float(max(abs(img[0] - 1), abs(img[1]), abs(img[2]), abs(img[3] - 1)))
+    reps = NumericReps()
+    residuals: dict[complex, float] = {}  # by the root in the upper half-plane
+    for omega in _conjugate_pairs(_all_roots(rel.u_hat, data.poly)):
+        upper = omega if omega.imag >= 0 else omega.conjugate()
+        residual = residuals.get(upper)
+        if residual is None:
+            img = evaluate(rel.u, NumericRep(upper, mat_a, (1 + 0j, 0j, upper, 1 + 0j), 0.0))
+            residual = float(max(abs(img[0] - 1), abs(img[1]), abs(img[2]), abs(img[3] - 1)))
+            residuals[upper] = residual
         if not residual <= tol:
             warnings.warn(
                 f"dropping root {omega} with relator residual {residual:.3e}"
             )
+            reps.dropped.append((omega, residual))
             continue
         if all(abs(omega - kept.omega) > 1e-8 for kept in reps):
-            reps.append(NumericRep(omega, rep.mat_a, rep.mat_b, residual))
+            reps.append(NumericRep(omega, mat_a, (1 + 0j, 0j, omega, 1 + 0j), residual))
     reps.sort(key=lambda rep: (rep.omega.real, rep.omega.imag))
     if not reps:
         warnings.warn(f"no representation root of {data.fraction} met tolerance {tol}")

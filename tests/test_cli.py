@@ -77,6 +77,41 @@ def test_reps_command(capsys):
     assert code == 0
     assert len(payload["roots"]) == 2
     assert all(r["residual"] < 1e-9 for r in payload["roots"])
+    assert payload["dropped_roots"] == []
+
+
+def _with_bad_iterates(monkeypatch):
+    # two iterates the residual gate must drop, ahead of the real roots
+    found = cli.sl2_oracle._all_roots
+    monkeypatch.setattr(
+        cli.sl2_oracle, "_all_roots",
+        lambda u_hat, poly: [complex("nan"), complex("inf")] + found(u_hat, poly),
+    )
+
+
+def test_reps_lists_dropped_roots(capsys, monkeypatch):
+    _with_bad_iterates(monkeypatch)
+    with pytest.warns(UserWarning, match="dropping root"):
+        code, payload = run_json(capsys, "reps", "--p", "7", "--q", "2")
+    assert code == 0 and len(payload["roots"]) == 3
+    assert payload["dropped_roots"] == [["(nan+0j)", None], ["(inf+0j)", None]]
+
+
+def test_freeness_scan_payload_counts_roots(capsys, monkeypatch):
+    argv = ("freeness", "--m", "2", "--n", "1", "--sign", "+", "--t", "1", "--scan-syllables", "3")
+    code, payload = run_json(capsys, *argv)
+    scan = payload["scan"]
+    assert code == 0
+    assert scan["words_checked"] == 2 * (3 ** 3 - 1)
+    assert len(scan["roots"]) == 4 and scan["roots_scanned"] == 2
+    assert scan["dropped_roots"] == []
+    code, out = run_cli(capsys, *argv)
+    assert "x 4 roots (2 walked, the rest by conjugation)" in out
+    _with_bad_iterates(monkeypatch)
+    with pytest.warns(UserWarning, match="dropping root"):
+        code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["scan"]["dropped_roots"] == [["(nan+0j)", None], ["(inf+0j)", None]]
 
 
 def test_orbifold_command(capsys):
@@ -138,6 +173,24 @@ def test_cli_import_leaves_process_pool_unloaded():
         capture_output=True, text=True, env=env, check=True, timeout=60,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_module_runs_as_script():
+    # python -m bridgeforge, from the source tree without an install
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    ok = subprocess.run(
+        [sys.executable, "-m", "bridgeforge", "reps", "--p", "9", "--q", "2", "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert ok.returncode == 0
+    assert len(json.loads(ok.stdout)["roots"]) == 4
+    bad = subprocess.run(
+        [sys.executable, "-m", "bridgeforge", "reps", "--p", "4", "--q", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: ")
 
 
 def test_verify_all_small_grid(capsys):
@@ -346,3 +399,22 @@ def test_verify_all_truncation(capsys):
     assert code == cli.EXIT_TRUNCATED
     assert payload["truncated"] is True
     assert payload["missing_cells"]
+
+
+@pytest.mark.parametrize("command,builds", [
+    (["freeness", "--m", "1", "--n", "2", "--sign", "-", "--scan-syllables", "2"], 1),
+    (["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "--scan-syllables", "2"], 2),
+])
+def test_scan_shares_the_meridian_words(capsys, monkeypatch, command, builds):
+    # the matrix scan takes the long meridian words its caller already holds
+    built = []
+    real = cli.meridians.long_meridian_words
+
+    def counted(knot):
+        built.append(knot)
+        return real(knot)
+
+    for module in (cli.meridians, cli.freeness):
+        monkeypatch.setattr(module, "long_meridian_words", counted)
+    assert cli.main([*command, "--json"]) == cli.EXIT_PASS
+    assert len(built) == builds

@@ -277,3 +277,38 @@ def test_scan_rejects_fewer_than_one_syllable():
     for k in (0, -1):
         with pytest.raises(ValueError, match="max_syllables must be at least 1"):
             no_relation_scan(knot, k)
+
+
+@pytest.mark.parametrize("m,n,sign,walked", [
+    (1, 1, 1, 1), (1, 2, -1, 2), (2, 1, -1, 2), (1, 2, 1, 2), (2, 1, 1, 2),
+])
+def test_scan_walks_one_root_per_conjugate_pair(m, n, sign, walked):
+    report = no_relation_scan(GenusOneKnot(m, n, sign), 3)
+    assert report.roots_scanned == walked
+    assert report.roots_scanned == sum(z.imag >= 0 for z in report.roots)
+    assert report.dropped_roots == []
+
+
+@pytest.mark.parametrize("m,n,sign", [(2, 1, 1), (1, 2, -1)])
+def test_scan_walks_a_lone_lower_root(monkeypatch, m, n, sign):
+    # numeric_reps loses the upper root of the pair with the largest
+    # imaginary part, so its lower root has no partner and is walked itself
+    found = sl2_oracle.numeric_reps
+
+    def without_upper_root(data, tol=1e-9):
+        reps = found(data, tol)
+        top = max(reps, key=lambda rep: rep.omega.imag)
+        return sl2_oracle.NumericReps([rep for rep in reps if rep is not top], reps.dropped)
+
+    monkeypatch.setattr(sl2_oracle, "numeric_reps", without_upper_root)
+    knot = GenusOneKnot(m, n, sign)
+    report = no_relation_scan(knot, 4, 0.9)
+    words, min_distance, hits = stack_scan(knot, 4, 0.9)
+    lone = min(report.roots, key=lambda z: z.imag)
+    assert lone.imag < 0 and lone.conjugate() not in report.roots
+    assert report.roots_scanned == sum(z.imag >= 0 for z in report.roots) + 1
+    assert report.words_checked == words
+    assert report.min_distance == min_distance
+    assert [(h.word, h.omega, h.distance) for h in report.hits] == hits
+    assert any(h.omega == lone for h in report.hits)
+

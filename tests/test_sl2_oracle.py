@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import warnings
@@ -172,6 +173,7 @@ def test_numeric_reps_residuals_and_count():
         reps = reps_of(Frac(q, p))
         assert len(reps) == (p - 1) // 2
         assert all(rep.residual < 1e-9 for rep in reps)
+        assert reps.dropped == []
     # figure-eight has non-real parabolic representations
     assert any(abs(rep.omega.imag) > 0.1 for rep in reps_of(Frac(2, 5)))
     # trefoil root is real with tiny residual
@@ -229,6 +231,12 @@ def test_roots_match_mpmath_reference(f):
         assert min(abs(rep.omega - z) for z in reference) < 1e-9
     for z in reference:
         assert min(abs(rep.omega - z) for rep in reps) < 1e-9
+    # conjugate pairs are exact conjugates, and a real root is exactly real
+    omegas = {rep.omega for rep in reps}
+    assert all(rep.omega.conjugate() in omegas for rep in reps)
+    real = sum(abs(z.imag) < 1e-9 for z in reference)
+    assert sum(rep.omega.imag == 0.0 for rep in reps) == real
+    assert sum(rep.omega.conjugate() == rep.omega for rep in reps) == real
 
 
 def test_numeric_reps_never_keeps_nan_residual(monkeypatch):
@@ -245,6 +253,44 @@ def test_numeric_reps_never_keeps_nan_residual(monkeypatch):
     assert len(reps) == 3
     assert all(rep.residual <= 1e-9 for rep in reps)
     assert sum("dropping root" in str(w.message) for w in caught) == 2
+    # the result lists both iterates, each with its non-finite residual
+    assert len(reps.dropped) == 2
+    (nan_root, nan_res), (inf_root, inf_res) = reps.dropped
+    assert cmath.isnan(nan_root) and inf_root == complex(inf, 0)
+    assert not math.isfinite(nan_res) and not math.isfinite(inf_res)
+
+
+def test_conjugate_pairs_rule():
+    pair = sl2_oracle._conjugate_pairs
+    # a pair within 1e-8 becomes the upper root and its exact conjugate
+    assert pair([1 + 2j, 1 + 1e-9 - 2j]) == [1 + 2j, (1 + 2j).conjugate()]
+    assert pair([1 - 2j, 1 + 1e-9 + 2j]) == [(1 + 1e-9 + 2j).conjugate(), 1 + 1e-9 + 2j]
+    # a near-real root becomes real, with imaginary part +0.0
+    (z,) = pair([3 - 1e-12j])
+    assert z == 3 and math.copysign(1.0, z.imag) == 1.0
+    # too far apart to pair, or non-finite: left as they are
+    far = [1 + 2j, 1 + 1e-6 - 2j, 5 + 1e-6j]
+    assert pair(far) == far
+    odd = [complex("nan"), complex("inf"), 1 + 2j]
+    assert pair(odd)[2] == 1 + 2j and cmath.isnan(pair(odd)[0])
+    # nearest conjugates that are not mutual are not paired: the root
+    # nearest conj(2 + 1j) is z, whose own nearest conjugate is the third
+    z, upper = 2 - 1.000000001j, 2 + 1.0000000005j
+    assert pair([2 + 1j, z, upper]) == [2 + 1j, upper.conjugate(), upper]
+
+
+def test_conjugate_residuals_are_equal_bit_for_bit():
+    # every word's image at conj(w) is the entrywise conjugate of its image
+    # at w, so the relator residual of a conjugate pair is one number
+    for f in (Frac(2, 9), Frac(4, 15), Frac(16, 65)):
+        reps = reps_of(f)
+        by_omega = {rep.omega: rep for rep in reps}
+        u = relator(f).u
+        for rep in reps:
+            twin = by_omega[rep.omega.conjugate()]
+            assert twin.residual == rep.residual
+            img, twin_img = evaluate(u, rep), evaluate(u, twin)
+            assert all(x.conjugate() == y for x, y in zip(img, twin_img))
 
 
 def test_evaluate_basics():
