@@ -3,7 +3,7 @@
 Every subcommand accepts --json for machine-readable output under the
 versioned "bridge-forge/1" schema.  Exit codes: 0 all checks pass, 1 any
 check failed or a check could not run (a RuntimeError, such as a matrix
-scan finding no representation root below tolerance, or an
+scan finding no root of the Riley polynomial mod any prime tried, or an
 AssertionError, a word the library built failing its own validation in
 presentation, meridians, freeness or farey; an "error:" line goes to
 stderr), 2 usage error, 3 resource truncation.
@@ -192,6 +192,11 @@ def _dropped_payload(dropped) -> list:
     return [[str(z), r if math.isfinite(r) else None] for z, r in dropped]
 
 
+def _pairs_payload(pairs) -> list:
+    """[[prime, alpha], ...] for the exact representations a word met."""
+    return [[rep.prime, rep.alpha] for rep in pairs]
+
+
 def _cmd_freeness(args) -> int:
     if not 1 <= args.t <= MAX_T:
         raise ValueError(f"--t must be between 1 and {MAX_T}, got {args.t}")
@@ -220,20 +225,35 @@ def _cmd_freeness(args) -> int:
     ]
     if args.scan_syllables:
         report = freeness.no_relation_scan(knot, args.scan_syllables, mw=mw)
+        (rep,) = report.roots
+        # the float roots are margins only; the verdict rests on the exact scan
+        reps = sl2_oracle.numeric_reps(sl2_oracle.riley_polynomials(knot.fraction))
+        max_residual = max((r.residual for r in reps), default=None)
         payload["scan"] = {
             "max_syllables": report.max_syllables,
             "words_checked": report.words_checked,
-            "roots": [str(z) for z in report.roots],
-            "roots_scanned": report.roots_scanned,
-            "dropped_roots": _dropped_payload(report.dropped_roots),
-            "max_residual": report.max_residual,
-            "min_distance": report.min_distance,
-            "hits": [[h.word, str(h.omega), h.distance] for h in report.hits],
+            "exact": {
+                "prime": rep.prime,
+                "alpha": rep.alpha,
+                "words_nontrivial": report.words_nontrivial,
+                "retried": [
+                    {"word": r.word, "pairs": _pairs_payload(r.pairs), "nontrivial": r.nontrivial}
+                    for r in report.retried
+                ],
+            },
+            "hits": [[h.word, _pairs_payload(h.pairs)] for h in report.hits],
+            "roots": [str(r.omega) for r in reps],
+            "dropped_roots": _dropped_payload(reps.dropped),
+            "max_residual": max_residual,
         }
         lines.append(
-            f"  matrix scan: {report.words_checked} words x {len(report.roots)} roots "
-            f"({report.roots_scanned} walked, the rest by conjugation), "
-            f"min distance {report.min_distance:.3e}, hits: {len(report.hits)}"
+            f"  matrix scan: {report.words_checked} words at w = {rep.alpha} mod {rep.prime}, "
+            f"{report.words_nontrivial} proven nontrivial ({len(report.retried)} retried), "
+            f"hits: {len(report.hits)}"
+        )
+        lines.append(
+            f"  float margins: {len(reps)} roots, max relator residual "
+            + ("none" if max_residual is None else f"{max_residual:.3e}")
         )
         all_ok &= report.clean
     _emit(payload, args.json, lines)
@@ -458,6 +478,8 @@ def _cmd_verify_all(args) -> int:
         )
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    if args.scan and not args.scan_syllables:
+        raise ValueError("--scan needs --scan-syllables of at least 1")
     cells = [
         (m, n, sign, args.scan_syllables if args.scan else 0)
         for m in range(1, args.m_max + 1)
@@ -582,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m-max", type=int, required=True)
     sub.add_argument("--n-max", type=int, required=True)
     sub.add_argument("--scan", action="store_true",
-                     help="include the numeric matrix scan")
+                     help="include the exact matrix scan")
     sub.add_argument("--scan-syllables", type=int, default=4)
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--max-seconds", type=float, default=0.0,

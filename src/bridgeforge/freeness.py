@@ -4,8 +4,10 @@ A hypothetical relation x_l^k1 y_l^l1 ... x_l^kt y_l^lt = 1 is
 represented by an explicit cyclically reduced word; its sign pattern
 determines a cyclically alternating word whose cyclic S-sequence has an
 exact closed form.  The forbidden-term facts extracted from that closed
-form are what the small-cancellation contradiction consumes, and the
-numeric no-relation scan adds evidence from parabolic matrix images.
+form are what the small-cancellation contradiction consumes.  The
+no-relation scan proves every short word in the long meridian pair
+nontrivial by its image in SL2(F_l) under an exact parabolic
+representation.
 
 The checks compose that S-sequence from the runs of the four factors
 x_l^+-1, y_l^+-1, each validated once, and check only the junctions
@@ -186,26 +188,34 @@ def verify_alternating_cs(
 
 
 @dataclass
-class ScanHit:
+class RetriedWord:
+    """A word that maps to +-I at the scan's pair, with every pair it was
+    evaluated under (the scan's first) and whether the last one proves it
+    nontrivial.  One that is not is a hit, with the pairs as its witness."""
+
     word: str
-    omega: complex
-    distance: float
+    pairs: list[sl2_oracle.ModularRep]
+    nontrivial: bool
 
 
 @dataclass
 class ScanReport:
     knot: GenusOneKnot
     max_syllables: int
-    tol: float
-    roots: list[complex]
-    max_residual: float
+    # the roots the walk ran at: one root alpha of the Riley polynomial,
+    # mod its prime
+    roots: list[sl2_oracle.ModularRep]
     words_checked: int
-    min_distance: float
-    hits: list[ScanHit] = field(default_factory=list)
-    # roots walked; each other root took a walked root's results by conjugation
-    roots_scanned: int = 0
-    # (omega, residual) of each root the relator-residual gate dropped
-    dropped_roots: list[tuple[complex, float]] = field(default_factory=list)
+    retried: list[RetriedWord] = field(default_factory=list)
+
+    @property
+    def hits(self) -> list[RetriedWord]:
+        """The words that map to +-I under every pair tried."""
+        return [r for r in self.retried if not r.nontrivial]
+
+    @property
+    def words_nontrivial(self) -> int:
+        return self.words_checked - len(self.hits)
 
     @property
     def clean(self) -> bool:
@@ -213,112 +223,102 @@ class ScanReport:
 
 
 _SYLLABLES = ("x", "X", "y", "Y")
-# relator residual a representation root must meet to enter the scan
-_REP_TOL = 1e-9
+# (prime, alpha) pairs a word is evaluated under before it counts as a hit
+_PAIRS = 3
 
 
-def _walk(
-    mw: MeridianWords, rep: sl2_oracle.NumericRep, max_syllables: int, tol: float, best: float
-):
-    """Every word of the scan at one root: (words walked, the running
-    minimum distance updated from best, hits as (word, distance))."""
-    x = sl2_oracle.evaluate(mw.x_l, rep)
-    y = sl2_oracle.evaluate(mw.y_l, rep)
-    gens = (x, sl2_oracle.mat_inv(x), y, sl2_oracle.mat_inv(y))
-    # nxt[i]: the letters that may follow letter i (not its inverse)
+def _images(mw: MeridianWords, rep: sl2_oracle.ModularRep):
+    """The images of x_l, x_l^-1, y_l, y_l^-1 over F_prime, in syllable order."""
+    prime = rep.prime
+    out = []
+    for word in (mw.x_l, mw.y_l):
+        a, b, c, d = sl2_oracle.modular_image(word, rep)
+        out += [(a, b, c, d), (d, -b % prime, -c % prime, a)]
+    return out
+
+
+def _walk(gens, prime: int, max_syllables: int):
+    """Every word of the scan over F_prime, in pre-order: (words walked,
+    the words whose image is +-I, as tuples of syllable indices).
+
+    An image in SL2 with b = c = 0 and a = d is +-I, since then a^2 = 1.
+    The children of a word one syllable short of the limit are leaves:
+    each is tested in place, from its b entry first, and never stacked.
+    """
     nxt = [[(j, *gens[j]) for j in range(4) if j != i ^ 1] for i in range(4)]
+    leaves = [row[::-1] for row in nxt]  # in the order the stack would pop them
     stack = [(i, 1, *gens[i]) for i in range(4)]
     pop, push = stack.pop, stack.append
-    path = [0]  # path[k]: the syllable index at depth k + 1 of the current word
-    hits = []
+    path = [0] * max_syllables  # path[k]: the syllable at depth k + 1
+    suspects = []
     count = 0
     while stack:
         i, depth, a, b, c, d = pop()
         count += 1
         path[depth - 1] = i
-        abs_b = abs(b)
-        abs_c = abs(c)
-        # nested as in dist_pm_identity, so a nan entry gives the same scale
-        scale = max(1.0, max(abs(a), abs_b, abs_c, abs(d)))
-        bound = max(abs_b, abs_c) / scale
-        if not (bound >= best and bound > tol):
-            plus = max(abs(a - 1), abs_b, abs_c, abs(d - 1))
-            minus = max(abs(a + 1), abs_b, abs_c, abs(d + 1))
-            dist = min(plus, minus) / scale
-            if dist < best:
-                best = dist
-            if dist <= tol:
-                hits.append(("".join(_SYLLABLES[k] for k in path[:depth]), dist))
-        if depth < max_syllables:
+        if not b and not c and a == d:
+            suspects.append(tuple(path[:depth]))
+        if depth == max_syllables:
+            continue
+        if depth + 1 < max_syllables:
             depth += 1
-            if depth > len(path):
-                path.append(0)
             for j, e, f, g, h in nxt[i]:
-                push((j, depth, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
-    return count, best, hits
+                push((j, depth, (a * e + b * g) % prime, (a * f + b * h) % prime,
+                      (c * e + d * g) % prime, (c * f + d * h) % prime))
+            continue
+        count += 3
+        for j, e, f, g, h in leaves[i]:
+            if (a * f + b * h) % prime or (c * e + d * g) % prime:
+                continue
+            if (a * e + b * g) % prime == (c * f + d * h) % prime:
+                suspects.append((*path[:depth], j))
+    return count, suspects
+
+
+def _is_pm_identity(word, gens, prime: int) -> bool:
+    a, b, c, d = 1, 0, 0, 1
+    for i in word:
+        e, f, g, h = gens[i]
+        a, b, c, d = (a * e + b * g) % prime, (a * f + b * h) % prime, \
+            (c * e + d * g) % prime, (c * f + d * h) % prime
+    return not b and not c and a == d
 
 
 def no_relation_scan(
-    knot: GenusOneKnot,
-    max_syllables: int = 6,
-    tol: float = 1e-3,
-    mw: MeridianWords | None = None,
+    knot: GenusOneKnot, max_syllables: int = 6, mw: MeridianWords | None = None
 ) -> ScanReport:
-    """Numeric evidence scan over words in the long meridian pair.
+    """Exact scan over words in the long meridian pair.
 
-    Enumerates every freely reduced nonempty word in x_l^-+1, y_l^-+1
-    with at most max_syllables syllables and evaluates it at every
-    parabolic representation root of the knot's slope; any image within
-    tol of +-identity is reported as a hit.  An empty report is evidence,
-    not proof, of freeness.  mw is long_meridian_words(knot); a caller
-    that holds it passes it in.
+    Enumerates every freely reduced nonempty word in x_l^+-1, y_l^+-1
+    with at most max_syllables syllables, 2(3^K - 1) of them, and maps it
+    to SL2(F_prime) by w -> alpha, a root of the Riley polynomial mod a
+    prime (sl2_oracle.modular_rep).  That map is a homomorphism of the
+    knot group, so a word whose image is not +-I is proven nontrivial in
+    the group.  A word whose image is +-I is evaluated again under the
+    next (prime, alpha) pair, up to _PAIRS pairs, and is a hit when it
+    stays at +-I under every one; its witness is the word and the pairs.
+    mw is long_meridian_words(knot); a caller that holds it passes it in.
 
     The words are walked in pre-order on one explicit stack, so a word
-    costs one 2x2 product with its parent's image, written out as in
-    sl2_oracle.mat_mul.  Its distance from +-I is that of
-    sl2_oracle.dist_pm_identity, but both of that function's maxima are
-    at least max(|b|, |c|) and division is monotone, so a word whose
-    max(|b|, |c|) / scale already reaches the running minimum and exceeds
-    tol can change neither; the rest of its distance is skipped.
-
-    numeric_reps returns conjugate roots as exact conjugates, and at
-    conj(w) every word's image is the entrywise conjugate of its image at
-    w, at the same distance bit for bit.  So a root with imag < 0 whose
-    exact conjugate is also a root is not walked: it takes the hits of
-    its conjugate's walk, each with its own omega.  Hits are listed in
-    root order, as a walk of every root would list them, and
-    words_checked counts words per root; roots_scanned counts the roots
-    actually walked.
+    costs one 2x2 product mod prime with its parent's image.
     """
     if max_syllables < 1:
         raise ValueError(f"max_syllables must be at least 1, got {max_syllables}")
     if mw is None:
         mw = long_meridian_words(knot)
     data = sl2_oracle.riley_polynomials(knot.fraction)
-    reps = sl2_oracle.numeric_reps(data, tol=_REP_TOL)
-    if not reps:
-        raise RuntimeError("no parabolic representation root below tolerance")
-    report = ScanReport(
-        knot=knot,
-        max_syllables=max_syllables,
-        tol=tol,
-        roots=[rep.omega for rep in reps],
-        max_residual=max(rep.residual for rep in reps),
-        words_checked=0,
-        min_distance=float("inf"),
-        dropped_roots=list(reps.dropped),
-    )
-    at = {rep.omega: rep for rep in reps}
-    walked: dict[complex, list[tuple[str, float]]] = {}  # walked root -> its hits
-    best = report.min_distance
-    for rep in reps:
-        omega = rep.omega
-        source = omega.conjugate() if omega.imag < 0 and omega.conjugate() in at else omega
-        if source not in walked:
-            report.words_checked, best, walked[source] = _walk(
-                mw, at[source], max_syllables, tol, best
-            )
-        report.hits += [ScanHit(word, omega, dist) for word, dist in walked[source]]
-    report.roots_scanned = len(walked)
-    report.min_distance = best
+    pairs = [sl2_oracle.modular_rep(data)]
+    images = [_images(mw, pairs[0])]
+    count, suspects = _walk(images[0], pairs[0].prime, max_syllables)
+    report = ScanReport(knot, max_syllables, pairs[:1], count)
+    for path in suspects:
+        tried, nontrivial = 1, False
+        while tried < _PAIRS and not nontrivial:
+            if tried == len(pairs):
+                pairs.append(sl2_oracle.modular_rep(data, below=pairs[-1].prime))
+                images.append(_images(mw, pairs[-1]))
+            nontrivial = not _is_pm_identity(path, images[tried], pairs[tried].prime)
+            tried += 1
+        word = "".join(_SYLLABLES[i] for i in path)
+        report.retried.append(RetriedWord(word, pairs[:tried], nontrivial))
     return report

@@ -9,11 +9,11 @@ that the freeness argument consumes.
 
 Every check reads the longest-piece table of _kernel.max_piece_table,
 one entry per element, and is near-linear in the relator length n.
-C(p) reads the (p-1)-piece reach table, O(n log n).  T(4) collects the
-(first, last) letter classes, O(n).  The piece shapes are matched one
-sign run at a time against a trie of the listed shapes, O(n b) for
-shapes of at most b runs.  The three-piece shape reads the 2- and
-3-piece reach tables.
+C(p) reads the (p-1)-piece reach table of row 0, O(n log n).  T(4)
+collects the (first, last) letter classes, O(n).  The piece shapes are
+matched one sign run at a time against a trie of the listed shapes,
+O(n b) for shapes of at most b runs.  The three-piece shape reads the 2-
+and 3-piece reach tables.
 """
 
 from __future__ import annotations
@@ -133,12 +133,20 @@ def check_C(R: SymmetrizedSet, p: int) -> bool:
     """C(p): no element of R is a product of fewer than p pieces.
 
     Element (d, s) is a product of at most p - 1 pieces exactly when p - 1
-    pieces reach across all n letters from offset s of row d, so one
-    (p-1)-piece reach table per row decides.  C(1) holds vacuously.
+    pieces reach across all n letters from offset s of row d, so the
+    (p-1)-piece reach table of a row decides for its elements.  C(1)
+    holds vacuously.
+
+    Row 0 alone decides.  The inverse of a piece v is a piece: v is a
+    common prefix of distinct elements r1, r2, so v^-1 is a common suffix
+    of r1^-1 = x v^-1 and r2^-1 = y v^-1 with x != y, and a common prefix
+    of their rotations v^-1 x != v^-1 y, which lie in R.  A row-1 element
+    r = v1 ... vk is the inverse of the row-0 element vk^-1 ... v1^-1,
+    so it is a product of k pieces exactly when that element is.
     """
     if p < 2:
         return True
-    return not any(R.n in _kernel.reach_table(row, p - 1)[p - 1] for row in R.piece_len)
+    return R.n not in _kernel.reach_table(R.piece_len[0], p - 1)[p - 1]
 
 
 def check_T(R: SymmetrizedSet, q: int = 4) -> bool:

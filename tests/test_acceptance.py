@@ -34,6 +34,8 @@ from bridgeforge.words import (
     word_str,
 )
 
+from test_freeness import float_scan
+
 LETTERS = (1, -1, 2, -2)
 
 
@@ -136,11 +138,15 @@ def test_criterion_6_matrix_scan():
     t0 = time.perf_counter()
     ok = True
     for params in ((1, 1, 1), (2, 1, 1), (1, 2, -1), (2, 2, -1)):
-        report = no_relation_scan(GenusOneKnot(*params), max_syllables=6, tol=1e-3)
-        ok &= report.clean and report.min_distance > 1e-3
-        ok &= report.max_residual < 1e-9
+        knot = GenusOneKnot(*params)
+        report = no_relation_scan(knot, max_syllables=6)
+        ok &= report.clean and report.words_nontrivial == report.words_checked
         ok &= report.words_checked == 4 * (3**6 - 1) // 2
-    _report(6, "no relation within 1e-3 of +-I up to 6 syllables", ok,
+        # the float margins, from the test oracle
+        margins = float_scan(knot, 6, tol=1e-3)
+        ok &= margins.min_distance > 1e-3 and not margins.hits
+        ok &= margins.max_residual < 1e-9
+    _report(6, "no relation up to 6 syllables: exact mod l, 1e-3 from +-I in floats", ok,
             time.perf_counter() - t0, 120.0)
 
 

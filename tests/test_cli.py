@@ -103,15 +103,34 @@ def test_freeness_scan_payload_counts_roots(capsys, monkeypatch):
     scan = payload["scan"]
     assert code == 0
     assert scan["words_checked"] == 2 * (3 ** 3 - 1)
-    assert len(scan["roots"]) == 4 and scan["roots_scanned"] == 2
+    exact = scan["exact"]
+    assert exact["words_nontrivial"] == scan["words_checked"]
+    assert exact["retried"] == [] and scan["hits"] == []
+    assert exact["prime"] < 1 << 30 and 0 <= exact["alpha"] < exact["prime"]
+    # the float roots stay as margins; the float walk's fields are gone
+    assert len(scan["roots"]) == 4 and scan["max_residual"] < 1e-9
     assert scan["dropped_roots"] == []
+    assert not {"roots_scanned", "min_distance"} & set(scan)
     code, out = run_cli(capsys, *argv)
-    assert "x 4 roots (2 walked, the rest by conjugation)" in out
+    assert (f"matrix scan: 52 words at w = {exact['alpha']} mod {exact['prime']}, "
+            "52 proven nontrivial (0 retried), hits: 0") in out
+    assert "float margins: 4 roots" in out
     _with_bad_iterates(monkeypatch)
     with pytest.warns(UserWarning, match="dropping root"):
         code, payload = run_json(capsys, *argv)
     assert code == 0
     assert payload["scan"]["dropped_roots"] == [["(nan+0j)", None], ["(inf+0j)", None]]
+
+
+@pytest.mark.parametrize("m,n", [("2", "8"), ("8", "4")])
+def test_freeness_scan_is_exact_where_floats_failed(capsys, m, n):
+    # 16/63 and 8/127 exited 1 with 16 float hits each
+    code, payload = run_json(
+        capsys, "freeness", "--m", m, "--n", n, "--sign", "-", "--t", "1", "--scan-syllables", "8"
+    )
+    scan = payload["scan"]
+    assert code == 0 and scan["hits"] == []
+    assert scan["exact"]["words_nontrivial"] == scan["words_checked"] == 13_120
 
 
 def test_orbifold_command(capsys):
@@ -302,11 +321,43 @@ def test_freeness_t_capped(capsys, t):
     ["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "--scan-syllables", "2"],
 ])
 def test_scan_without_roots_exits_fail(capsys, monkeypatch, command):
-    monkeypatch.setattr(cli.sl2_oracle, "numeric_reps", lambda data, tol: [])
+    # no prime gives the exact root finder a root
+    monkeypatch.setattr(cli.sl2_oracle, "_root_mod", lambda poly, prime: None)
     assert cli.main([*command, "--json"]) == cli.EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: no parabolic representation root below tolerance" in captured.err
+    assert "error: no root of the Riley polynomial of 2/5 modulo 200 primes below" in captured.err
+
+
+def test_scan_with_a_false_root_exits_fail(capsys, monkeypatch):
+    # w = 0 sends b to I, so the relator maps to a, not I
+    monkeypatch.setattr(cli.sl2_oracle, "_root_mod", lambda poly, prime: 0)
+    command = ["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "--scan-syllables", "2"]
+    assert cli.main([*command, "--json"]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: relator of 2/5 is not I at w = 0 mod 1073741789" in captured.err
+
+
+def test_verify_all_scan_needs_syllables(capsys):
+    command = ["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "--scan-syllables", "0"]
+    assert cli.main([*command, "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --scan needs --scan-syllables of at least 1" in captured.err
+
+
+def test_verify_all_scan_never_finds_float_roots(capsys, monkeypatch):
+    def no_float_roots(*args, **kwargs):
+        raise AssertionError("numeric_reps called")
+
+    monkeypatch.setattr(cli.sl2_oracle, "numeric_reps", no_float_roots)
+    code, payload = run_json(
+        capsys, "verify-all", "--m-max", "2", "--n-max", "1", "--scan", "--scan-syllables", "3"
+    )
+    assert code == 0
+    statuses = [c["status"] for r in payload["reports"] for c in r["checks"] if c["name"] == "matrix_scan"]
+    assert statuses == ["pass"] * 4
 
 
 def _failed_validation(*args, **kwargs):

@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import dataclass
 from itertools import product
 
 import pytest
@@ -14,15 +16,22 @@ from bridgeforge.freeness import (
     verify_alternating_cs,
 )
 from bridgeforge.meridians import MeridianWords, long_meridian_words
+from bridgeforge.presentation import relator
 from bridgeforge.slope import GenusOneKnot
 from bridgeforge.words import (
+    concat,
     cyclic_s_sequence,
     cyclic_seq_eq,
     free_reduce,
+    inverse,
     is_cyclically_alternating,
     least_rotation,
     parse_word,
 )
+
+from test_sl2_oracle import dist_pm_identity
+
+SYLLABLES = ("x", "X", "y", "Y")
 
 
 def sign_patterns(t_max):
@@ -197,18 +206,110 @@ def test_forbidden_terms_by_case():
         assert all(t != 1 for t in cs)  # no isolated letters
 
 
+@dataclass
+class FloatScan:
+    roots: list
+    max_residual: float
+    dropped_roots: list
+    words_checked: int
+    min_distance: float
+    hits: list  # (word, omega, distance), in root order
+    roots_scanned: int
+
+
+def _float_walk(mw, rep, max_syllables, tol, best):
+    """Every word of the scan at one float root: (words walked, the
+    running minimum distance updated from best, hits as (word, distance)).
+
+    The flat explicit-stack walk: a word costs one 2x2 product with its
+    parent's image.  Both maxima of dist_pm_identity are at least
+    max(|b|, |c|) and division is monotone, so a word whose
+    max(|b|, |c|) / scale already reaches the running minimum and exceeds
+    tol can change neither; the rest of its distance is skipped."""
+    x = sl2_oracle.evaluate(mw.x_l, rep)
+    y = sl2_oracle.evaluate(mw.y_l, rep)
+    gens = (x, sl2_oracle.mat_inv(x), y, sl2_oracle.mat_inv(y))
+    nxt = [[(j, *gens[j]) for j in range(4) if j != i ^ 1] for i in range(4)]
+    stack = [(i, 1, *gens[i]) for i in range(4)]
+    path = [0]
+    hits = []
+    count = 0
+    while stack:
+        i, depth, a, b, c, d = stack.pop()
+        count += 1
+        path[depth - 1] = i
+        abs_b = abs(b)
+        abs_c = abs(c)
+        # nested as in dist_pm_identity, so a nan entry gives the same scale
+        scale = max(1.0, max(abs(a), abs_b, abs_c, abs(d)))
+        bound = max(abs_b, abs_c) / scale
+        if not (bound >= best and bound > tol):
+            plus = max(abs(a - 1), abs_b, abs_c, abs(d - 1))
+            minus = max(abs(a + 1), abs_b, abs_c, abs(d + 1))
+            dist = min(plus, minus) / scale
+            if dist < best:
+                best = dist
+            if dist <= tol:
+                hits.append(("".join(SYLLABLES[k] for k in path[:depth]), dist))
+        if depth < max_syllables:
+            depth += 1
+            if depth > len(path):
+                path.append(0)
+            for j, e, f, g, h in nxt[i]:
+                stack.append((j, depth, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+    return count, best, hits
+
+
+def float_scan(knot, max_syllables, tol=1e-3):
+    """The float matrix scan, kept as the margins oracle: every word at
+    every root of numeric_reps, within tol of +-I a hit.
+
+    numeric_reps returns conjugate roots as exact conjugates, and at
+    conj(w) every word's image is the entrywise conjugate of its image at
+    w, at the same distance bit for bit.  So a root with imag < 0 whose
+    exact conjugate is also a root is not walked: it takes its
+    conjugate's hits, each with its own omega.  words_checked counts
+    words per root."""
+    mw = long_meridian_words(knot)
+    reps = sl2_oracle.numeric_reps(sl2_oracle.riley_polynomials(knot.fraction), tol=1e-9)
+    at = {rep.omega: rep for rep in reps}
+    walked = {}  # walked root -> its hits
+    best = float("inf")
+    hits = []
+    words = 0
+    for rep in reps:
+        omega = rep.omega
+        source = omega.conjugate() if omega.imag < 0 and omega.conjugate() in at else omega
+        if source not in walked:
+            words, best, walked[source] = _float_walk(mw, at[source], max_syllables, tol, best)
+        hits += [(word, omega, dist) for word, dist in walked[source]]
+    return FloatScan(
+        roots=[rep.omega for rep in reps],
+        max_residual=max(rep.residual for rep in reps),
+        dropped_roots=list(reps.dropped),
+        words_checked=words,
+        min_distance=best,
+        hits=hits,
+        roots_scanned=len(walked),
+    )
+
+
 def test_no_relation_scan_small():
-    report = no_relation_scan(GenusOneKnot(1, 1, 1), max_syllables=4)
+    knot = GenusOneKnot(1, 1, 1)
+    report = no_relation_scan(knot, max_syllables=4)
     assert report.clean
-    assert report.words_checked == 4 * (1 + 3 + 9 + 27)
-    assert report.max_residual < 1e-9
-    assert report.min_distance > 1e-3
-    assert len(report.roots) == 2
+    assert report.words_checked == report.words_nontrivial == 4 * (1 + 3 + 9 + 27)
+    assert len(report.roots) == 1
+    margins = float_scan(knot, 4)
+    assert margins.max_residual < 1e-9
+    assert margins.min_distance > 1e-3
+    assert len(margins.roots) == 2
 
 
 def test_no_relation_scan_negative_slope():
-    report = no_relation_scan(GenusOneKnot(2, 1, -1), max_syllables=4)
-    assert report.clean and report.min_distance > 1e-3
+    knot = GenusOneKnot(2, 1, -1)
+    report = no_relation_scan(knot, max_syllables=4)
+    assert report.clean and float_scan(knot, 4).min_distance > 1e-3
 
 
 def stack_scan(knot, max_syllables, tol=1e-3):
@@ -219,7 +320,7 @@ def stack_scan(knot, max_syllables, tol=1e-3):
     mw = long_meridian_words(knot)
     data = sl2_oracle.riley_polynomials(knot.fraction)
     reps = sl2_oracle.numeric_reps(data, tol=1e-9)
-    syllables = ("x", "X", "y", "Y")
+    syllables = SYLLABLES
     min_distance = float("inf")
     hits = []
     for rep in reps:
@@ -231,7 +332,7 @@ def stack_scan(knot, max_syllables, tol=1e-3):
         while stack:
             idx, mat, label = stack.pop()
             count += 1
-            dist = sl2_oracle.dist_pm_identity(mat)
+            dist = dist_pm_identity(mat)
             if dist < min_distance:
                 min_distance = dist
             if dist <= tol:
@@ -253,22 +354,27 @@ def stack_scan(knot, max_syllables, tol=1e-3):
     (2, 1, -1, 6, 1e-3),
     (1, 2, 1, 6, 1e-3),
     (2, 1, 1, 6, 1e-3),
-    # 16/63: 16 hits at the small real root w ~ 0.079
+    # 16/63: 16 float hits at the small real root w ~ 0.079
     (2, 8, -1, 8, 1e-3),
     # a tol so large that the lower-bound skip must still keep every hit
     (1, 1, 1, 4, 0.9),
 ])
 def test_scan_matches_stack_oracle(m, n, sign, max_syllables, tol):
     knot = GenusOneKnot(m, n, sign)
-    report = no_relation_scan(knot, max_syllables, tol)
+    margins = float_scan(knot, max_syllables, tol)
     words, min_distance, hits = stack_scan(knot, max_syllables, tol)
-    assert report.words_checked == words == 2 * (3 ** max_syllables - 1)
-    assert report.min_distance == min_distance
-    assert [(h.word, h.omega, h.distance) for h in report.hits] == hits
+    assert margins.words_checked == words == 2 * (3 ** max_syllables - 1)
+    assert margins.min_distance == min_distance
+    assert margins.hits == hits
     if (m, n) == (2, 8):
         assert len(hits) == 16
     if tol == 0.9:
         assert hits
+    # the exact scan walks the same words once and proves each nontrivial,
+    # the float oracle's hits included
+    report = no_relation_scan(knot, max_syllables)
+    assert report.words_checked == words
+    assert report.clean and report.words_nontrivial == words
 
 
 def test_scan_rejects_fewer_than_one_syllable():
@@ -283,10 +389,10 @@ def test_scan_rejects_fewer_than_one_syllable():
     (1, 1, 1, 1), (1, 2, -1, 2), (2, 1, -1, 2), (1, 2, 1, 2), (2, 1, 1, 2),
 ])
 def test_scan_walks_one_root_per_conjugate_pair(m, n, sign, walked):
-    report = no_relation_scan(GenusOneKnot(m, n, sign), 3)
-    assert report.roots_scanned == walked
-    assert report.roots_scanned == sum(z.imag >= 0 for z in report.roots)
-    assert report.dropped_roots == []
+    margins = float_scan(GenusOneKnot(m, n, sign), 3)
+    assert margins.roots_scanned == walked
+    assert margins.roots_scanned == sum(z.imag >= 0 for z in margins.roots)
+    assert margins.dropped_roots == []
 
 
 @pytest.mark.parametrize("m,n,sign", [(2, 1, 1), (1, 2, -1)])
@@ -302,13 +408,135 @@ def test_scan_walks_a_lone_lower_root(monkeypatch, m, n, sign):
 
     monkeypatch.setattr(sl2_oracle, "numeric_reps", without_upper_root)
     knot = GenusOneKnot(m, n, sign)
-    report = no_relation_scan(knot, 4, 0.9)
+    margins = float_scan(knot, 4, 0.9)
     words, min_distance, hits = stack_scan(knot, 4, 0.9)
-    lone = min(report.roots, key=lambda z: z.imag)
-    assert lone.imag < 0 and lone.conjugate() not in report.roots
-    assert report.roots_scanned == sum(z.imag >= 0 for z in report.roots) + 1
-    assert report.words_checked == words
-    assert report.min_distance == min_distance
-    assert [(h.word, h.omega, h.distance) for h in report.hits] == hits
-    assert any(h.omega == lone for h in report.hits)
+    lone = min(margins.roots, key=lambda z: z.imag)
+    assert lone.imag < 0 and lone.conjugate() not in margins.roots
+    assert margins.roots_scanned == sum(z.imag >= 0 for z in margins.roots) + 1
+    assert margins.words_checked == words
+    assert margins.min_distance == min_distance
+    assert margins.hits == hits
+    assert any(omega == lone for _, omega, _ in margins.hits)
 
+
+@pytest.mark.parametrize("m,n,sign", [(2, 8, -1), (8, 4, -1)])
+def test_exact_scan_settles_the_float_false_fails(m, n, sign):
+    # 16/63 and 8/127: the float scan finds 16 words within 1e-3 of +-I at
+    # a small real root; mod l none of the 13,120 words is +-I
+    report = no_relation_scan(GenusOneKnot(m, n, sign), 8)
+    assert report.words_checked == report.words_nontrivial == 13_120
+    assert report.clean and report.retried == []
+
+
+def syllable_word(mw, word):
+    """The a/b word of a scan word over x, X, y, Y."""
+    factors = {"x": mw.x_l, "X": inverse(mw.x_l), "y": mw.y_l, "Y": inverse(mw.y_l)}
+    return concat(*(factors[s] for s in word))
+
+
+def is_pm_identity(mat):
+    a, b, c, d = mat
+    return not b and not c and a == d
+
+
+def test_trivial_words_map_to_identity():
+    # x_l u x_l^-1 is trivial in G, so its image is I under every pair;
+    # x_l and y_l themselves are not +-I
+    for params in ((1, 1, 1), (2, 1, -1), (2, 8, -1)):
+        knot = GenusOneKnot(*params)
+        mw = long_meridian_words(knot)
+        data = sl2_oracle.riley_polynomials(knot.fraction)
+        rep = sl2_oracle.modular_rep(data)
+        u = relator(data.fraction).u
+        word = concat(mw.x_l, u, inverse(mw.x_l))
+        assert sl2_oracle.modular_image(word, rep) == (1, 0, 0, 1)
+        for w in (mw.x_l, mw.y_l):
+            assert not is_pm_identity(sl2_oracle.modular_image(w, rep))
+
+
+def float_word_distances(knot, mw, max_syllables):
+    """Every scan word with its smallest distance from +-I over the float
+    roots, by one dist_pm_identity per word and root."""
+    reps = sl2_oracle.numeric_reps(sl2_oracle.riley_polynomials(knot.fraction), tol=1e-9)
+    words = {}
+    for rep in reps:
+        gens = {}
+        for s in SYLLABLES:
+            gens[s] = sl2_oracle.evaluate(syllable_word(mw, s), rep)
+        stack = [(s, gens[s]) for s in SYLLABLES]
+        while stack:
+            word, mat = stack.pop()
+            words[word] = min(words.get(word, math.inf), dist_pm_identity(mat))
+            if len(word) < max_syllables:
+                for s in SYLLABLES:
+                    if s != word[-1].swapcase():
+                        stack.append((word + s, sl2_oracle.mat_mul(mat, gens[s])))
+    return words
+
+
+def test_float_margins_agree_with_the_exact_images():
+    # m, n <= 4 at K = 5: every word the float oracle puts more than 1e-3
+    # from +-I at every root is nontrivial mod l at the scan's pair
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                mw = long_meridian_words(knot)
+                rep = sl2_oracle.modular_rep(sl2_oracle.riley_polynomials(knot.fraction))
+                distances = float_word_distances(knot, mw, 5)
+                assert len(distances) == 2 * (3 ** 5 - 1)
+                for word, dist in distances.items():
+                    if dist > 1e-3:
+                        image = sl2_oracle.modular_image(syllable_word(mw, word), rep)
+                        assert not is_pm_identity(image), (knot, word)
+                assert no_relation_scan(knot, 5, mw).clean
+
+
+def test_words_at_identity_are_retried_under_the_next_pair(monkeypatch):
+    # the first pair at the prime 3, where 36 of the 484 words map to +-I
+    # by coincidence; the next pair, below 2^30, proves each nontrivial
+    real = sl2_oracle.modular_rep
+
+    def mod_3_first(data, below=sl2_oracle.PRIME_START):
+        return real(data, 4 if below == sl2_oracle.PRIME_START else sl2_oracle.PRIME_START)
+
+    monkeypatch.setattr(sl2_oracle, "modular_rep", mod_3_first)
+    knot = GenusOneKnot(1, 1, 1)
+    mw = long_meridian_words(knot)
+    report = no_relation_scan(knot, 5, mw)
+    (first,) = report.roots
+    assert first.prime == 3
+    assert len(report.retried) == 36 and report.clean
+    assert report.words_nontrivial == report.words_checked == 2 * (3 ** 5 - 1)
+    for retried in report.retried:
+        assert retried.nontrivial and retried.pairs[0] == first
+        assert len(retried.pairs) == 2 and retried.pairs[1].prime > 1 << 29
+        word = syllable_word(mw, retried.word)
+        assert is_pm_identity(sl2_oracle.modular_image(word, first))
+        assert not is_pm_identity(sl2_oracle.modular_image(word, retried.pairs[1]))
+
+
+def test_words_at_identity_under_every_pair_are_hits():
+    # hand-built x_l = y_l = a: a word maps to a^k, k its exponent sum,
+    # which is I exactly when k = 0, under every pair.  Those words are
+    # the hits, each with three pairs at distinct primes as its witness
+    mw = hand_built(parse_word("a"), parse_word("a"))
+    report = no_relation_scan(GenusOneKnot(1, 1, 1), 4, mw)
+    exponent = {"x": 1, "X": -1, "y": 1, "Y": -1}
+    balanced = [
+        "".join(w)
+        for k in range(1, 5)
+        for w in product(SYLLABLES, repeat=k)
+        if sum(exponent[s] for s in w) == 0
+        and all(b != a.swapcase() for a, b in zip(w, w[1:]))
+    ]
+    assert sorted(h.word for h in report.hits) == sorted(balanced)
+    assert not report.clean
+    assert report.words_nontrivial == report.words_checked - len(balanced)
+    retried = {r.word: r for r in report.retried}
+    assert sorted(retried) == sorted(balanced)
+    for hit in report.hits:
+        assert len({rep.prime for rep in hit.pairs}) == 3
+        assert retried[hit.word].pairs == hit.pairs and not retried[hit.word].nontrivial
+        word = syllable_word(mw, hit.word)
+        assert all(sl2_oracle.modular_image(word, rep) == (1, 0, 0, 1) for rep in hit.pairs)

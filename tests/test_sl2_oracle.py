@@ -11,7 +11,6 @@ from bridgeforge import sl2_oracle
 from bridgeforge.meridians import long_meridian_words
 from bridgeforge.presentation import relator
 from bridgeforge.sl2_oracle import (
-    dist_pm_identity,
     evaluate,
     even_slope_rep,
     mat_inv,
@@ -21,6 +20,14 @@ from bridgeforge.sl2_oracle import (
 )
 from bridgeforge.slope import Frac, GenusOneKnot
 from bridgeforge.words import inverse, parse_word
+
+
+def dist_pm_identity(mat) -> float:
+    """Entrywise max distance from +-I, normalized by max(1, max entry)."""
+    scale = max(1.0, max(abs(e) for e in mat))
+    plus = max(abs(mat[0] - 1), abs(mat[1]), abs(mat[2]), abs(mat[3] - 1))
+    minus = max(abs(mat[0] + 1), abs(mat[1]), abs(mat[2]), abs(mat[3] + 1))
+    return min(plus, minus) / scale
 
 
 # Integer polynomials (coefficient tuples, low degree first) and 2x2
@@ -336,3 +343,152 @@ def test_mat_inv():
     rep = reps_of(Frac(2, 5))[0]
     m = evaluate(parse_word("ab"), rep)
     assert dist_pm_identity(mat_mul(m, mat_inv(m))) < 1e-14
+
+
+# ------------------------------------------------ exact representations mod a prime
+
+PRIMES = (3, 5, 7, 101, 65_537, (1 << 30) - 35)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    for n in list(range(-2, 3000)) + list(range((1 << 30) - 200, 1 << 30)):
+        assert sl2_oracle._is_prime(n) == trial(n), n
+
+
+def test_kronecker_product_matches_schoolbook():
+    rng = random.Random(21)
+    for _ in range(300):
+        prime = rng.choice(PRIMES)
+        f = [rng.randrange(prime) for _ in range(rng.randint(1, 30))]
+        g = [rng.randrange(prime) for _ in range(rng.randint(1, 30))]
+        expected = [c % prime for c in poly_mul(f, g)]
+        got = sl2_oracle._kmul(f, g, prime)
+        assert sl2_oracle._trim(got) == tuple(expected)
+        assert len(got) == len(f) + len(g) - 1
+
+
+def _schoolbook_mod(c, f, prime):
+    """c mod the monic f over F_prime, as n = deg f coefficients."""
+    c = list(c)
+    n = len(f) - 1
+    while len(c) > n:
+        top = c.pop()
+        for i in range(n):
+            c[len(c) - n + i] -= top * f[i]
+    return [x % prime for x in c] + [0] * (n - len(c))
+
+
+def test_quotient_ring_matches_schoolbook_reduction():
+    rng = random.Random(22)
+    for _ in range(300):
+        prime = rng.choice(PRIMES)
+        n = rng.randint(1, 40)
+        f = [rng.randrange(prime) for _ in range(n)] + [1]
+        ring = sl2_oracle._QuotientRing(f, prime)
+        a = [rng.randrange(prime) for _ in range(n)]
+        b = [rng.randrange(prime) for _ in range(n)]
+        assert ring.mul(a, b) == _schoolbook_mod(poly_mul(a, b), f, prime)
+        s = rng.randrange(prime)
+        assert ring.mul_linear(a, s) == _schoolbook_mod(poly_mul(a, (s, 1)), f, prime)
+        e = rng.randrange(50)
+        power = [1] + [0] * (n - 1)
+        for _ in range(e):
+            power = _schoolbook_mod(poly_mul(power, (s, 1)), f, prime)
+        assert ring.pow_linear(s, e) == power
+
+
+def test_root_mod_matches_brute_force():
+    # every prime below 200 that spares the leading coefficient: a root
+    # exactly when one exists, and a true one
+    for f in even_slopes(21):
+        poly = riley_polynomials(f).poly
+        for prime in range(3, 200, 2):
+            if not sl2_oracle._is_prime(prime) or poly[-1] % prime == 0:
+                continue
+            roots = [x for x in range(prime) if poly_eval(poly, x) % prime == 0]
+            alpha = sl2_oracle._root_mod(poly, prime)
+            assert (alpha is None) == (not roots), (f, prime)
+            assert alpha is None or alpha in roots
+
+
+def test_modular_rep_is_a_root_with_the_relator_at_identity():
+    for f in even_slopes(31) + [Frac(16, 63), Frac(8, 127)]:
+        data = riley_polynomials(f)
+        rep = sl2_oracle.modular_rep(data)
+        prime = rep.prime
+        assert sl2_oracle._is_prime(prime) and prime < sl2_oracle.PRIME_START
+        assert data.poly[-1] % prime and poly_eval(data.poly, rep.alpha) % prime == 0
+        assert sl2_oracle.modular_image(relator(f).u, rep) == (1, 0, 0, 1)
+        assert sl2_oracle.modular_rep(data) == rep
+        below = sl2_oracle.modular_rep(data, rep.prime)
+        assert below.prime < prime
+
+
+def test_modular_image_matches_the_integer_matrices():
+    rng = random.Random(23)
+    f = Frac(4, 13)
+    rep = sl2_oracle.modular_rep(riley_polynomials(f))
+    for _ in range(50):
+        word = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 15)))
+        exact = poly_evaluate_word(word)
+        expected = tuple(poly_eval(e, rep.alpha) % rep.prime for e in exact)
+        assert sl2_oracle.modular_image(word, rep) == expected
+
+
+def test_modular_rep_skips_a_prime_dividing_the_leading_coefficient():
+    # g times the prime of its pair vanishes mod that prime only
+    f = Frac(2, 5)
+    data = riley_polynomials(f)
+    top = sl2_oracle.modular_rep(data).prime
+    scaled = sl2_oracle.RileyData(f, tuple(c * top for c in data.poly))
+    rep = sl2_oracle.modular_rep(scaled)
+    assert rep.prime < top and rep == sl2_oracle.modular_rep(data, top)
+
+
+def test_modular_rep_raises_without_a_root(monkeypatch):
+    data = riley_polynomials(Frac(2, 5))
+    monkeypatch.setattr(sl2_oracle, "_root_mod", lambda poly, prime: None)
+    with pytest.raises(RuntimeError, match="no root of the Riley polynomial of 2/5 modulo 200 primes"):
+        sl2_oracle.modular_rep(data)
+    # alpha = 1 is no root of w^2 - w + 1 mod any prime: the relator check
+    monkeypatch.setattr(sl2_oracle, "_root_mod", lambda poly, prime: 1)
+    with pytest.raises(RuntimeError, match="relator of 2/5 is not I at w = 1 mod"):
+        sl2_oracle.modular_rep(data)
+
+
+def test_numeric_reps_restores_a_lost_conjugate(monkeypatch):
+    # the iteration loses the upper root of one pair (a nan iterate takes
+    # its place): the lower root's exact conjugate is added back with the
+    # same residual, and the nan iterate stays dropped
+    found = sl2_oracle._all_roots
+
+    def lose_upper_root(u_hat, poly):
+        zs = found(u_hat, poly)
+        zs[max(range(len(zs)), key=lambda k: zs[k].imag)] = complex("nan")
+        return zs
+
+    f = Frac(6, 25)
+    full = reps_of(f)
+    monkeypatch.setattr(sl2_oracle, "_all_roots", lose_upper_root)
+    with pytest.warns(UserWarning, match="dropping root"):
+        reps = reps_of(f)
+    assert [rep.omega for rep in reps] == [rep.omega for rep in full]
+    assert [rep.residual for rep in reps] == [rep.residual for rep in full]
+    (dropped, residual), = reps.dropped
+    assert cmath.isnan(dropped) and math.isnan(residual)
+
+
+def test_numeric_reps_keeps_every_root_at_80_269():
+    # 80/269, the first slope by p where the iteration loses a conjugate: one
+    # kept root had no partner, and its conjugate comes back with the
+    # same residual; the one dropped iterate (residual nan) stays dropped
+    with pytest.warns(UserWarning, match="dropping root"):
+        reps = reps_of(Frac(80, 269))
+    assert len(reps) == 134
+    by_omega = {rep.omega: rep for rep in reps}
+    assert all(by_omega[rep.omega.conjugate()].residual == rep.residual for rep in reps)
+    (dropped, residual), = reps.dropped
+    assert math.isnan(residual) and dropped not in by_omega

@@ -277,6 +277,36 @@ def test_check_C_matches_span_oracle_on_lowered_rows():
     assert verdicts == {True, False}
 
 
+def row_check_C(R, p, d):
+    """C(p) for the elements of row d alone, by its own reach table."""
+    return R.n not in _kernel.reach_table(R.piece_len[d], p - 1)[p - 1]
+
+
+def test_check_C_rows_agree_element_by_element():
+    # check_C reads row 0 only: a row-1 element is a product of k pieces
+    # exactly when its inverse, a row-0 element, is.  On the 6x6 grid and
+    # on random relator-like words, each element's minimal piece count
+    # equals its inverse's, and both rows give the verdict of check_C and
+    # of span_check_C for p = 2..6
+    rng = random.Random(13)
+    sets = [R for _, R in grid_sets(6)]
+    sets += [SymmetrizedSet(u) for u in random_relator_like_words(300, rng)]
+    verdicts = set()
+    for R in sets:
+        n = R.n
+        for s in range(n):
+            element = R.doubled[1][s:s + n]
+            d, t = R.find(inverse(element))
+            assert d == 0
+            assert (_kernel.min_pieces_span(R.piece_len[1], s, n)
+                    == _kernel.min_pieces_span(R.piece_len[0], t, n))
+        for p in range(2, 7):
+            verdict = check_C(R, p)
+            assert verdict == row_check_C(R, p, 0) == row_check_C(R, p, 1) == span_check_C(R, p)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_check_T_examples():
     assert check_T(SymmetrizedSet(relator(Frac(2, 5)).u))
     assert check_T(SymmetrizedSet(relator(Frac(2, 3)).u))
