@@ -407,14 +407,12 @@ CHECKS = (
     Check("piece_prop", lambda ctx: smallcancel.verify_piece_prop(ctx.knot)),
     Check("three_piece", lambda ctx: smallcancel.verify_three_piece_property(ctx.knot)),
     Check("C4", lambda ctx: smallcancel.check_C(ctx.R, 4)),
-    Check("T4", lambda ctx: smallcancel.check_T(ctx.R, 4)),
+    Check("T4", lambda ctx: smallcancel.check_T(ctx.R)),
     Check(
         "alternating_cs",
         lambda ctx: all(
             cyclic_seq_eq(
-                cyclic_s_sequence(
-                    freeness.alternating_relation_word(ctx.knot, pattern, ctx.meridian_words)
-                ),
+                freeness.alternating_cs_from_runs(ctx.knot, pattern, ctx.meridian_words),
                 freeness.alternating_cs_closed_form(ctx.knot, pattern),
             )
             for pattern in _sign_patterns(2)

@@ -19,7 +19,8 @@ the polynomial and its derivative through the product of generator
 matrices, never through the monomial coefficients, which are
 ill-conditioned once p is large.  Conjugate roots are made exact
 conjugates, so a word's images at the two are exact conjugates too.
-Every root is checked against the relator in double precision; the
+Every root is checked against the relator in double precision, by the
+same right-multiplication column operations as the exact layer; the
 residuals are margins, not proofs.
 """
 
@@ -31,7 +32,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from .presentation import relator
+from .presentation import Relator, relator
 from .slope import Frac
 
 Poly = tuple[int, ...]  # integer coefficients, low degree first
@@ -48,6 +49,7 @@ def _trim(coeffs) -> Poly:
 class RileyData:
     fraction: Frac             # even-numerator representative actually used
     poly: Poly                 # Riley polynomial, positive leading coefficient
+    relator: Relator           # relator of fraction, built once for every reader
 
 
 def even_slope_rep(f: Frac) -> Frac:
@@ -73,9 +75,10 @@ def riley_polynomials(f: Frac) -> RileyData:
     normalised.
     """
     f = even_slope_rep(f)
+    rel = relator(f)
     x: list[int] = []
     y: list[int] = [1]
-    for letter in relator(f).u_hat:
+    for letter in rel.u_hat:
         e = 1 if letter > 0 else -1
         if abs(letter) == 1:
             y.extend([0] * (len(x) - len(y)))
@@ -88,46 +91,33 @@ def riley_polynomials(f: Frac) -> RileyData:
     poly = _trim(y)
     if poly[-1] < 0:
         poly = tuple(-c for c in poly)
-    return RileyData(f, poly)
-
-
-# numeric 2x2 matrices as complex 4-tuples row-major
-
-def mat_mul(x, y):
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
-def mat_inv(x):
-    # determinant 1 throughout
-    return (x[3], -x[1], -x[2], x[0])
+    return RileyData(f, poly, rel)
 
 
 @dataclass(frozen=True)
 class NumericRep:
     omega: complex
-    mat_a: tuple
-    mat_b: tuple
-    residual: float
+    residual: float     # largest entry of |rho(u) - I| at omega
 
 
-def evaluate(word, rep: NumericRep):
-    """Image of a word under a representation (left-to-right product)."""
-    omega = rep.omega
-    gens = {
-        1: rep.mat_a,
-        -1: mat_inv(rep.mat_a),
-        2: rep.mat_b,
-        -2: mat_inv(rep.mat_b),
-    }
-    out = (1 + 0j, 0j, 0j, 1 + 0j)
+def _float_image(word, w: complex) -> tuple[complex, complex, complex, complex]:
+    """Image of a word at w in floats (left-to-right product, row-major):
+    the column operations of modular_image on complex numbers."""
+    a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
     for letter in word:
-        out = mat_mul(out, gens[letter])
-    return out
+        if letter == 1:
+            b += a
+            d += c
+        elif letter == -1:
+            b -= a
+            d -= c
+        elif letter == 2:
+            a += w * b
+            c += w * d
+        else:
+            a -= w * b
+            c -= w * d
+    return a, b, c, d
 
 
 def _riley_value(u_hat, w: complex) -> tuple[complex, complex]:
@@ -255,31 +245,34 @@ def numeric_reps(data: RileyData, tol: float = 1e-9) -> NumericReps:
     The polynomial has integer coefficients, so its non-real roots come
     in conjugate pairs; _conjugate_pairs makes each pair that the
     iteration found exact conjugates and each real root exactly real.
-    Each root is then packaged with the generator images and its relator
-    residual.  At conj(w) every generator image, and so the image of
-    every word, is the entrywise conjugate of the one at w, bit for bit
-    (IEEE rounding is symmetric in sign), so the residual is computed at
-    the root in the upper half-plane and shared by its conjugate.  A root
-    whose residual is not at most tol (nan included) is dropped with a
-    warning and listed in the result's dropped.  The kept roots are
-    deduplicated to 1e-8.  A kept non-real root whose conjugate the
-    iteration lost (at 24/577 two do) gets that conjugate added, with the
-    same residual, unless a kept root lies within 1e-8 of it.  The roots
-    are ordered by (real, imag).
+    Each root is then packaged with its relator residual, the largest
+    entry of |rho(u) - I| by _float_image, and nan when an entry is not
+    finite.  At conj(w) the image of every word is the entrywise
+    conjugate of the one at w, bit for bit (IEEE rounding is symmetric in
+    sign), so the residual is computed at the root in the upper
+    half-plane and shared by its conjugate.  A root whose residual is not
+    at most tol (nan included) is dropped with a warning and listed in
+    the result's dropped.  The kept roots are deduplicated to 1e-8.  A
+    kept non-real root whose conjugate the iteration lost (at 24/577 two
+    do) gets that conjugate added, with the same residual, unless a kept
+    root lies within 1e-8 of it.  The roots are ordered by (real, imag).
     """
     if len(data.poly) < 2:
         warnings.warn(f"slope {data.fraction} has a constant defining polynomial; no roots")
         return NumericReps()
-    rel = relator(data.fraction)
-    mat_a = (1 + 0j, 1 + 0j, 0j, 1 + 0j)
+    rel = data.relator
     reps = NumericReps()
     residuals: dict[complex, float] = {}  # by the root in the upper half-plane
     for omega in _conjugate_pairs(_all_roots(rel.u_hat, data.poly)):
         upper = omega if omega.imag >= 0 else omega.conjugate()
         residual = residuals.get(upper)
         if residual is None:
-            img = evaluate(rel.u, NumericRep(upper, mat_a, (1 + 0j, 0j, upper, 1 + 0j), 0.0))
-            residual = float(max(abs(img[0] - 1), abs(img[1]), abs(img[2]), abs(img[3] - 1)))
+            a, b, c, d = _float_image(rel.u, upper)
+            # tested first: max() drops a nan that is not its first argument
+            if all(map(cmath.isfinite, (a, b, c, d))):
+                residual = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
+            else:
+                residual = math.nan
             residuals[upper] = residual
         if not residual <= tol:
             warnings.warn(
@@ -288,14 +281,14 @@ def numeric_reps(data: RileyData, tol: float = 1e-9) -> NumericReps:
             reps.dropped.append((omega, residual))
             continue
         if all(abs(omega - kept.omega) > 1e-8 for kept in reps):
-            reps.append(NumericRep(omega, mat_a, (1 + 0j, 0j, omega, 1 + 0j), residual))
+            reps.append(NumericRep(omega, residual))
     omegas = {rep.omega for rep in reps}
     for rep in list(reps):
         twin = rep.omega.conjugate()
         if twin != rep.omega and twin not in omegas and all(
             abs(twin - kept.omega) > 1e-8 for kept in reps
         ):
-            reps.append(NumericRep(twin, mat_a, (1 + 0j, 0j, twin, 1 + 0j), rep.residual))
+            reps.append(NumericRep(twin, rep.residual))
             omegas.add(twin)
     reps.sort(key=lambda rep: (rep.omega.real, rep.omega.imag))
     if not reps:
@@ -511,7 +504,7 @@ def modular_rep(data: RileyData, below: int = PRIME_START) -> ModularRep:
         if alpha is None:
             continue
         rep = ModularRep(prime, alpha)
-        if modular_image(relator(data.fraction).u, rep) != (1, 0, 0, 1):
+        if modular_image(data.relator.u, rep) != (1, 0, 0, 1):
             raise RuntimeError(
                 f"relator of {data.fraction} is not I at w = {alpha} mod {prime}"
             )

@@ -1,19 +1,15 @@
 """Exact slope arithmetic.
 
-Reduced fractions with a first-class infinity (1/0), continued fractions
-in the nesting 1/(a1 + 1/(a2 + ...)), and the (m, n, sign) family of
-double-twist slopes 2n/(4mn +- 1).  Everything is exact integer
-arithmetic; no floats.
+Reduced fractions with a first-class infinity (1/0) and the (m, n, sign)
+family of double-twist slopes 2n/(4mn +- 1), the continued fractions
+[2m, +-2n] in the nesting 1/(a1 + 1/(a2 + ...)).  Everything is exact
+integer arithmetic; no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-
-class DegenerateValueError(ZeroDivisionError):
-    """A continued fraction hit a zero denominator during evaluation."""
 
 
 class Frac:
@@ -77,36 +73,6 @@ def parse_fraction(text: str) -> Frac:
     return Frac(int(text), 1)
 
 
-def cf_value(coeffs) -> Frac:
-    """Exact value of the continued fraction 1/(a1 + 1/(a2 + ... + 1/ak)).
-
-    Raises DegenerateValueError when any intermediate (or the final)
-    division hits zero; possible for general coefficient lists, never for
-    the double-twist family.
-    """
-    coeffs = list(coeffs)
-    if not coeffs:
-        raise ValueError("empty continued fraction")
-    if any(c == 0 for c in coeffs):
-        raise ValueError("continued fraction coefficients must be nonzero")
-    num, den = coeffs[-1], 1
-    for a in reversed(coeffs[:-1]):
-        # running value x = num/den becomes a + 1/x
-        if num == 0:
-            raise DegenerateValueError("zero denominator while evaluating")
-        num, den = a * num + den, num
-    if num == 0:
-        raise DegenerateValueError("continued fraction evaluates to infinity")
-    return Frac(den, num)
-
-
-def cf_identity_check(m: int, n: int) -> bool:
-    """Whether [2m, -2n] and [2m-1, 1, 2n-1] have the same value."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    return cf_value([2 * m, -2 * n]) == cf_value([2 * m - 1, 1, 2 * n - 1])
-
-
 @dataclass(frozen=True)
 class GenusOneKnot:
     """Double-twist knot parameters: slope [2m, sign*2n] = 2n/(4mn + sign)."""
@@ -132,10 +98,6 @@ class GenusOneKnot:
     @property
     def fraction(self) -> Frac:
         return Frac(self.q, self.p)
-
-    @property
-    def continued_fraction(self) -> list[int]:
-        return [2 * self.m, self.sign * 2 * self.n]
 
     @property
     def is_hyperbolic(self) -> bool:

@@ -149,12 +149,11 @@ def check_C(R: SymmetrizedSet, p: int) -> bool:
     return R.n not in _kernel.reach_table(R.piece_len[0], p - 1)[p - 1]
 
 
-def check_T(R: SymmetrizedSet, q: int = 4) -> bool:
+def check_T(R: SymmetrizedSet) -> bool:
     """T(4): no cancellation triangle r1, r2, r3 in R.
 
     A triangle is a triple with r2 != r1^-1, r3 != r2^-1, r1 != r3^-1
-    whose three junction products r1 r2, r2 r3, r3 r1 all cancel.  Only
-    q = 4 is supported.
+    whose three junction products r1 r2, r2 r3, r3 r1 all cancel.
 
     A triangle whose junction letters are l1, l2, l3 (the last letters
     of r1, r2, r3) takes its elements from the (first, last) letter
@@ -164,8 +163,6 @@ def check_T(R: SymmetrizedSet, q: int = 4) -> bool:
     first letter row[s] and last letter row[s - 1] of its doubled row,
     so one linear pass collects the classes.
     """
-    if q != 4:
-        raise ValueError("only T(4) is implemented")
     # The inverse exclusions never bind.  r2 = r1^-1 lies in class
     # (-l1, -first(r1)) = (-l1, l3), so it needs l2 = l3, and then r3
     # would need class (-l3, l3): first letter inverse to last, which no

@@ -29,7 +29,7 @@ from bridgeforge.words import (
     parse_word,
 )
 
-from test_sl2_oracle import dist_pm_identity
+from test_sl2_oracle import dist_pm_identity, float_image, mat_inv, mat_mul
 
 SYLLABLES = ("x", "X", "y", "Y")
 
@@ -226,9 +226,9 @@ def _float_walk(mw, rep, max_syllables, tol, best):
     max(|b|, |c|) and division is monotone, so a word whose
     max(|b|, |c|) / scale already reaches the running minimum and exceeds
     tol can change neither; the rest of its distance is skipped."""
-    x = sl2_oracle.evaluate(mw.x_l, rep)
-    y = sl2_oracle.evaluate(mw.y_l, rep)
-    gens = (x, sl2_oracle.mat_inv(x), y, sl2_oracle.mat_inv(y))
+    x = float_image(mw.x_l, rep.omega)
+    y = float_image(mw.y_l, rep.omega)
+    gens = (x, mat_inv(x), y, mat_inv(y))
     nxt = [[(j, *gens[j]) for j in range(4) if j != i ^ 1] for i in range(4)]
     stack = [(i, 1, *gens[i]) for i in range(4)]
     path = [0]
@@ -324,9 +324,9 @@ def stack_scan(knot, max_syllables, tol=1e-3):
     min_distance = float("inf")
     hits = []
     for rep in reps:
-        x = sl2_oracle.evaluate(mw.x_l, rep)
-        y = sl2_oracle.evaluate(mw.y_l, rep)
-        gens = (x, sl2_oracle.mat_inv(x), y, sl2_oracle.mat_inv(y))
+        x = float_image(mw.x_l, rep.omega)
+        y = float_image(mw.y_l, rep.omega)
+        gens = (x, mat_inv(x), y, mat_inv(y))
         stack = [(i, gens[i], syllables[i]) for i in range(4)]
         count = 0
         while stack:
@@ -342,7 +342,7 @@ def stack_scan(knot, max_syllables, tol=1e-3):
                     if j == idx ^ 1:
                         continue  # x after X (and friends) is not reduced
                     stack.append(
-                        (j, sl2_oracle.mat_mul(mat, gens[j]), label + syllables[j])
+                        (j, mat_mul(mat, gens[j]), label + syllables[j])
                     )
     return count, min_distance, hits
 
@@ -462,7 +462,7 @@ def float_word_distances(knot, mw, max_syllables):
     for rep in reps:
         gens = {}
         for s in SYLLABLES:
-            gens[s] = sl2_oracle.evaluate(syllable_word(mw, s), rep)
+            gens[s] = float_image(syllable_word(mw, s), rep.omega)
         stack = [(s, gens[s]) for s in SYLLABLES]
         while stack:
             word, mat = stack.pop()
@@ -470,7 +470,7 @@ def float_word_distances(knot, mw, max_syllables):
             if len(word) < max_syllables:
                 for s in SYLLABLES:
                     if s != word[-1].swapcase():
-                        stack.append((word + s, sl2_oracle.mat_mul(mat, gens[s])))
+                        stack.append((word + s, mat_mul(mat, gens[s])))
     return words
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 import warnings
@@ -11,15 +12,12 @@ from bridgeforge import sl2_oracle
 from bridgeforge.meridians import long_meridian_words
 from bridgeforge.presentation import relator
 from bridgeforge.sl2_oracle import (
-    evaluate,
     even_slope_rep,
-    mat_inv,
-    mat_mul,
     numeric_reps,
     riley_polynomials,
 )
 from bridgeforge.slope import Frac, GenusOneKnot
-from bridgeforge.words import inverse, parse_word
+from bridgeforge.words import parse_word
 
 
 def dist_pm_identity(mat) -> float:
@@ -28,6 +26,39 @@ def dist_pm_identity(mat) -> float:
     plus = max(abs(mat[0] - 1), abs(mat[1]), abs(mat[2]), abs(mat[3] - 1))
     minus = max(abs(mat[0] + 1), abs(mat[1]), abs(mat[2]), abs(mat[3] + 1))
     return min(plus, minus) / scale
+
+
+# Complex 2x2 matrices as 4-tuples row-major, multiplied generically: the
+# float image of a word at w, independent of the column operations of
+# sl2_oracle._float_image.
+
+def mat_mul(x, y):
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def mat_inv(x):
+    # determinant 1 throughout
+    return (x[3], -x[1], -x[2], x[0])
+
+
+def float_image(word, omega):
+    """Image of a word at w = omega (left-to-right product)."""
+    a = (1 + 0j, 1 + 0j, 0j, 1 + 0j)
+    b = (1 + 0j, 0j, omega, 1 + 0j)
+    gens = {1: a, -1: mat_inv(a), 2: b, -2: mat_inv(b)}
+    out = (1 + 0j, 0j, 0j, 1 + 0j)
+    for letter in word:
+        out = mat_mul(out, gens[letter])
+    return out
+
+
+def relator_residual(img):
+    return max(abs(img[0] - 1), abs(img[1]), abs(img[2]), abs(img[3] - 1))
 
 
 # Integer polynomials (coefficient tuples, low degree first) and 2x2
@@ -175,6 +206,20 @@ def test_riley_data_small_slopes():
     assert len(trefoil.poly) - 1 == 1
 
 
+def test_riley_data_carries_its_relator(monkeypatch):
+    # built once by riley_polynomials, for the mirror slope it used; the
+    # float roots and the exact pair read it instead of rebuilding it
+    data = riley_polynomials(Frac(9, 13))
+    assert data.relator == relator(Frac(4, 13)) == relator(data.fraction)
+
+    def rebuilt(f):
+        raise AssertionError(f"relator of {f} rebuilt")
+
+    monkeypatch.setattr(sl2_oracle, "relator", rebuilt)
+    assert len(numeric_reps(data)) == 6
+    assert sl2_oracle.modular_rep(data).prime < sl2_oracle.PRIME_START
+
+
 def test_numeric_reps_residuals_and_count():
     for q, p in ((2, 5), (2, 3), (2, 7), (4, 7), (2, 15)):
         reps = reps_of(Frac(q, p))
@@ -296,17 +341,51 @@ def test_conjugate_residuals_are_equal_bit_for_bit():
         for rep in reps:
             twin = by_omega[rep.omega.conjugate()]
             assert twin.residual == rep.residual
-            img, twin_img = evaluate(u, rep), evaluate(u, twin)
+            img, twin_img = float_image(u, rep.omega), float_image(u, twin.omega)
             assert all(x.conjugate() == y for x, y in zip(img, twin_img))
 
 
-def test_evaluate_basics():
-    rep = reps_of(Frac(2, 5))[0]
-    assert evaluate((), rep) == (1, 0, 0, 1)
-    assert evaluate(parse_word("a"), rep) == (1, 1, 0, 1)
-    w = parse_word("abAB")
-    img = mat_mul(evaluate(w, rep), evaluate(inverse(w), rep))
-    assert dist_pm_identity(img) < 1e-12
+def test_residual_matches_the_generic_product_bit_for_bit():
+    # the column operations give the generic product's residual exactly,
+    # on every kept root and every finite dropped one
+    checked = 0
+    for f in even_slopes(41) + [Frac(80, 269), Frac(204, 239)]:
+        u = riley_polynomials(f).relator.u
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reps = reps_of(f)
+        roots = [(rep.omega, rep.residual) for rep in reps] + reps.dropped
+        for omega, residual in roots:
+            img = float_image(u, omega)
+            if math.isfinite(residual):
+                assert residual == relator_residual(img), (f, omega)
+                checked += 1
+            else:
+                assert not all(map(cmath.isfinite, img)), (f, omega)
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("entry", range(4))
+def test_residual_gate_drops_a_nan_in_any_entry(monkeypatch, entry):
+    # max() keeps a nan only as its first argument; a nan in any entry of
+    # the relator image must still give a nan residual and drop the root
+    image = sl2_oracle._float_image
+    calls = []
+
+    def nan_at_first_root(word, w):
+        img = list(image(word, w))
+        if not calls:
+            img[entry] = complex("nan")
+        calls.append(w)
+        return tuple(img)
+
+    monkeypatch.setattr(sl2_oracle, "_float_image", nan_at_first_root)
+    with pytest.warns(UserWarning, match="dropping root"):
+        reps = reps_of(Frac(2, 7))
+    assert reps.dropped and len(reps) + len(reps.dropped) == 3
+    assert all(math.isnan(residual) for _, residual in reps.dropped)
+    assert all(rep.residual <= 1e-9 for rep in reps)
+    assert calls[0] in {z for z, _ in reps.dropped}
 
 
 def test_relator_image_is_identity():
@@ -314,8 +393,7 @@ def test_relator_image_is_identity():
         f = Frac(q, p)
         u = relator(f).u
         for rep in reps_of(f):
-            img = evaluate(u, rep)
-            assert max(abs(img[0] - 1), abs(img[1]), abs(img[2]), abs(img[3] - 1)) < 1e-9
+            assert relator_residual(float_image(u, rep.omega)) < 1e-9
 
 
 def test_long_meridians_are_parabolic():
@@ -324,25 +402,9 @@ def test_long_meridians_are_parabolic():
         mw = long_meridian_words(knot)
         for rep in reps_of(knot.fraction):
             for w in (mw.x_l, mw.y_l):
-                tr = evaluate(w, rep)[0] + evaluate(w, rep)[3]
+                img = float_image(w, rep.omega)
+                tr = img[0] + img[3]
                 assert min(abs(tr - 2), abs(tr + 2)) < 1e-8
-
-
-def test_evaluate_is_multiplicative():
-    rng = random.Random(11)
-    rep = reps_of(Frac(2, 7))[0]
-    for _ in range(40):
-        u = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 12)))
-        v = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 12)))
-        lhs = evaluate(u + v, rep)
-        rhs = mat_mul(evaluate(u, rep), evaluate(v, rep))
-        assert max(abs(x - y) for x, y in zip(lhs, rhs)) < 1e-9 * (len(u) + len(v) + 1)
-
-
-def test_mat_inv():
-    rep = reps_of(Frac(2, 5))[0]
-    m = evaluate(parse_word("ab"), rep)
-    assert dist_pm_identity(mat_mul(m, mat_inv(m))) < 1e-14
 
 
 # ------------------------------------------------ exact representations mod a prime
@@ -443,7 +505,7 @@ def test_modular_rep_skips_a_prime_dividing_the_leading_coefficient():
     f = Frac(2, 5)
     data = riley_polynomials(f)
     top = sl2_oracle.modular_rep(data).prime
-    scaled = sl2_oracle.RileyData(f, tuple(c * top for c in data.poly))
+    scaled = dataclasses.replace(data, poly=tuple(c * top for c in data.poly))
     rep = sl2_oracle.modular_rep(scaled)
     assert rep.prime < top and rep == sl2_oracle.modular_rep(data, top)
 
