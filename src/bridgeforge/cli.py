@@ -3,10 +3,13 @@
 Every subcommand accepts --json for machine-readable output under the
 versioned "bridge-forge/1" schema.  Exit codes: 0 all checks pass, 1 any
 check failed or a check could not run (a RuntimeError, such as a matrix
-scan finding no root of the Riley polynomial mod any prime tried, or an
-AssertionError, a word the library built failing its own validation in
-presentation, meridians, freeness or farey; an "error:" line goes to
-stderr), 2 usage error, 3 resource truncation.
+scan finding no simple root of the Riley polynomial mod any prime tried,
+or an AssertionError, a word the library built failing its own validation
+in presentation, meridians, freeness or farey; an "error:" line goes to
+stderr), 2 usage error (--t above MAX_T and --scan-syllables above
+freeness.MAX_SYLLABLES included), 3 resource truncation.  The freeness
+scan block names its exact pair by prime, modulus (a power of prime) and
+alpha, and a retried or hit word's pairs as [modulus, alpha].
 """
 
 from __future__ import annotations
@@ -193,15 +196,21 @@ def _dropped_payload(dropped) -> list:
 
 
 def _pairs_payload(pairs) -> list:
-    """[[prime, alpha], ...] for the exact representations a word met."""
-    return [[rep.prime, rep.alpha] for rep in pairs]
+    """[[modulus, alpha], ...] for the exact representations a word met."""
+    return [[rep.modulus, rep.alpha] for rep in pairs]
+
+
+def _check_scan_syllables(k: int) -> None:
+    if not 0 <= k <= freeness.MAX_SYLLABLES:
+        raise ValueError(
+            f"--scan-syllables must be at least 0 and at most {freeness.MAX_SYLLABLES}, got {k}"
+        )
 
 
 def _cmd_freeness(args) -> int:
     if not 1 <= args.t <= MAX_T:
         raise ValueError(f"--t must be between 1 and {MAX_T}, got {args.t}")
-    if args.scan_syllables < 0:
-        raise ValueError("--scan-syllables must be at least 0")
+    _check_scan_syllables(args.scan_syllables)
     knot = _knot_from_args(args)
     mw = meridians.long_meridian_words(knot)
     results = []
@@ -224,16 +233,18 @@ def _cmd_freeness(args) -> int:
         f"{'all pass' if all_ok else 'FAILURES'}",
     ]
     if args.scan_syllables:
-        report = freeness.no_relation_scan(knot, args.scan_syllables, mw=mw)
+        data = sl2_oracle.riley_polynomials(knot.fraction)
+        report = freeness.no_relation_scan(knot, args.scan_syllables, mw=mw, data=data)
         (rep,) = report.roots
         # the float roots are margins only; the verdict rests on the exact scan
-        reps = sl2_oracle.numeric_reps(sl2_oracle.riley_polynomials(knot.fraction))
+        reps = sl2_oracle.numeric_reps(data)
         max_residual = max((r.residual for r in reps), default=None)
         payload["scan"] = {
             "max_syllables": report.max_syllables,
             "words_checked": report.words_checked,
             "exact": {
                 "prime": rep.prime,
+                "modulus": rep.modulus,
                 "alpha": rep.alpha,
                 "words_nontrivial": report.words_nontrivial,
                 "retried": [
@@ -247,7 +258,7 @@ def _cmd_freeness(args) -> int:
             "max_residual": max_residual,
         }
         lines.append(
-            f"  matrix scan: {report.words_checked} words at w = {rep.alpha} mod {rep.prime}, "
+            f"  matrix scan: {report.words_checked} words at w = {rep.alpha} mod {rep.modulus}, "
             f"{report.words_nontrivial} proven nontrivial ({len(report.retried)} retried), "
             f"hits: {len(report.hits)}"
         )
@@ -468,8 +479,7 @@ def _verify_cell(cell) -> dict:
 def _cmd_verify_all(args) -> int:
     if args.m_max < 1 or args.n_max < 1:
         raise ValueError("grid bounds must be at least 1")
-    if args.scan_syllables < 0:
-        raise ValueError("--scan-syllables must be at least 0")
+    _check_scan_syllables(args.scan_syllables)
     if not (math.isfinite(args.max_seconds) and args.max_seconds >= 0):
         raise ValueError(
             f"--max-seconds must be a finite number of at least 0, got {args.max_seconds}"

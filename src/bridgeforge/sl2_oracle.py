@@ -1,4 +1,4 @@
-"""Parabolic 2x2 matrix representations, exact mod a prime and in floats.
+"""Parabolic 2x2 matrix representations, exact mod l^k and in floats.
 
 The generators map to a -> [[1, 1], [0, 1]] and b -> [[1, 0], [w, 1]]
 with w an indeterminate.  For the relator u = a uhat b uhat^-1 of an
@@ -7,11 +7,12 @@ polynomial g of degree (p - 1)/2 with constant term 1 whose roots are
 exactly the parabolic representations (Riley, Proc. LMS 24, 1972): the
 Riley polynomial.  It divides every entry of rho(u) - I in Z[w].
 
-The exact layer (modular_rep) takes a root alpha of g mod a prime l,
-found by Cantor-Zassenhaus (Math. Comp. 36, 1981) with Kronecker-
-substitution polynomial products.  Then w -> alpha is a homomorphism
-from the knot group to SL2(F_l), checked on the relator, so a word whose
-image there is not I is proven nontrivial.  The matrix scan rests on it.
+The exact layer (modular_rep) takes the least simple root of g mod a
+small odd prime l, found by trying every residue, and lifts it by
+Newton's iteration (Hensel) to a root alpha mod N = l^k, the largest
+power of l at most 2^30.  Then w -> alpha is a homomorphism from the
+knot group to SL2(Z/N), checked on the relator, so a word whose image
+there is not I is proven nontrivial.  The matrix scan rests on it.
 
 The float layer (numeric_reps) finds all roots by simultaneous
 Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) that evaluates
@@ -296,220 +297,97 @@ def numeric_reps(data: RileyData, tol: float = 1e-9) -> NumericReps:
     return reps
 
 
-# ------------------------------------------------ exact representations mod a prime
+# ------------------------------------------------ exact representations mod l^k
 
-# Primes are taken downward from here, so every matrix entry of the scan
-# is below 2^30, a one-digit CPython int.
-PRIME_START = 1 << 30
-# primes tried for a root of g before giving up
+# every matrix entry of the scan stays below this, a one-digit CPython int
+MODULUS_BOUND = 1 << 30
+# primes tried for a simple root of g before giving up
 _PRIMES_TRIED = 200
-# Cantor-Zassenhaus shifts w + 1, w + 2, ... tried per split before the
-# prime is given up
-_SHIFTS = 64
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the bases 2, 3, 5, 7, deterministic below 3.2e9."""
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7):
-        if n % small == 0:
-            return n == small
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for base in (2, 3, 5, 7):
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _horner(poly: Poly, x: int, modulus: int) -> tuple[int, int]:
+    """poly(x) and poly'(x) mod modulus."""
+    g = dg = 0
+    for c in reversed(poly):
+        dg = (dg * x + g) % modulus
+        g = (g * x + c) % modulus
+    return g, dg
 
 
-def _kmul(f: list[int], g: list[int], prime: int) -> list[int]:
-    """f * g mod prime for coefficient lists in [0, prime), low degree
-    first, by Kronecker substitution: each list is packed into one int
-    with a byte slot per coefficient wide enough for every coefficient of
-    the product, so one int product does the whole polynomial product."""
-    width = (2 * prime.bit_length() + min(len(f), len(g)).bit_length() + 7) // 8
-    packed_f = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in f), "little")
-    packed_g = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in g), "little")
-    raw = (packed_f * packed_g).to_bytes(width * (len(f) + len(g) - 1), "little")
-    return [int.from_bytes(raw[i:i + width], "little") % prime for i in range(0, len(raw), width)]
+def _lifted_root(poly: Poly, prime: int, modulus: int) -> int | None:
+    """The least alpha in F_prime with poly(alpha) = 0 and poly'(alpha) != 0,
+    lifted to the root of poly mod modulus = prime^k; None when there is none.
 
-
-def _gcd_mod(f: list[int], g: list[int], prime: int) -> list[int]:
-    """Monic gcd of f and g over F_prime (coefficient lists in [0, prime),
-    low degree first, f nonzero); [1] when they are coprime."""
-    a, b = list(_trim(f)), list(_trim(g))
-    while b:
-        inv = pow(b[-1], -1, prime)
-        b = [c * inv % prime for c in b]
-        while len(a) >= len(b):
-            lead = a[-1]
-            if lead:
-                shift = len(a) - len(b)
-                for i, c in enumerate(b):
-                    a[shift + i] = (a[shift + i] - lead * c) % prime
-            a.pop()
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    inv = pow(a[-1], -1, prime)
-    return [c * inv % prime for c in a]
-
-
-class _QuotientRing:
-    """F_prime[w]/(f) for a monic f of degree n >= 1.  Elements are lists
-    of n coefficients in [0, prime), low degree first.
-
-    A product of two elements (degree <= 2n - 2) is reduced by its
-    quotient q = c div f, read off the reversed polynomials: with rev_k
-    the reversal as a polynomial of degree k, rev_{n-2}(q) =
-    rev_{2n-2}(c) * rev_n(f)^-1 mod w^(n-1), and rev_n(f) has constant
-    term 1.  So a product mod f costs three Kronecker products."""
-
-    def __init__(self, f: list[int], prime: int):
-        self.f = f
-        self.n = n = len(f) - 1
-        self.prime = prime
-        rev = f[::-1]
-        # rev^-1 mod w^(n-1) by Newton's iteration g <- g (2 - rev g)
-        inv, k = [1], 1
-        while k < n - 1:
-            k = min(2 * k, n - 1)
-            err = _kmul(rev[:k], inv, prime)[:k]
-            err = [(-c) % prime for c in err]
-            err[0] = (err[0] + 2) % prime
-            inv = _kmul(inv, err, prime)[:k]
-        self.rev_inv = inv[: n - 1]
-
-    def reduce(self, c: list[int]) -> list[int]:
-        """c mod f for len(c) <= 2n - 1."""
-        n, prime = self.n, self.prime
-        if len(c) <= n:
-            return c + [0] * (n - len(c))
-        c = c + [0] * (2 * n - 1 - len(c))
-        q = _kmul(c[: n - 1 : -1], self.rev_inv, prime)[: n - 1][::-1]
-        qf = _kmul(q, self.f[:n], prime)
-        return [(x - y) % prime for x, y in zip(c[:n], qf)]
-
-    def mul(self, a: list[int], b: list[int]) -> list[int]:
-        return self.reduce(_kmul(a, b, self.prime))
-
-    def mul_linear(self, a: list[int], s: int) -> list[int]:
-        """a * (w + s) mod f."""
-        prime, f = self.prime, self.f
-        top = a[-1]
-        out = [s * a[0] % prime] + [(a[i - 1] + s * a[i]) % prime for i in range(1, self.n)]
-        # w^n = -(f_0 + ... + f_{n-1} w^(n-1)), f monic
-        return [(x - top * c) % prime for x, c in zip(out, f)]
-
-    def pow_linear(self, s: int, e: int) -> list[int]:
-        """(w + s)^e mod f, by squaring from the top bit of e."""
-        acc = [1] + [0] * (self.n - 1)
-        for bit in bin(e)[2:]:
-            acc = self.mul(acc, acc)
-            if bit == "1":
-                acc = self.mul_linear(acc, s)
-        return acc
-
-
-def _root_mod(poly: Poly, prime: int) -> int | None:
-    """A root of poly mod prime (prime odd, not dividing the leading
-    coefficient), or None when it has none or no split was found.
-
-    r = gcd(w^prime - w, poly) is the product of w - alpha over the
-    distinct roots alpha in F_prime.  Cantor-Zassenhaus (Math. Comp. 36,
-    1981) splits it: for the shifts s = 1, 2, ..., gcd((w + s)^((prime -
-    1)/2) - 1, r) collects the roots alpha with alpha + s a nonzero
-    square.  A proper factor replaces r, down to degree 1."""
-    inv = pow(poly[-1], -1, prime)
-    f = [c * inv % prime for c in poly]
-    if len(f) == 2:
-        return -f[0] % prime
-    frob = _QuotientRing(f, prime).pow_linear(0, prime)
-    frob[1] = (frob[1] - 1) % prime
-    r = _gcd_mod(f, frob, prime)
-    half = (prime - 1) // 2
-    while len(r) > 2:
-        ring = _QuotientRing(r, prime)
-        for s in range(1, _SHIFTS + 1):
-            t = ring.pow_linear(s, half)
-            t[0] = (t[0] - 1) % prime
-            d = _gcd_mod(r, t, prime)
-            if 1 < len(d) < len(r):
-                r = d
-                break
-        else:
-            return None
-    return -r[0] % prime if len(r) == 2 else None
+    The lift is unique (Hensel): poly'(alpha) stays a unit, and each Newton
+    step doubles the power of prime that divides poly(alpha).
+    """
+    for alpha in range(prime):
+        g, dg = _horner(poly, alpha, prime)
+        if not g and dg:
+            break
+    else:
+        return None
+    while True:
+        g, dg = _horner(poly, alpha, modulus)
+        if not g:
+            return alpha
+        alpha = (alpha - g * pow(dg, -1, modulus)) % modulus
 
 
 @dataclass(frozen=True)
 class ModularRep:
-    """The representation a -> [[1, 1], [0, 1]], b -> [[1, 0], [alpha, 1]]
-    over F_prime, alpha a root of the Riley polynomial mod prime."""
+    """a -> [[1, 1], [0, 1]], b -> [[1, 0], [alpha, 1]] over Z/modulus, modulus
+    a power of the odd prime and alpha a root of the Riley polynomial."""
 
     prime: int
+    modulus: int
     alpha: int
 
 
 def modular_image(word, rep: ModularRep) -> tuple[int, int, int, int]:
-    """Image of a word over F_prime (left-to-right product, row-major)."""
-    prime, alpha = rep.prime, rep.alpha
+    """Image of a word over Z/modulus (left-to-right product, row-major)."""
+    modulus, alpha = rep.modulus, rep.alpha
     a, b, c, d = 1, 0, 0, 1
     for letter in word:
         if letter == 1:
-            b, d = (a + b) % prime, (c + d) % prime
+            b, d = (a + b) % modulus, (c + d) % modulus
         elif letter == -1:
-            b, d = (b - a) % prime, (d - c) % prime
+            b, d = (b - a) % modulus, (d - c) % modulus
         elif letter == 2:
-            a, c = (a + alpha * b) % prime, (c + alpha * d) % prime
+            a, c = (a + alpha * b) % modulus, (c + alpha * d) % modulus
         else:
-            a, c = (a - alpha * b) % prime, (c - alpha * d) % prime
+            a, c = (a - alpha * b) % modulus, (c - alpha * d) % modulus
     return a, b, c, d
 
 
-def modular_rep(data: RileyData, below: int = PRIME_START) -> ModularRep:
-    """The exact representation at the largest prime below `below` that
-    does not divide the leading coefficient of data.poly and mod which it
-    has a root alpha.
+def modular_rep(data: RileyData, above: int = 2) -> ModularRep:
+    """The exact pair mod the largest power of a prime at most MODULUS_BOUND,
+    for the least prime above `above` (at least 2, so the prime is odd)
+    that spares the leading coefficient of data.poly and mod which it has
+    a simple root.
 
     The Riley polynomial g divides every entry of rho(u) - I in Z[w], so
-    w -> alpha is a homomorphism from the knot group to SL2(F_prime): a
-    word whose image is not I is nontrivial in the group.  That is
-    checked here on the relator itself before the pair is returned.
-    Raises RuntimeError when no root turns up in _PRIMES_TRIED primes, or
-    when the relator's image is not I.
+    w -> alpha is a homomorphism from the knot group to SL2(Z/modulus): a
+    word whose image is not I is nontrivial in the group.  That is checked
+    on the relator before the pair is returned.  Raises RuntimeError when
+    no simple root turns up in _PRIMES_TRIED primes, or when the check fails.
     """
     poly = data.poly
-    if len(poly) < 2:
-        raise RuntimeError(f"slope {data.fraction} has a constant Riley polynomial; no roots")
-    prime, tried = below, 0
+    prime, tried = above, 0
     while tried < _PRIMES_TRIED:
-        prime -= 1
-        if prime < 3:
-            break
-        if not _is_prime(prime) or poly[-1] % prime == 0:
+        prime += 1
+        if poly[-1] % prime == 0 or any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
             continue
         tried += 1
-        alpha = _root_mod(poly, prime)
+        modulus = prime
+        while modulus * prime <= MODULUS_BOUND:
+            modulus *= prime
+        alpha = _lifted_root(poly, prime, modulus)
         if alpha is None:
             continue
-        rep = ModularRep(prime, alpha)
+        rep = ModularRep(prime, modulus, alpha)
         if modular_image(data.relator.u, rep) != (1, 0, 0, 1):
-            raise RuntimeError(
-                f"relator of {data.fraction} is not I at w = {alpha} mod {prime}"
-            )
+            raise RuntimeError(f"relator of {data.fraction} is not I at w = {alpha} mod {modulus}")
         return rep
-    raise RuntimeError(
-        f"no root of the Riley polynomial of {data.fraction} modulo "
-        f"{tried} primes below {below}"
-    )
+    raise RuntimeError(f"no simple root of the Riley polynomial of {data.fraction} "
+                       f"modulo {tried} primes above {above}")

@@ -106,13 +106,15 @@ def test_freeness_scan_payload_counts_roots(capsys, monkeypatch):
     exact = scan["exact"]
     assert exact["words_nontrivial"] == scan["words_checked"]
     assert exact["retried"] == [] and scan["hits"] == []
-    assert exact["prime"] < 1 << 30 and 0 <= exact["alpha"] < exact["prime"]
+    prime, modulus = exact["prime"], exact["modulus"]
+    assert prime % 2 and modulus % prime == 0 and modulus <= 1 << 30 < modulus * prime
+    assert 0 <= exact["alpha"] < modulus
     # the float roots stay as margins; the float walk's fields are gone
     assert len(scan["roots"]) == 4 and scan["max_residual"] < 1e-9
     assert scan["dropped_roots"] == []
     assert not {"roots_scanned", "min_distance"} & set(scan)
     code, out = run_cli(capsys, *argv)
-    assert (f"matrix scan: 52 words at w = {exact['alpha']} mod {exact['prime']}, "
+    assert (f"matrix scan: 52 words at w = {exact['alpha']} mod {modulus}, "
             "52 proven nontrivial (0 retried), hits: 0") in out
     assert "float margins: 4 roots" in out
     _with_bad_iterates(monkeypatch)
@@ -307,6 +309,46 @@ def test_negative_scan_syllables_rejected(capsys, command):
     assert "--scan-syllables must be at least 0" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["freeness", "--m", "1", "--n", "1", "--sign", "+"],
+    ["verify-all", "--m-max", "1", "--n-max", "1", "--scan"],
+])
+@pytest.mark.parametrize("extra", [1, 1000])
+def test_scan_syllables_capped(capsys, monkeypatch, command, extra):
+    # the walk holds a path as deep as the scan, so a huge depth asked for
+    # gigabytes before any word was walked; above the cap it is a usage
+    # error, rejected before any check or scan starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in ((cli.freeness, "no_relation_scan"), (cli.freeness, "_walk"),
+                         (cli.meridians, "long_meridian_words"), (cli, "_verify_cell")):
+        monkeypatch.setattr(module, name, no_work)
+    k = cli.freeness.MAX_SYLLABLES + extra
+    assert cli.main([*command, f"--scan-syllables={k}", "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --scan-syllables must be at least 0 and at most {cli.freeness.MAX_SYLLABLES}, got {k}\n"
+    )
+
+
+def test_freeness_scan_builds_the_riley_polynomial_once(capsys, monkeypatch):
+    # the exact pair and the float margins share one RileyData
+    built = []
+    real = cli.sl2_oracle.riley_polynomials
+
+    def counted(f):
+        built.append(f)
+        return real(f)
+
+    monkeypatch.setattr(cli.sl2_oracle, "riley_polynomials", counted)
+    argv = ("freeness", "--m", "1", "--n", "2", "--sign", "-", "--t", "1", "--scan-syllables", "3")
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and payload["scan"]["hits"] == []
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("t", ["7", "12"])
 def test_freeness_t_capped(capsys, t):
     # the sign patterns grow as 4^t: --t 12 would list 22.4 million of them
@@ -321,22 +363,22 @@ def test_freeness_t_capped(capsys, t):
     ["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "--scan-syllables", "2"],
 ])
 def test_scan_without_roots_exits_fail(capsys, monkeypatch, command):
-    # no prime gives the exact root finder a root
-    monkeypatch.setattr(cli.sl2_oracle, "_root_mod", lambda poly, prime: None)
+    # no prime gives the exact root finder a simple root
+    monkeypatch.setattr(cli.sl2_oracle, "_lifted_root", lambda poly, prime, modulus: None)
     assert cli.main([*command, "--json"]) == cli.EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: no root of the Riley polynomial of 2/5 modulo 200 primes below" in captured.err
+    assert "error: no simple root of the Riley polynomial of 2/5 modulo 200 primes above 2" in captured.err
 
 
 def test_scan_with_a_false_root_exits_fail(capsys, monkeypatch):
-    # w = 0 sends b to I, so the relator maps to a, not I
-    monkeypatch.setattr(cli.sl2_oracle, "_root_mod", lambda poly, prime: 0)
+    # w = 0 sends b to I, so the relator maps to a, not I, mod 3^18
+    monkeypatch.setattr(cli.sl2_oracle, "_lifted_root", lambda poly, prime, modulus: 0)
     command = ["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "--scan-syllables", "2"]
     assert cli.main([*command, "--json"]) == cli.EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: relator of 2/5 is not I at w = 0 mod 1073741789" in captured.err
+    assert "error: relator of 2/5 is not I at w = 0 mod 387420489" in captured.err
 
 
 def test_verify_all_scan_needs_syllables(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -5,8 +6,9 @@ from itertools import product
 
 import pytest
 
-from bridgeforge import sl2_oracle
+from bridgeforge import freeness, sl2_oracle
 from bridgeforge.freeness import (
+    MAX_SYLLABLES,
     UnsupportedCaseError,
     alternating_cs_closed_form,
     alternating_cs_from_runs,
@@ -385,6 +387,14 @@ def test_scan_rejects_fewer_than_one_syllable():
             no_relation_scan(knot, k)
 
 
+def test_scan_rejects_more_syllables_than_the_cap(monkeypatch):
+    # rejected before the walk, which holds a path as deep as the scan
+    monkeypatch.setattr(freeness, "_walk", None)
+    for k in (MAX_SYLLABLES + 1, 10 * MAX_SYLLABLES):
+        with pytest.raises(ValueError, match=f"max_syllables must be at least 1 and at most 16, got {k}"):
+            no_relation_scan(GenusOneKnot(1, 1, 1), k)
+
+
 @pytest.mark.parametrize("m,n,sign,walked", [
     (1, 1, 1, 1), (1, 2, -1, 2), (2, 1, -1, 2), (1, 2, 1, 2), (2, 1, 1, 2),
 ])
@@ -493,27 +503,42 @@ def test_float_margins_agree_with_the_exact_images():
 
 
 def test_words_at_identity_are_retried_under_the_next_pair(monkeypatch):
-    # the first pair at the prime 3, where 36 of the 484 words map to +-I
-    # by coincidence; the next pair, below 2^30, proves each nontrivial
+    # the first pair of the trefoil cut down to its prime 3, where 36 of
+    # the 484 words map to +-I by coincidence; the next pair, at the next
+    # prime and its full modulus, proves each nontrivial
     real = sl2_oracle.modular_rep
 
-    def mod_3_first(data, below=sl2_oracle.PRIME_START):
-        return real(data, 4 if below == sl2_oracle.PRIME_START else sl2_oracle.PRIME_START)
+    def tiny_first(data, above=2):
+        rep = real(data, above)
+        if above == 2:
+            return dataclasses.replace(rep, modulus=rep.prime, alpha=rep.alpha % rep.prime)
+        return rep
 
-    monkeypatch.setattr(sl2_oracle, "modular_rep", mod_3_first)
-    knot = GenusOneKnot(1, 1, 1)
+    monkeypatch.setattr(sl2_oracle, "modular_rep", tiny_first)
+    knot = GenusOneKnot(1, 1, -1)
     mw = long_meridian_words(knot)
     report = no_relation_scan(knot, 5, mw)
     (first,) = report.roots
-    assert first.prime == 3
+    assert first.prime == first.modulus == 3
     assert len(report.retried) == 36 and report.clean
     assert report.words_nontrivial == report.words_checked == 2 * (3 ** 5 - 1)
+    second = real(sl2_oracle.riley_polynomials(knot.fraction), 3)
+    assert second.prime > 3 and second.modulus > 1 << 27
     for retried in report.retried:
-        assert retried.nontrivial and retried.pairs[0] == first
-        assert len(retried.pairs) == 2 and retried.pairs[1].prime > 1 << 29
+        assert retried.nontrivial and retried.pairs == [first, second]
         word = syllable_word(mw, retried.word)
         assert is_pm_identity(sl2_oracle.modular_image(word, first))
-        assert not is_pm_identity(sl2_oracle.modular_image(word, retried.pairs[1]))
+        assert not is_pm_identity(sl2_oracle.modular_image(word, second))
+
+
+def test_first_pair_proves_every_word_on_the_8x8_grid():
+    # every knot with m, n <= 8 at K = 6: no word is retried
+    for m in range(1, 9):
+        for n in range(1, 9):
+            for sign in (1, -1):
+                report = no_relation_scan(GenusOneKnot(m, n, sign), 6)
+                assert report.words_checked == 2 * (3 ** 6 - 1)
+                assert report.retried == [], (m, n, sign)
 
 
 def test_words_at_identity_under_every_pair_are_hits():

@@ -217,7 +217,7 @@ def test_riley_data_carries_its_relator(monkeypatch):
 
     monkeypatch.setattr(sl2_oracle, "relator", rebuilt)
     assert len(numeric_reps(data)) == 6
-    assert sl2_oracle.modular_rep(data).prime < sl2_oracle.PRIME_START
+    assert sl2_oracle.modular_rep(data).modulus <= sl2_oracle.MODULUS_BOUND
 
 
 def test_numeric_reps_residuals_and_count():
@@ -407,86 +407,56 @@ def test_long_meridians_are_parabolic():
                 assert min(abs(tr - 2), abs(tr + 2)) < 1e-8
 
 
-# ------------------------------------------------ exact representations mod a prime
+# ------------------------------------------------ exact representations mod l^k
 
-PRIMES = (3, 5, 7, 101, 65_537, (1 << 30) - 35)
-
-
-def test_is_prime_matches_trial_division():
-    def trial(n):
-        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-    for n in list(range(-2, 3000)) + list(range((1 << 30) - 200, 1 << 30)):
-        assert sl2_oracle._is_prime(n) == trial(n), n
+def is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def test_kronecker_product_matches_schoolbook():
-    rng = random.Random(21)
-    for _ in range(300):
-        prime = rng.choice(PRIMES)
-        f = [rng.randrange(prime) for _ in range(rng.randint(1, 30))]
-        g = [rng.randrange(prime) for _ in range(rng.randint(1, 30))]
-        expected = [c % prime for c in poly_mul(f, g)]
-        got = sl2_oracle._kmul(f, g, prime)
-        assert sl2_oracle._trim(got) == tuple(expected)
-        assert len(got) == len(f) + len(g) - 1
+def poly_derivative(f):
+    return tuple(k * c for k, c in enumerate(f))[1:]
 
 
-def _schoolbook_mod(c, f, prime):
-    """c mod the monic f over F_prime, as n = deg f coefficients."""
-    c = list(c)
-    n = len(f) - 1
-    while len(c) > n:
-        top = c.pop()
-        for i in range(n):
-            c[len(c) - n + i] -= top * f[i]
-    return [x % prime for x in c] + [0] * (n - len(c))
-
-
-def test_quotient_ring_matches_schoolbook_reduction():
-    rng = random.Random(22)
-    for _ in range(300):
-        prime = rng.choice(PRIMES)
-        n = rng.randint(1, 40)
-        f = [rng.randrange(prime) for _ in range(n)] + [1]
-        ring = sl2_oracle._QuotientRing(f, prime)
-        a = [rng.randrange(prime) for _ in range(n)]
-        b = [rng.randrange(prime) for _ in range(n)]
-        assert ring.mul(a, b) == _schoolbook_mod(poly_mul(a, b), f, prime)
-        s = rng.randrange(prime)
-        assert ring.mul_linear(a, s) == _schoolbook_mod(poly_mul(a, (s, 1)), f, prime)
-        e = rng.randrange(50)
-        power = [1] + [0] * (n - 1)
-        for _ in range(e):
-            power = _schoolbook_mod(poly_mul(power, (s, 1)), f, prime)
-        assert ring.pow_linear(s, e) == power
+def largest_power_at_most(prime, bound):
+    power = prime
+    while power * prime <= bound:
+        power *= prime
+    return power
 
 
 def test_root_mod_matches_brute_force():
-    # every prime below 200 that spares the leading coefficient: a root
-    # exactly when one exists, and a true one
+    # every odd prime below 200 that spares the leading coefficient: the
+    # search finds a simple root exactly when brute force over F_l does,
+    # and it lifts the least one
     for f in even_slopes(21):
         poly = riley_polynomials(f).poly
+        dpoly = poly_derivative(poly)
         for prime in range(3, 200, 2):
-            if not sl2_oracle._is_prime(prime) or poly[-1] % prime == 0:
+            if not is_prime(prime) or poly[-1] % prime == 0:
                 continue
-            roots = [x for x in range(prime) if poly_eval(poly, x) % prime == 0]
-            alpha = sl2_oracle._root_mod(poly, prime)
-            assert (alpha is None) == (not roots), (f, prime)
-            assert alpha is None or alpha in roots
+            simple = [
+                x for x in range(prime)
+                if poly_eval(poly, x) % prime == 0 and poly_eval(dpoly, x) % prime
+            ]
+            modulus = largest_power_at_most(prime, 1 << 30)
+            alpha = sl2_oracle._lifted_root(poly, prime, modulus)
+            assert (alpha is None) == (not simple), (f, prime)
+            if alpha is not None:
+                assert alpha % prime == simple[0], (f, prime)
+                assert poly_eval(poly, alpha) % modulus == 0, (f, prime)
 
 
 def test_modular_rep_is_a_root_with_the_relator_at_identity():
     for f in even_slopes(31) + [Frac(16, 63), Frac(8, 127)]:
         data = riley_polynomials(f)
         rep = sl2_oracle.modular_rep(data)
-        prime = rep.prime
-        assert sl2_oracle._is_prime(prime) and prime < sl2_oracle.PRIME_START
-        assert data.poly[-1] % prime and poly_eval(data.poly, rep.alpha) % prime == 0
+        prime, modulus = rep.prime, rep.modulus
+        assert is_prime(prime) and prime % 2 and data.poly[-1] % prime
+        assert modulus == largest_power_at_most(prime, sl2_oracle.MODULUS_BOUND) <= 1 << 30
+        assert 0 <= rep.alpha < modulus and poly_eval(data.poly, rep.alpha) % modulus == 0
         assert sl2_oracle.modular_image(relator(f).u, rep) == (1, 0, 0, 1)
         assert sl2_oracle.modular_rep(data) == rep
-        below = sl2_oracle.modular_rep(data, rep.prime)
-        assert below.prime < prime
+        assert sl2_oracle.modular_rep(data, prime).prime > prime
 
 
 def test_modular_image_matches_the_integer_matrices():
@@ -496,7 +466,7 @@ def test_modular_image_matches_the_integer_matrices():
     for _ in range(50):
         word = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 15)))
         exact = poly_evaluate_word(word)
-        expected = tuple(poly_eval(e, rep.alpha) % rep.prime for e in exact)
+        expected = tuple(poly_eval(e, rep.alpha) % rep.modulus for e in exact)
         assert sl2_oracle.modular_image(word, rep) == expected
 
 
@@ -504,20 +474,20 @@ def test_modular_rep_skips_a_prime_dividing_the_leading_coefficient():
     # g times the prime of its pair vanishes mod that prime only
     f = Frac(2, 5)
     data = riley_polynomials(f)
-    top = sl2_oracle.modular_rep(data).prime
-    scaled = dataclasses.replace(data, poly=tuple(c * top for c in data.poly))
+    first = sl2_oracle.modular_rep(data).prime
+    scaled = dataclasses.replace(data, poly=tuple(c * first for c in data.poly))
     rep = sl2_oracle.modular_rep(scaled)
-    assert rep.prime < top and rep == sl2_oracle.modular_rep(data, top)
+    assert rep.prime > first and rep == sl2_oracle.modular_rep(data, first)
 
 
 def test_modular_rep_raises_without_a_root(monkeypatch):
     data = riley_polynomials(Frac(2, 5))
-    monkeypatch.setattr(sl2_oracle, "_root_mod", lambda poly, prime: None)
-    with pytest.raises(RuntimeError, match="no root of the Riley polynomial of 2/5 modulo 200 primes"):
+    monkeypatch.setattr(sl2_oracle, "_lifted_root", lambda poly, prime, modulus: None)
+    with pytest.raises(RuntimeError, match="no simple root of the Riley polynomial of 2/5 modulo 200 primes"):
         sl2_oracle.modular_rep(data)
     # alpha = 1 is no root of w^2 - w + 1 mod any prime: the relator check
-    monkeypatch.setattr(sl2_oracle, "_root_mod", lambda poly, prime: 1)
-    with pytest.raises(RuntimeError, match="relator of 2/5 is not I at w = 1 mod"):
+    monkeypatch.setattr(sl2_oracle, "_lifted_root", lambda poly, prime, modulus: 1)
+    with pytest.raises(RuntimeError, match="relator of 2/5 is not I at w = 1 mod 387420489"):
         sl2_oracle.modular_rep(data)
 
 
