@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -34,7 +36,7 @@ from . import (
     smallcancel,
 )
 from .slope import Frac, GenusOneKnot, parse_fraction
-from .words import cyclic_s_sequence, cyclic_seq_eq, parse_word, s_sequence, word_str
+from .words import cyclic_s_sequence, parse_word, s_sequence, word_str
 
 SCHEMA = "bridge-forge/1"
 
@@ -178,15 +180,9 @@ def _cmd_pieces(args) -> int:
 
 
 def _sign_patterns(t_max: int):
-    pats = []
-    for t in range(1, t_max + 1):
-        stack = [[]]
-        for _ in range(t):
-            stack = [
-                p + [(ex, ey)] for p in stack for ex in (1, -1) for ey in (1, -1)
-            ]
-        pats.extend(tuple(p) for p in stack)
-    return pats
+    # by t, then lexicographically with +1 first
+    pairs = list(itertools.product((1, -1), repeat=2))
+    return [p for t in range(1, t_max + 1) for p in itertools.product(pairs, repeat=t)]
 
 
 def _dropped_payload(dropped) -> list:
@@ -422,10 +418,8 @@ CHECKS = (
     Check(
         "alternating_cs",
         lambda ctx: all(
-            cyclic_seq_eq(
-                freeness.alternating_cs_from_runs(ctx.knot, pattern, ctx.meridian_words),
-                freeness.alternating_cs_closed_form(ctx.knot, pattern),
-            )
+            freeness.alternating_cs_from_runs(ctx.knot, pattern, ctx.meridian_words)
+            == freeness.alternating_cs_closed_form(ctx.knot, pattern)
             for pattern in _sign_patterns(2)
         ),
         # the torus knot [2,-2] has no closed form
@@ -476,6 +470,18 @@ def _verify_cell(cell) -> dict:
     return {"m": m, "n": n, "sign": sign, "checks": checks}
 
 
+def _cell_reports(cells, workers: int):
+    """_verify_cell of each cell, in order, in a pool when workers > 1."""
+    if workers == 1:
+        yield from map(_verify_cell, cells)
+        return
+    # imported here: the process pool machinery costs ~2 MB of RSS
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_verify_cell, cells)
+
+
 def _cmd_verify_all(args) -> int:
     if args.m_max < 1 or args.n_max < 1:
         raise ValueError("grid bounds must be at least 1")
@@ -495,27 +501,16 @@ def _cmd_verify_all(args) -> int:
         for sign in (1, -1)
     ]
     deadline = time.monotonic() + args.max_seconds if args.max_seconds else None
+    # a pool starts all its workers at once, so no more than can be busy
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     reports = []
-    truncated = False
-    if args.jobs > 1:
-        # imported here: the process pool machinery costs ~2 MB of RSS
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for report in pool.map(_verify_cell, cells):
-                reports.append(report)
-                if deadline and time.monotonic() > deadline:
-                    truncated = True
-                    break
-    else:
-        for cell in cells:
-            if deadline and time.monotonic() > deadline:
-                truncated = True
-                break
-            reports.append(_verify_cell(cell))
-    reports.sort(key=lambda r: (r["m"], r["n"], -r["sign"]))
-    done = {(r["m"], r["n"], r["sign"]) for r in reports}
-    missing = [c[:3] for c in cells if c[:3] not in done]
+    for report in _cell_reports(cells, workers):
+        reports.append(report)
+        # the budget can only cut cells that have not run
+        if deadline and len(reports) < len(cells) and time.monotonic() > deadline:
+            break
+    missing = cells[len(reports):]
+    truncated = bool(missing)
 
     n_fail = sum(
         1 for r in reports for c in r["checks"] if c["status"] == "fail"
@@ -526,7 +521,7 @@ def _cmd_verify_all(args) -> int:
         "kernel": _kernel.IMPL,
         "reports": reports,
         "truncated": truncated,
-        "missing_cells": [list(c) for c in missing],
+        "missing_cells": [list(c[:3]) for c in missing],
         "failures": n_fail,
     }
     lines = []

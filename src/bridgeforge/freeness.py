@@ -13,7 +13,7 @@ The checks compose that S-sequence from the runs of the four factors
 x_l^+-1, y_l^+-1, each validated once, and check only the junctions
 between factors (alternating_cs_from_runs); alternating_relation_word
 builds the whole word letter by letter and is the reference it is
-tested against.
+tested against.  The closed form is written at the composition's rotation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .slope import GenusOneKnot
 from .words import (
     Word,
     concat,
-    cyclic_seq_eq,
     free_reduce,
     inverse,
     is_cyclically_alternating,
@@ -128,12 +127,14 @@ def alternating_cs_from_runs(
 def alternating_cs_closed_form(knot: GenusOneKnot, sign_pairs) -> tuple[int, ...]:
     """Exact closed form of the cyclic S-sequence of the sign-pattern word.
 
-    Per factor (in order x_1, y_1, x_2, y_2, ...) the contribution is a
-    run of 2m-blocks followed by an oriented pair: (m, m+1) for positive
-    slope sign, (m, m-1) for negative sign with m >= 2, where the pair is
-    reversed when the factor exponent differs from (-1)^n.  The m = 1
-    negative family contributes asymmetric blocks of 2's around a 3 and
-    has no closed form at all for (m, n) = (1, 1).
+    Per factor (in order x_1, y_1, x_2, y_2, ...) the contribution is n
+    2m-blocks, an oriented pair and n - 1 more 2m-blocks: the rotation
+    alternating_cs_from_runs composes, where the end runs m, m of x_l^+-1
+    merge at each junction.  The pair is (m, m+1) for positive slope sign,
+    (m, m-1) for negative sign with m >= 2, reversed when the factor
+    exponent differs from (-1)^n.  The m = 1 negative family contributes
+    asymmetric blocks of 2's around a 3 and has no closed form at all for
+    (m, n) = (1, 1).
     """
     m, n = knot.m, knot.n
     eps = 1 if n % 2 == 0 else -1
@@ -142,10 +143,9 @@ def alternating_cs_closed_form(knot: GenusOneKnot, sign_pairs) -> tuple[int, ...
         raise ValueError("empty sign pattern")
     out: list[int] = []
     if knot.sign > 0 or m >= 2:
-        run = [2 * m] * (2 * n - 1)
         pair_eps = [m, m + 1] if knot.sign > 0 else [m, m - 1]
         for e in flat:
-            out += run + (pair_eps if e == eps else pair_eps[::-1])
+            out += [2 * m] * n + (pair_eps if e == eps else pair_eps[::-1]) + [2 * m] * (n - 1)
     elif n >= 2:
         for e in flat:
             left = n - 1 if e == eps else n - 2
@@ -172,7 +172,7 @@ def _forbidden_terms_ok(knot: GenusOneKnot, cs) -> bool:
 def verify_alternating_cs(
     knot: GenusOneKnot, sign_pairs, mw: MeridianWords | None = None
 ) -> bool:
-    """Computed cyclic S-sequence vs closed form, plus forbidden terms.
+    """Computed cyclic S-sequence vs closed form, literally, plus forbidden terms.
 
     For the (1, 1, -) slope only the membership bound {2, 3, 4} applies.
     The sequence comes from alternating_cs_from_runs, which mw is passed to.
@@ -182,7 +182,7 @@ def verify_alternating_cs(
         closed = alternating_cs_closed_form(knot, sign_pairs)
     except UnsupportedCaseError:
         closed = None
-    if closed is not None and not cyclic_seq_eq(cs, closed):
+    if closed is not None and cs != closed:
         return False
     return _forbidden_terms_ok(knot, cs)
 

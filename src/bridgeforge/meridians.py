@@ -25,7 +25,6 @@ from .words import (
     inverse,
     is_alternating,
     is_reduced,
-    letter_power,
     s_sequence,
 )
 
@@ -166,19 +165,16 @@ def long_meridian_words(knot: GenusOneKnot) -> MeridianWords:
     return MeridianWords(d0, d1, w_x, w_y, x_l, y_l)
 
 
-# exponents k of the power identity checked by verify_meridian_forms
-_K_RANGE = range(-4, 5)
-
-
 def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords | None = None) -> bool:
     """Raw Wirtinger reduction vs closed forms, plus the power identity.
 
     Checks free_reduce(raw y_l) == closed-form y_l, the f-symmetry
-    x_l = f(y_l), and that for each k with 0 < |k| <= 4 the freely
-    reduced k-th power of x_l (resp. y_l) is literally w_x a^k w_x^-1
-    (resp. w_y b^-k w_y^-1), already reduced, and alternating exactly
-    when |k| = 1.  mw is long_meridian_words(knot); a caller that has
-    built it already passes it in.
+    x_l = f(y_l), and that for k = +-1 x_l^k (resp. y_l^k) freely reduces
+    to the reduced alternating word w_x a^k w_x^-1 (resp. w_y b^-k w_y^-1).
+    That gives the identity for every k != 0: free reduction is confluent,
+    so x_l^k reduces as (w_x a^+-1 w_x^-1)^|k| does, to w_x a^k w_x^-1,
+    which is reduced because w_x a^+-1 is, and holds aa when |k| >= 2.
+    mw is long_meridian_words(knot); a caller that has built it passes it in.
     """
     if mw is None:
         mw = long_meridian_words(knot)
@@ -186,15 +182,10 @@ def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords | None = None) -
         return False
     if apply_f(mw.y_l) != mw.x_l:
         return False
-    for k in _K_RANGE:
-        if k == 0:
-            continue
+    for k in (1, -1):
         for base, conj, letter in ((mw.x_l, mw.w_x, 1), (mw.y_l, mw.w_y, -2)):
-            formal = concat(conj, letter_power(letter, k), inverse(conj))
-            if free_reduce(base * abs(k) if k > 0 else inverse(base) * abs(k)) != formal:
-                return False
-            if free_reduce(formal) != formal:
-                return False
-            if is_alternating(formal) != (abs(k) == 1):
+            formal = concat(conj, (letter * k,), inverse(conj))
+            reduced = free_reduce(base if k > 0 else inverse(base))
+            if reduced != formal or not (is_reduced(formal) and is_alternating(formal)):
                 return False
     return True

@@ -6,8 +6,8 @@ For a slope q/p (p odd) the group has presentation <a, b | u> where
     uhat = b^e1 a^e2 b^e3 ... a^e(p-1),   ei = (-1)^floor(i*q/p).
 
 The relator is cyclically alternating of length 2p.  For double-twist
-slopes the cyclic S-sequence of u splits as ((S1, S2, S1, S2)) with the
-closed forms checked by verify_cs_closed_form.
+slopes the cyclic S-sequence of u is literally S1 + S2 + S1 + S2, with
+the closed forms checked by verify_cs_closed_form.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .words import (
     Word,
     concat,
     cyclic_s_sequence,
-    cyclic_seq_eq,
     free_reduce,
     inverse,
     is_cyclically_alternating,
@@ -74,7 +73,11 @@ def canonical_decomposition(knot: GenusOneKnot) -> CanonicalDecomposition:
 
 
 def verify_cs_closed_form(knot: GenusOneKnot) -> bool:
-    """Computed cyclic S-sequence of the relator vs ((S1, S2, S1, S2))."""
+    """Computed cyclic S-sequence of the relator vs S1 + S2 + S1 + S2,
+    literally: q is even, so e(p-i) = -e(i), and u = a uhat b uhat^-1 has
+    the signs (+, e1, ..., e(p-1)) twice, ending in e(p-1) = -e1 = -.  So
+    no runs merge, u starts with S1's first run and, for sign -, ends with
+    the 2m - 1 of S2."""
     u = relator(knot.fraction).u
     s1, s2 = canonical_decomposition(knot)
-    return cyclic_seq_eq(cyclic_s_sequence(u), s1 + s2 + s1 + s2)
+    return cyclic_s_sequence(u) == s1 + s2 + s1 + s2

@@ -7,8 +7,7 @@ parsing and printing round-trip bit-exactly.
 
 An S-sequence is the tuple of run lengths of the maximal constant-sign
 blocks of a reduced word; the cyclic variant merges the first and last
-block when their signs agree and is compared modulo rotation (use
-:func:`cyclic_seq_eq` / :func:`least_rotation`).
+block when their signs agree, into its first entry.
 """
 
 from __future__ import annotations
@@ -113,9 +112,8 @@ def s_sequence(word) -> tuple[int, ...]:
 def cyclic_s_sequence(word) -> tuple[int, ...]:
     """Run lengths around the cycle of a cyclically reduced word.
 
-    The first and last blocks merge when their signs agree; a word of a
-    single sign yields the one-entry sequence ``(len(word),)``.  Compare
-    results modulo rotation.
+    The first and last blocks merge, into the first entry, when their
+    signs agree; a word of a single sign yields ``(len(word),)``.
     """
     if not word:
         raise ValueError("cyclic S-sequence of the empty word is undefined")

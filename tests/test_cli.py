@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -450,10 +451,12 @@ def test_library_has_no_bare_asserts():
 
 
 # Defined in src for the tests alone.  perfbench/spans.py wraps each by
-# name, so they leave src with ROADMAP items 1 and 5.
+# name, so they leave src with ROADMAP items 1 and 5.  cyclic_seq_eq is
+# the tests' rotation oracle for the closed forms, which src compares
+# literally.
 TEST_ONLY_API = {
     "rotations", "least_rotation", "relation_word", "alternating_relation_word",
-    "reflection_generators",
+    "reflection_generators", "cyclic_seq_eq",
 }
 
 
@@ -495,6 +498,106 @@ def test_verify_all_jobs(capsys):
     assert code == 0
     keys = [(r["m"], r["n"], r["sign"]) for r in payload["reports"]]
     assert keys == sorted(keys, key=lambda t: (t[0], t[1], -t[2]))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces ProcessPoolExecutor by a fake that records its max_workers,
+    starts no process and runs each cell in this one; 8 CPUs."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    return sizes
+
+
+@pytest.mark.parametrize("grid,cpus,workers", [
+    ("1", 8, [2]),     # 2 cells
+    ("3", 8, [8]),     # 18 cells, 8 CPUs
+    ("3", None, []),   # an unknown CPU count runs serially
+])
+def test_verify_all_jobs_starts_no_more_workers_than_can_run(
+    capsys, monkeypatch, pool_sizes, grid, cpus, workers
+):
+    # a pool forks all max_workers at its first submit: --jobs 5000 forked
+    # 5,000 processes for a 2-cell grid
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, payload = run_json(
+        capsys, "verify-all", "--m-max", grid, "--n-max", grid, "--jobs", "5000"
+    )
+    assert code == cli.EXIT_PASS
+    assert pool_sizes == workers
+    assert len(payload["reports"]) == 2 * int(grid) ** 2
+
+
+class StepClock:
+    """A clock for cli.time whose monotonic() gains 1 s per call;
+    perf_counter() gains with it when shared is set, else stands still."""
+
+    def __init__(self, shared):
+        self.now = 0.0
+        self.shared = shared
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+    def perf_counter(self):
+        return self.monotonic() if self.shared else 0.0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_budget_never_truncates_a_finished_grid(capsys, monkeypatch, pool_sizes, jobs):
+    # the deadline (1 + 1.5 s) passes after the last cell: the pool loop
+    # reported truncated with no missing cell and exited 3
+    monkeypatch.setattr(cli, "time", StepClock(shared=False))
+    code, payload = run_json(
+        capsys, "verify-all", "--m-max", "1", "--n-max", "1",
+        "--jobs", jobs, "--max-seconds", "1.5",
+    )
+    assert code == cli.EXIT_PASS
+    assert pool_sizes == ([2] if jobs == "2" else [])
+    assert payload["truncated"] is False
+    assert payload["missing_cells"] == []
+    assert len(payload["reports"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_budget_cuts_the_same_cells_with_and_without_jobs(
+    capsys, monkeypatch, pool_sizes, jobs
+):
+    # the deadline passes during the first cell, so both loops keep it
+    # and name the second as missing
+    monkeypatch.setattr(cli, "time", StepClock(shared=True))
+    code, payload = run_json(
+        capsys, "verify-all", "--m-max", "1", "--n-max", "1",
+        "--jobs", jobs, "--max-seconds", "1.5",
+    )
+    assert code == cli.EXIT_TRUNCATED
+    assert pool_sizes == ([2] if jobs == "2" else [])
+    assert payload["truncated"] is True
+    assert [(r["m"], r["n"], r["sign"]) for r in payload["reports"]] == [(1, 1, 1)]
+    assert payload["missing_cells"] == [[1, 1, -1]]
+
+
+def test_sign_patterns_by_length_then_lexicographic():
+    patterns = cli._sign_patterns(2)
+    assert len(patterns) == 4 + 16
+    assert patterns[:5] == [((1, 1),), ((1, -1),), ((-1, 1),), ((-1, -1),), ((1, 1), (1, 1))]
+    assert patterns[4:] == sorted(patterns[4:], reverse=True)
 
 
 def test_verify_all_with_scan(capsys):

@@ -144,6 +144,24 @@ def test_runs_match_word_on_grid():
                     assert alternating_cs_from_runs(knot, pattern, mw) == cyclic_s_sequence(word)
 
 
+def test_literal_closed_form_matches_the_rotation_oracle():
+    # the closed form is written at the rotation the run composition
+    # fixes; the comparison modulo rotation is the oracle it replaced
+    # (12x12 grid, every pattern with t <= 3)
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                if (m, n, sign) == (1, 1, -1):
+                    continue
+                mw = long_meridian_words(knot)
+                for pattern in sign_patterns(3):
+                    cs = alternating_cs_from_runs(knot, pattern, mw)
+                    closed = alternating_cs_closed_form(knot, pattern)
+                    assert cyclic_seq_eq(cs, closed)
+                    assert cs == closed
+
+
 def hand_built(x_l, y_l):
     return MeridianWords((), (), (), (), tuple(x_l), tuple(y_l))
 

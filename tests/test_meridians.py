@@ -1,6 +1,12 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bridgeforge import meridians
 from bridgeforge.meridians import (
+    MeridianWords,
     c_word,
     d0_d1,
     long_meridian_raw,
@@ -8,7 +14,17 @@ from bridgeforge.meridians import (
     verify_meridian_forms,
 )
 from bridgeforge.slope import GenusOneKnot
-from bridgeforge.words import apply_f, free_reduce, inverse, s_sequence, word_str
+from bridgeforge.words import (
+    alt_word,
+    apply_f,
+    concat,
+    free_reduce,
+    inverse,
+    is_alternating,
+    letter_power,
+    s_sequence,
+    word_str,
+)
 
 
 def test_c_word_examples():
@@ -92,3 +108,67 @@ def test_verify_meridian_forms_sweep():
         for n in range(1, 9):
             for sign in (1, -1):
                 assert verify_meridian_forms(GenusOneKnot(m, n, sign))
+
+
+def power_loop_verdict(knot, mw, k_max=8):
+    """verify_meridian_forms as it was, with the power identity checked
+    for every 0 < |k| <= k_max by reducing the k-th power in full."""
+    if free_reduce(meridians.long_meridian_raw(knot)) != mw.y_l:
+        return False
+    if apply_f(mw.y_l) != mw.x_l:
+        return False
+    for k in range(-k_max, k_max + 1):
+        if k == 0:
+            continue
+        for base, conj, letter in ((mw.x_l, mw.w_x, 1), (mw.y_l, mw.w_y, -2)):
+            formal = concat(conj, letter_power(letter, k), inverse(conj))
+            power = base * k if k > 0 else inverse(base) * -k
+            if free_reduce(power) != formal or free_reduce(formal) != formal:
+                return False
+            if is_alternating(formal) != (abs(k) == 1):
+                return False
+    return True
+
+
+def test_unit_powers_match_the_power_loop_on_grid():
+    for m in range(1, 11):
+        for n in range(1, 11):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                mw = long_meridian_words(knot)
+                assert verify_meridian_forms(knot, mw) and power_loop_verdict(knot, mw)
+
+
+reduced_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8).map(
+    lambda w: free_reduce(tuple(w))
+)
+alternating_words = st.builds(
+    lambda initial, runs: alt_word(initial, runs) if runs else (),
+    st.sampled_from([1, -1, 2, -2]),
+    st.lists(st.integers(1, 3), max_size=4),
+)
+conjugators = st.one_of(alternating_words, reduced_words)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_unit_powers_match_the_power_loop_on_hand_built_words(data):
+    # x_l and y_l are each a conjugate w a w^-1 (w b^-1 w^-1) or a random
+    # reduced word; the raw Wirtinger word is y_l, y_l with an inserted
+    # cancelling pair, or random, and x_l is f(y_l) or not
+    draw = data.draw
+    w_y = draw(conjugators)
+    w_x = draw(st.sampled_from([apply_f(w_y), draw(conjugators)]))
+    y_l = draw(st.sampled_from([concat(w_y, (-2,), inverse(w_y)), draw(reduced_words)]))
+    x_l = draw(st.sampled_from(
+        [apply_f(y_l), concat(w_x, (1,), inverse(w_x)), draw(reduced_words)]
+    ))
+    cut = draw(st.integers(0, len(y_l)))
+    letter = draw(st.sampled_from([1, -1, 2, -2]))
+    raw = draw(st.sampled_from(
+        [y_l, y_l[:cut] + (letter, -letter) + y_l[cut:], draw(reduced_words)]
+    ))
+    mw = MeridianWords((), (), w_x, w_y, x_l, y_l)
+    knot = GenusOneKnot(1, 1, 1)
+    with mock.patch.object(meridians, "long_meridian_raw", lambda knot: raw):
+        assert verify_meridian_forms(knot, mw) == power_loop_verdict(knot, mw)

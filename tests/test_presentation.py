@@ -9,6 +9,7 @@ from bridgeforge.presentation import (
 from bridgeforge.slope import Frac, GenusOneKnot
 from bridgeforge.words import (
     cyclic_s_sequence,
+    cyclic_seq_eq,
     free_reduce,
     is_cyclically_alternating,
     word_str,
@@ -103,3 +104,16 @@ def test_cs_closed_form_sweep():
         for n in range(1, 11):
             for sign in (1, -1):
                 assert verify_cs_closed_form(GenusOneKnot(m, n, sign))
+
+
+def test_literal_closed_form_matches_the_rotation_oracle():
+    # verify_cs_closed_form compares at the relator's own rotation; the
+    # comparison modulo rotation is the oracle it replaced (12x12 grid)
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                s1, s2 = canonical_decomposition(knot)
+                cs = cyclic_s_sequence(relator(knot.fraction).u)
+                assert cyclic_seq_eq(cs, s1 + s2 + s1 + s2)
+                assert verify_cs_closed_form(knot)
