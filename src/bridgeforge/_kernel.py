@@ -20,11 +20,15 @@ reach_table gives, for every offset s and every k up to kmax, how far
 from s at most k pieces reach.  Pieces are prefix-closed, so the spans k
 pieces cover from s are exactly the lengths up to reach[k][s], and a
 (k+1)-th piece can start at any cut i in [s, s + reach[k][s]].  So
-reach[k+1][s] is a range maximum of i + piece_len[i mod n] over those
-cuts.  A sparse table of the maxima over power-of-two windows answers
-each range in O(1) after an O(n log n) build (Bender and Farach-Colton,
-LATIN 2000): a whole table costs O(n log n + kmax n).
+reach[k+1][s] is a range maximum of a[i] = i + piece_len[i mod n] over
+those cuts.  Pieces are also closed under dropping their first letter
+(the two elements sharing v, rotated by one, are distinct and share v
+minus its first letter), so piece_len[(i+1) % n] >= piece_len[i] - 1:
+every row is suffix-closed, a never decreases, and the maximum is at
+the last cut.  Each level is one pass, a whole table O(kmax n).
 """
+
+import operator
 
 IMPL = "pure"
 
@@ -104,32 +108,27 @@ def reach_table(piece_len, kmax):
     """reach[k][s]: longest span from offset s coverable by <= k pieces.
 
     reach[0] is all zeros; entries are capped at n.  For k >= 2,
-    reach[k][s] is the largest a[i] = i + piece_len[i mod n] over the cuts
-    i in [s, s + reach[k-1][s]], minus s.  The last cut alone gives at
-    least reach[k-1][s], so the reach never shrinks as k grows.
+    reach[k][s] is r + piece_len[(s + r) % n] with r = reach[k-1][s]:
+    a[i] = i + piece_len[i mod n] never decreases on a suffix-closed row,
+    so the last cut i = s + r gives the largest reach.  A row that is not
+    suffix-closed (no max_piece_table row) raises ValueError.
     """
     n = len(piece_len)
+    # a over one period and the wrap to the next: it never decreases
+    # exactly when piece_len[(i+1) % n] >= piece_len[i] - 1 for every i
+    a = [i + x for i, x in enumerate(piece_len)]
+    if n:
+        a.append(n + piece_len[0])
+    if not all(map(operator.le, a, a[1:])):
+        raise ValueError("piece table is not suffix-closed")
     tables = [[0] * n]
     if kmax >= 1:
         tables.append([x if x < n else n for x in piece_len])
-    if kmax < 2:
-        return tables
-    # sparse[j][i] = max(a[i : i + 2^j]); a query spans at most n + 1 cuts
-    a = [i + x for i, x in enumerate(piece_len * 2)]
-    sparse = [a]
-    w = 1
-    while 2 * w <= n + 1:
-        lv = sparse[-1]
-        sparse.append(list(map(max, lv[:-w], lv[w:])))
-        w *= 2
+    doubled = piece_len * 2  # s + r < 2n
     for _ in range(2, kmax + 1):
         nxt = []
         for s, r in enumerate(tables[-1]):
-            # the range [s, s + r] as two overlapping windows of 2^j cuts
-            j = (r + 1).bit_length() - 1
-            lv = sparse[j]
-            left, right = lv[s], lv[s + r + 1 - (1 << j)]
-            best = (left if left > right else right) - s
-            nxt.append(best if best < n else n)
+            r += doubled[s + r]
+            nxt.append(r if r < n else n)
         tables.append(nxt)
     return tables

@@ -169,11 +169,14 @@ def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords | None = None) -
     """Raw Wirtinger reduction vs closed forms, plus the power identity.
 
     Checks free_reduce(raw y_l) == closed-form y_l, the f-symmetry
-    x_l = f(y_l), and that for k = +-1 x_l^k (resp. y_l^k) freely reduces
-    to the reduced alternating word w_x a^k w_x^-1 (resp. w_y b^-k w_y^-1).
-    That gives the identity for every k != 0: free reduction is confluent,
-    so x_l^k reduces as (w_x a^+-1 w_x^-1)^|k| does, to w_x a^k w_x^-1,
-    which is reduced because w_x a^+-1 is, and holds aa when |k| >= 2.
+    x_l = f(y_l), and that x_l (resp. y_l) freely reduces to the reduced
+    alternating word w_x a w_x^-1 (resp. w_y b^-1 w_y^-1).  That gives
+    the identity for every k != 0.  For k = -1: the word x_l^-1 is the
+    inverse of x_l, free_reduce commutes with inverse, and inversion
+    keeps a word reduced and alternating, so x_l^-1 reduces to
+    (w_x a w_x^-1)^-1 = w_x a^-1 w_x^-1.  For |k| >= 2: free reduction
+    is confluent, so x_l^k reduces as (w_x a^+-1 w_x^-1)^|k| does, to
+    w_x a^k w_x^-1, which is reduced because w_x a^+-1 is, and holds aa.
     mw is long_meridian_words(knot); a caller that has built it passes it in.
     """
     if mw is None:
@@ -182,10 +185,8 @@ def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords | None = None) -
         return False
     if apply_f(mw.y_l) != mw.x_l:
         return False
-    for k in (1, -1):
-        for base, conj, letter in ((mw.x_l, mw.w_x, 1), (mw.y_l, mw.w_y, -2)):
-            formal = concat(conj, (letter * k,), inverse(conj))
-            reduced = free_reduce(base if k > 0 else inverse(base))
-            if reduced != formal or not (is_reduced(formal) and is_alternating(formal)):
-                return False
+    for base, conj, letter in ((mw.x_l, mw.w_x, 1), (mw.y_l, mw.w_y, -2)):
+        formal = concat(conj, (letter,), inverse(conj))
+        if free_reduce(base) != formal or not (is_reduced(formal) and is_alternating(formal)):
+            return False
     return True

@@ -9,16 +9,18 @@ that the freeness argument consumes.
 
 Every check reads the longest-piece table of _kernel.max_piece_table,
 one entry per element, and is near-linear in the relator length n.
-C(p) reads the (p-1)-piece reach table of row 0, O(n log n).  T(4)
+C(p) reads the (p-1)-piece reach table of row 0, O(p n): the table is
+suffix-closed, so each level follows the reach of the one before.  T(4)
 collects the (first, last) letter classes, O(n).  The piece shapes are
 matched one sign run at a time against a trie of the listed shapes,
 O(n b) for shapes of at most b runs.  The three-piece shape reads the 2-
-and 3-piece reach tables.
+and 3-piece reach tables and sweeps the shape windows once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -300,23 +302,23 @@ def verify_piece_prop(knot: GenusOneKnot) -> bool:
     return shapes_are_pieces(R, _piece_patterns(knot))
 
 
-def _linear_runs(letters):
-    """Maximal constant-sign runs of a letter list as (start, length) pairs."""
-    runs = []
-    start = 0
-    for i in range(1, len(letters) + 1):
-        if i == len(letters) or (letters[i] > 0) != (letters[start] > 0):
-            runs.append((start, i - start))
-            start = i
-    return runs
-
-
 def verify_three_piece_property(knot: GenusOneKnot) -> bool:
     """Every length-minimal 3-piece subword of the relator contains a
     subword of S-sequence shape (S1, S2, l) or (l, S2, S1).
 
     Containment is monotone in the subword length, so per starting offset
     only the shortest subword needing exactly three pieces is checked.
+
+    The shape windows are read off four periods of the relator: runs
+    other than the first and last are full runs of the periodic word, and
+    every cyclic position has an untruncated copy inside [n, 3n).  A
+    window of shape (S1, S2, l) is the full runs S1 + S2 and the first
+    letter of the next run; one of shape (l, S2, S1) is the last letter of
+    the run before and the full runs S2 + S1.  No relator run is longer
+    than the first and last runs of S1 (2m + 1 for sign +, 2m for sign -),
+    so no matching subword cuts a run there.  One backward sweep over the
+    window starts keeps the earliest end among the windows starting at or
+    after s + n.
     """
     rel = relator(knot.fraction)
     R = SymmetrizedSet(rel.u)
@@ -325,43 +327,36 @@ def verify_three_piece_property(knot: GenusOneKnot) -> bool:
     reach = _kernel.reach_table(R.piece_len[0], 3)
     r2, r3 = reach[2], reach[3]
 
-    # four periods: runs other than the first and last are full runs of
-    # the periodic word, and every cyclic position has an untruncated
-    # copy inside [n, 3n), where the containment windows live
-    letters4 = list(rel.u) * 4
-    runs = _linear_runs(letters4)
-    lens = [ln for _, ln in runs]
-    starts = [st for st, _ in runs]
+    letters4 = rel.u * 4
+    total = 4 * n
+    # starts[j]: the first index of run j; starts[-1] closes the last run
+    starts = [0, *(i for i in range(1, total)
+                   if (letters4[i] > 0) != (letters4[i - 1] > 0)), total]
+    lens = list(map(operator.sub, starts[1:], starts[:-1]))
+    head = list(s1 + s2)  # shape (S1, S2, l): full runs then one letter
+    tail = list(s2 + s1)  # shape (l, S2, S1): one letter then full runs
+    k = len(head)
+    # (start, end) of every window; a tail window at run j starts one
+    # letter before a head window at j and not before one at j - 1, so
+    # the starts come out in ascending order
+    windows = []
+    for j in range(1, len(lens) - k):  # runs j .. j + k - 1, and one more
+        shape = lens[j:j + k]
+        if shape == tail:
+            windows.append((starts[j] - 1, starts[j + k]))
+        if shape == head:
+            windows.append((starts[j], starts[j + k] + 1))
 
-    def run_match(j, pattern):
-        if j + len(pattern) >= len(runs):
-            return False
-        return all(lens[j + i] == pattern[i] for i in range(len(pattern)))
-
-    head = s1 + s2   # shape (S1, S2, l): full runs then one extra letter
-    tail = s2 + s1   # shape (l, S2, S1): one letter then full runs
-    match_ends: list[tuple[int, int]] = []
-    for j in range(1, len(runs) - 1):
-        if run_match(j, head):
-            match_ends.append((starts[j], starts[j + len(head)] + 1))
-        if run_match(j, tail):
-            ms = starts[j] - 1
-            me = starts[j + len(tail) - 1] + lens[j + len(tail) - 1]
-            match_ends.append((ms, me))
-
-    total = len(letters4)
-    best_end = [total + 1] * (total + 1)
-    ends_at: dict[int, int] = {}
-    for ms, me in match_ends:
-        if me < ends_at.get(ms, total + 1):
-            ends_at[ms] = me
-    for x in range(total - 1, -1, -1):
-        best_end[x] = min(best_end[x + 1], ends_at.get(x, total + 1))
-
-    for s in range(n):
+    best_end = total + 1
+    w = len(windows)
+    for s in range(n - 1, -1, -1):
+        while w and windows[w - 1][0] >= s + n:
+            w -= 1
+            if windows[w][1] < best_end:
+                best_end = windows[w][1]
         lo = r2[s] + 1
         if lo > r3[s] or lo > n:
             continue  # no subword at s needs exactly three pieces
-        if best_end[s + n] > s + n + lo:
+        if best_end > s + n + lo:
             return False
     return True

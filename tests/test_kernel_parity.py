@@ -2,9 +2,15 @@
 
 max_piece_table sorts the rotations by integer key and takes each
 neighbour LCP from the XOR of two keys; the oracle extends each
-rotation's prefix while any other rotation still shares it.  min_pieces_span is checked against a dynamic program over all
-piece lengths.  reach_table's sparse-table range maximum is checked
-against the quadratic sweep over every cut that it replaced.
+rotation's prefix while any other rotation still shares it.
+min_pieces_span is checked against a dynamic program over all piece
+lengths.
+
+reach_table follows the last cut of each level, which is right on
+suffix-closed tables (piece_len[(i+1) % n] >= piece_len[i] - 1, true of
+every max_piece_table row) and refused on any other.  It is checked
+against the quadratic sweep over every cut, on grid rows, on random
+tables and on their suffix closures.
 """
 
 import random
@@ -95,6 +101,36 @@ def quadratic_reach_table(piece_len, kmax):
     return tables
 
 
+def is_suffix_closed(P):
+    n = len(P)
+    return all(P[(i + 1) % n] >= P[i] - 1 for i in range(n))
+
+
+def suffix_closure(P):
+    """P lowered by P[i] = min(P[i], P[(i+1) % n] + 1) until nothing
+    changes: the largest suffix-closed table below P."""
+    P = list(P)
+    n = len(P)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            bound = P[(i + 1) % n] + 1
+            if P[i] > bound:
+                P[i] = bound
+                changed = True
+    return P
+
+
+def random_words_and_powers(count, rng):
+    """Pairs of a word over +-1, +-2 (reduced or not) and a proper power
+    of it, whose rotations collide."""
+    letters = (1, -1, 2, -2)
+    for _ in range(count):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 24)))
+        yield w, w * rng.randint(2, 3)
+
+
 def grid_piece_rows(size):
     for m in range(1, size + 1):
         for n in range(1, size + 1):
@@ -134,13 +170,26 @@ def test_pure_reach_consistent_with_spans():
 
 def test_reach_table_matches_quadratic_on_random_tables():
     # arbitrary jump tables, entries equal to n (a whole-word piece) and 0
-    # (a dead cut) included, for every kmax from 0 to 6
+    # (a dead cut) included, for every kmax from 0 to 6: a suffix-closed
+    # table gives the oracle's reach, any other is refused, and the
+    # suffix closure of every table gives the oracle's reach again
     rng = random.Random(7)
+    closed = refused = 0
     for _ in range(1500):
         n = rng.randint(1, 24)
         P = [rng.choice((0, n, rng.randint(0, n))) for _ in range(n)]
         kmax = rng.randint(0, 6)
-        assert _kernel.reach_table(P, kmax) == quadratic_reach_table(P, kmax), (P, kmax)
+        if is_suffix_closed(P):
+            closed += 1
+            assert _kernel.reach_table(P, kmax) == quadratic_reach_table(P, kmax), (P, kmax)
+        else:
+            refused += 1
+            with pytest.raises(ValueError):
+                _kernel.reach_table(P, kmax)
+        Q = suffix_closure(P)
+        assert is_suffix_closed(Q) and all(map(int.__le__, Q, P))
+        assert _kernel.reach_table(Q, kmax) == quadratic_reach_table(Q, kmax), (Q, kmax)
+    assert closed and refused
 
 
 def test_reach_table_matches_quadratic_on_grid_relators():
@@ -151,11 +200,12 @@ def test_reach_table_matches_quadratic_on_grid_relators():
 
 
 def test_reach_table_matches_quadratic_on_lowered_rows():
-    # grid rows with about one entry in ten lowered, some of them to 0
+    # grid rows with about one entry in ten lowered, some of them to 0,
+    # and the entries before them lowered until the row is suffix-closed
     rng = random.Random(8)
     for rows in grid_piece_rows(6):
         for row in rows:
-            cut = [x if rng.random() < 0.9 else rng.randint(0, x) for x in row]
+            cut = suffix_closure([x if rng.random() < 0.9 else rng.randint(0, x) for x in row])
             assert _kernel.reach_table(cut, 4) == quadratic_reach_table(cut, 4)
 
 
@@ -172,17 +222,28 @@ def test_max_piece_table_on_random_words():
     # any words over +-1, +-2 (reduced or not), n = 1 and 2 included, and
     # proper powers, whose rotations collide so that every entry is n
     rng = random.Random(9)
-    letters = (1, -1, 2, -2)
-    for _ in range(400):
-        w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 24)))
+    for w, power in random_words_and_powers(400, rng):
         expected = brute_max_piece(w)
         assert _kernel.max_piece_table(list(w)) == (expected[0], expected[1]), w
-        power = w * rng.randint(2, 3)
         n = len(power)
         assert _kernel.max_piece_table(list(power)) == ([n] * n, [n] * n), power
     for w in ((1,), (2,), (-1, -1), (1, 2), (1, -1), (2, -1)):
         expected = brute_max_piece(w)
         assert _kernel.max_piece_table(list(w)) == (expected[0], expected[1]), w
+
+
+def test_max_piece_rows_are_suffix_closed():
+    # dropping the first letter of a piece leaves a piece (the two
+    # elements sharing it, rotated by one, are distinct), so every row
+    # satisfies the contract of reach_table: the 12x12 grid, and the
+    # random words and proper powers above
+    rows = [row for rows in grid_piece_rows(12) for row in rows]
+    for pair in random_words_and_powers(400, random.Random(9)):
+        for w in pair:
+            rows.extend(_kernel.max_piece_table(list(w)))
+    assert len(rows) == 2 * 288 + 2 * 800
+    for row in rows:
+        assert is_suffix_closed(row), row
 
 
 def test_max_piece_table_marks_collisions():

@@ -1,11 +1,12 @@
 import math
 import random
+from bisect import bisect_left
 from functools import lru_cache
 
 import pytest
 
-from bridgeforge import _kernel
-from bridgeforge.presentation import relator
+from bridgeforge import _kernel, smallcancel
+from bridgeforge.presentation import canonical_decomposition, relator
 from bridgeforge.slope import Frac, GenusOneKnot
 from bridgeforge.smallcancel import (
     UNREPRESENTABLE,
@@ -20,9 +21,9 @@ from bridgeforge.smallcancel import (
     verify_piece_prop,
     verify_three_piece_property,
 )
-from bridgeforge.words import inverse, parse_word, rotations, s_sequence
+from bridgeforge.words import cyclic_s_sequence, inverse, parse_word, rotations, s_sequence
 
-from test_kernel_parity import random_relator_like_words
+from test_kernel_parity import quadratic_reach_table, random_relator_like_words, suffix_closure
 
 
 def loop_find(R, v):
@@ -85,12 +86,31 @@ def grid_sets(size):
                 yield knot, SymmetrizedSet(relator(knot.fraction).u)
 
 
+def inverse_row(P0):
+    """The row-1 piece table that a suffix-closed row 0 implies.
+
+    The length-L prefix of element s of row 1 is the inverse of the
+    length-L subword of row 0 ending at e = n - 1 - s, and the inverse of
+    a piece is a piece, so its longest piece is as long as the longest
+    piece of row 0 ending at e.  The cuts t with t + P0[t] > e form a suffix,
+    since t + P0[t] never decreases, and bisection finds the first.
+    """
+    n = len(P0)
+    a = [t + x for t, x in enumerate(P0 * 2)]
+    out = []
+    for s in range(n):
+        e = 2 * n - 1 - s  # u[n-1-s] in the doubled row
+        out.append(e + 1 - bisect_left(a, e + 1, e - n + 1, e + 1))
+    return out
+
+
 def lowered(R, rng, rate):
-    """R with about a fraction rate of its piece-table entries lowered."""
-    R.piece_len = tuple(
-        [x if rng.random() >= rate else rng.randint(0, x) for x in row]
-        for row in R.piece_len
-    )
+    """R with about a fraction rate of its row-0 piece-table entries
+    lowered, the entries before them lowered until the row is
+    suffix-closed, as every piece table is, and row 1 rebuilt from it, so
+    that the inverse of a piece is still a piece."""
+    P0 = suffix_closure([x if rng.random() >= rate else rng.randint(0, x) for x in R.piece_len[0]])
+    R.piece_len = (P0, inverse_row(P0))
     return R
 
 
@@ -286,14 +306,16 @@ def test_check_C_rows_agree_element_by_element():
     # check_C reads row 0 only: a row-1 element is a product of k pieces
     # exactly when its inverse, a row-0 element, is.  On the 6x6 grid and
     # on random relator-like words, each element's minimal piece count
-    # equals its inverse's, and both rows give the verdict of check_C and
-    # of span_check_C for p = 2..6
+    # equals its inverse's, row 1's piece table is the one row 0 implies,
+    # and both rows give the verdict of check_C and of span_check_C for
+    # p = 2..6
     rng = random.Random(13)
     sets = [R for _, R in grid_sets(6)]
     sets += [SymmetrizedSet(u) for u in random_relator_like_words(300, rng)]
     verdicts = set()
     for R in sets:
         n = R.n
+        assert inverse_row(R.piece_len[0]) == R.piece_len[1]
         for s in range(n):
             element = R.doubled[1][s:s + n]
             d, t = R.find(inverse(element))
@@ -400,10 +422,98 @@ def test_verify_three_piece_examples():
     assert verify_three_piece_property(GenusOneKnot(2, 1, 1))
 
 
+def linear_runs(letters):
+    """Maximal constant-sign runs of a letter list as (start, length) pairs."""
+    runs = []
+    start = 0
+    for i in range(1, len(letters) + 1):
+        if i == len(letters) or (letters[i] > 0) != (letters[start] > 0):
+            runs.append((start, i - start))
+            start = i
+    return runs
+
+
+def walk_three_piece(knot, s1, s2):
+    """verify_three_piece_property for the shapes (s1, s2), by a walk
+    over the runs of four periods that matches each run index against
+    both shapes and takes the earliest window end from every start by a
+    suffix minimum over all 4n positions; the reach tables come from the
+    quadratic oracle."""
+    u = relator(knot.fraction).u
+    R = SymmetrizedSet(u)
+    n = R.n
+    reach = quadratic_reach_table(R.piece_len[0], 3)
+    r2, r3 = reach[2], reach[3]
+
+    letters4 = list(u) * 4
+    runs = linear_runs(letters4)
+    lens = [ln for _, ln in runs]
+    starts = [st for st, _ in runs]
+
+    def run_match(j, pattern):
+        if j + len(pattern) >= len(runs):
+            return False
+        return all(lens[j + i] == pattern[i] for i in range(len(pattern)))
+
+    head = s1 + s2
+    tail = s2 + s1
+    match_ends = []
+    for j in range(1, len(runs) - 1):
+        if run_match(j, head):
+            match_ends.append((starts[j], starts[j + len(head)] + 1))
+        if run_match(j, tail):
+            ms = starts[j] - 1
+            me = starts[j + len(tail) - 1] + lens[j + len(tail) - 1]
+            match_ends.append((ms, me))
+
+    total = len(letters4)
+    best_end = [total + 1] * (total + 1)
+    ends_at = {}
+    for ms, me in match_ends:
+        if me < ends_at.get(ms, total + 1):
+            ends_at[ms] = me
+    for x in range(total - 1, -1, -1):
+        best_end[x] = min(best_end[x + 1], ends_at.get(x, total + 1))
+
+    for s in range(n):
+        lo = r2[s] + 1
+        if lo > r3[s] or lo > n:
+            continue
+        if best_end[s + n] > s + n + lo:
+            return False
+    return True
+
+
+def test_three_piece_matches_run_walk_on_perturbed_shapes(monkeypatch):
+    # the true shapes, swapped, S1 with every run one longer, S2 without
+    # its last run, and S1 with its first run one longer, on the 8x8
+    # grid: the one-pass check and the run walk give the same verdicts.
+    # Both read whole runs only, which the true shapes allow because no
+    # relator run is longer than the first and last runs of S1
+    verdicts = []
+    for m in range(1, 9):
+        for n in range(1, 9):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                s1, s2 = canonical_decomposition(knot)
+                assert max(cyclic_s_sequence(relator(knot.fraction).u)) == s1[0] == s1[-1]
+                for shape in (
+                    (s1, s2),
+                    (s2, s1),
+                    (tuple(x + 1 for x in s1), s2),
+                    (s1, s2[:-1]),
+                    ((s1[0] + 1,) + s1[1:], s2),
+                ):
+                    monkeypatch.setattr(smallcancel, "canonical_decomposition",
+                                        lambda _knot, shape=shape: shape)
+                    verdict = verify_three_piece_property(knot)
+                    assert verdict == walk_three_piece(knot, *shape), (knot, shape)
+                    verdicts.append(verdict)
+    assert len(verdicts) == 640 and True in verdicts and False in verdicts
+
+
 def test_three_piece_against_brute_force():
     # independent containment check on two small knots
-    from bridgeforge.presentation import canonical_decomposition
-
     for params in ((1, 1, 1), (1, 2, -1)):
         knot = GenusOneKnot(*params)
         rel = relator(knot.fraction)
