@@ -9,7 +9,7 @@ in presentation, meridians, freeness or farey; an "error:" line goes to
 stderr), 2 usage error (--t above MAX_T and --scan-syllables above
 freeness.MAX_SYLLABLES included), 3 resource truncation.  The freeness
 scan block names its exact pair by prime, modulus (a power of prime) and
-alpha, and a retried or hit word's pairs as [modulus, alpha].
+alpha, and the pairs of a retried or hit class as [modulus, alpha].
 """
 
 from __future__ import annotations
@@ -238,6 +238,7 @@ def _cmd_freeness(args) -> int:
         payload["scan"] = {
             "max_syllables": report.max_syllables,
             "words_checked": report.words_checked,
+            "classes_checked": report.classes_checked,
             "exact": {
                 "prime": rep.prime,
                 "modulus": rep.modulus,
@@ -254,7 +255,8 @@ def _cmd_freeness(args) -> int:
             "max_residual": max_residual,
         }
         lines.append(
-            f"  matrix scan: {report.words_checked} words at w = {rep.alpha} mod {rep.modulus}, "
+            f"  matrix scan: {report.words_checked} words in {report.classes_checked} classes "
+            f"at w = {rep.alpha} mod {rep.modulus}, "
             f"{report.words_nontrivial} proven nontrivial ({len(report.retried)} retried), "
             f"hits: {len(report.hits)}"
         )
@@ -391,6 +393,12 @@ class CheckContext:
         by the checks that run on this context."""
         return meridians.long_meridian_words(self.knot)
 
+    @functools.cached_property
+    def alternating_cs(self) -> dict:
+        """alternating_cs_from_runs per sign pattern with t <= 2, for both rows."""
+        return {pattern: freeness.alternating_cs_from_runs(self.knot, pattern, self.meridian_words)
+                for pattern in _sign_patterns(2)}
+
 
 @dataclass(frozen=True)
 class Check:
@@ -418,9 +426,8 @@ CHECKS = (
     Check(
         "alternating_cs",
         lambda ctx: all(
-            freeness.alternating_cs_from_runs(ctx.knot, pattern, ctx.meridian_words)
-            == freeness.alternating_cs_closed_form(ctx.knot, pattern)
-            for pattern in _sign_patterns(2)
+            cs == freeness.alternating_cs_closed_form(ctx.knot, pattern)
+            for pattern, cs in ctx.alternating_cs.items()
         ),
         # the torus knot [2,-2] has no closed form
         applies=lambda knot: knot.is_hyperbolic,
@@ -428,8 +435,8 @@ CHECKS = (
     Check(
         "alternating_bounds",
         lambda ctx: all(
-            freeness.verify_alternating_cs(ctx.knot, pattern, ctx.meridian_words)
-            for pattern in _sign_patterns(2)
+            freeness.verify_alternating_cs(ctx.knot, pattern, cs=cs)
+            for pattern, cs in ctx.alternating_cs.items()
         ),
     ),
     Check(
@@ -580,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_knot_args(sub)
     sub.add_argument("--t", type=int, default=2, help=f"max syllable pairs (1..{MAX_T})")
     sub.add_argument("--scan-syllables", type=int, default=0,
-                     help="run the matrix scan up to this many syllables")
+                     help=f"run the matrix scan up to this many syllables (1..{freeness.MAX_SYLLABLES})")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_freeness)
 

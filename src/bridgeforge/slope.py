@@ -106,15 +106,19 @@ class GenusOneKnot:
 
     @classmethod
     def from_fraction(cls, f: Frac) -> "GenusOneKnot":
-        """Recover (m, n, sign) from a slope 2n/(4mn +- 1), or raise."""
+        """Recover (m, n, sign) from a slope 2n/(4mn +- 1), or raise.  When
+        K(f) is the knot of such a slope s/p, s one of p - q, q^-1 and
+        p - q^-1 mod p, the error names s/p instead."""
         q, p = f.num, f.den
-        if not (0 < q < p) or q % 2:
-            raise ValueError(f"{f} is not a genus-one slope")
-        n = q // 2
-        if (p - 1) % (4 * n) == 0 and (p - 1) // (4 * n) >= 1:
-            return cls((p - 1) // (4 * n), n, 1)
-        if (p + 1) % (4 * n) == 0 and (p + 1) // (4 * n) >= 1:
-            return cls((p + 1) // (4 * n), n, -1)
+        inv = pow(q, -1, p) if 0 < q < p else 0
+        for s in (q, p - q, inv, p - inv):
+            n = s // 2
+            for sign in (1, -1):
+                if 0 < s < p and not s % 2 and not (p - sign) % (4 * n) and p - sign >= 4 * n:
+                    if s == q:
+                        return cls((p - sign) // (4 * n), n, sign)
+                    raise ValueError(f"{f} is not 2n/(4mn +- 1), but K({f}) is K({s}/{p}) "
+                                     f"up to mirror image: use {s}/{p}")
         raise ValueError(f"{f} is not a genus-one slope")
 
     def __str__(self):

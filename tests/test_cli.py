@@ -103,7 +103,7 @@ def test_freeness_scan_payload_counts_roots(capsys, monkeypatch):
     code, payload = run_json(capsys, *argv)
     scan = payload["scan"]
     assert code == 0
-    assert scan["words_checked"] == 2 * (3 ** 3 - 1)
+    assert scan["words_checked"] == 2 * (3 ** 3 - 1) and scan["classes_checked"] == 24
     exact = scan["exact"]
     assert exact["words_nontrivial"] == scan["words_checked"]
     assert exact["retried"] == [] and scan["hits"] == []
@@ -115,7 +115,7 @@ def test_freeness_scan_payload_counts_roots(capsys, monkeypatch):
     assert scan["dropped_roots"] == []
     assert not {"roots_scanned", "min_distance"} & set(scan)
     code, out = run_cli(capsys, *argv)
-    assert (f"matrix scan: 52 words at w = {exact['alpha']} mod {modulus}, "
+    assert (f"matrix scan: 52 words in 24 classes at w = {exact['alpha']} mod {modulus}, "
             "52 proven nontrivial (0 retried), hits: 0") in out
     assert "float margins: 4 roots" in out
     _with_bad_iterates(monkeypatch)
@@ -134,6 +134,7 @@ def test_freeness_scan_is_exact_where_floats_failed(capsys, m, n):
     scan = payload["scan"]
     assert code == 0 and scan["hits"] == []
     assert scan["exact"]["words_nontrivial"] == scan["words_checked"] == 13_120
+    assert scan["classes_checked"] == 1_386
 
 
 def test_orbifold_command(capsys):
@@ -166,6 +167,18 @@ def test_epi_command(capsys):
     assert out.splitlines()[0].endswith(": no")
     assert "rt+1 in orbit of r': 8/7 is not in the orbit of {3/5, 1/0}" in out
     assert "basis:" in out
+
+
+@pytest.mark.parametrize("target,message", [
+    # K(3/5) is the figure-eight knot K(2/5); K(4/5) is the torus knot
+    # K(1/5), of genus two
+    ("3/5", "error: 3/5 is not 2n/(4mn +- 1), but K(3/5) is K(2/5) up to mirror image: use 2/5\n"),
+    ("4/5", "error: 4/5 is not a genus-one slope\n"),
+])
+def test_epi_target_outside_the_family(capsys, target, message):
+    assert cli.main(["epi", "--source", "1/3", "--target", target, "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
 
 
 @pytest.mark.parametrize("knob", [["--depth", "2"], ["--neighbors", "1"]])
@@ -322,7 +335,7 @@ def test_scan_syllables_capped(capsys, monkeypatch, command, extra):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for module, name in ((cli.freeness, "no_relation_scan"), (cli.freeness, "_walk"),
+    for module, name in ((cli.freeness, "no_relation_scan"), (cli.freeness, "_class_walk"),
                          (cli.meridians, "long_meridian_words"), (cli, "_verify_cell")):
         monkeypatch.setattr(module, name, no_work)
     k = cli.freeness.MAX_SYLLABLES + extra
@@ -638,3 +651,38 @@ def test_scan_shares_the_meridian_words(capsys, monkeypatch, command, builds):
         monkeypatch.setattr(module, "long_meridian_words", counted)
     assert cli.main([*command, "--json"]) == cli.EXIT_PASS
     assert len(built) == builds
+
+
+def test_verify_all_builds_the_sign_pattern_sequences_once(capsys, monkeypatch):
+    # alternating_cs and alternating_bounds read one set of the 20
+    # sequences per knot
+    built = []
+    real = cli.freeness.alternating_cs_from_runs
+
+    def counted(knot, pattern, mw=None):
+        built.append(knot)
+        return real(knot, pattern, mw)
+
+    monkeypatch.setattr(cli.freeness, "alternating_cs_from_runs", counted)
+    code, payload = run_json(capsys, "verify-all", "--m-max", "2", "--n-max", "2")
+    assert code == cli.EXIT_PASS and len(payload["reports"]) == 8
+    assert len(built) == 20 * 8
+    assert {knot: built.count(knot) for knot in built} == {knot: 20 for knot in set(built)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["relator", "--p", "9", "--q", "2"],
+    ["meridians", "--m", "2", "--n", "1", "--sign", "-"],
+    ["pieces", "--m", "2", "--n", "1", "--sign", "-"],
+    ["freeness", "--m", "2", "--n", "1", "--sign", "-", "--t", "2"],
+    ["freeness", "--m", "2", "--n", "1", "--sign", "-", "--t", "1", "--scan-syllables", "4"],
+    ["reps", "--p", "9", "--q", "2"],
+    ["epi", "--source", "3/5", "--target", "2/5"],
+    ["epi", "--source", "1/7", "--target", "2/5"],
+])
+def test_payloads_are_deterministic(capsys, argv):
+    # perfbench/run.py caches oracle verdicts by payload text, so a field
+    # that changes from run to run (a timing) would grow that cache
+    first = run_cli(capsys, *argv, "--json")
+    assert first[0] == cli.EXIT_PASS
+    assert run_cli(capsys, *argv, "--json") == first

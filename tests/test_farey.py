@@ -249,7 +249,7 @@ def test_epimorphism_exact_negatives():
 
 def test_epimorphism_scope_errors():
     with pytest.raises(ValueError):
-        epimorphism_exists(Frac(2, 5), Frac(1, 3))  # target not genus one
+        epimorphism_exists(Frac(2, 5), Frac(1, 3))  # target not 2n/(4mn +- 1)
     with pytest.raises(ValueError):
         epimorphism_exists(Frac(2, 5), Frac(2, 3))  # torus knot excluded
     with pytest.raises(ValueError):

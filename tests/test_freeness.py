@@ -397,6 +397,124 @@ def test_scan_matches_stack_oracle(m, n, sign, max_syllables, tol):
     assert report.clean and report.words_nontrivial == words
 
 
+def word_walk(gens, modulus, max_syllables):
+    """The word walk the class walk replaced, kept as its oracle: every
+    word of the scan over Z/modulus, in pre-order, (words walked, the
+    words whose image is +-I, as tuples of syllable indices).
+
+    An image in SL2 with b = c = 0 and a = d is +-I, since then a^2 = 1
+    and the modulus is a power of an odd prime (sl2_oracle.modular_rep).
+    The children of a word one syllable short of the limit are leaves:
+    each is tested in place, from its b entry first, and never stacked.
+    """
+    nxt = [[(j, *gens[j]) for j in range(4) if j != i ^ 1] for i in range(4)]
+    leaves = [row[::-1] for row in nxt]  # in the order the stack would pop them
+    stack = [(i, 1, *gens[i]) for i in range(4)]
+    pop, push = stack.pop, stack.append
+    path = [0] * max_syllables  # path[k]: the syllable at depth k + 1
+    suspects = []
+    count = 0
+    while stack:
+        i, depth, a, b, c, d = pop()
+        count += 1
+        path[depth - 1] = i
+        if not b and not c and a == d:
+            suspects.append(tuple(path[:depth]))
+        if depth == max_syllables:
+            continue
+        if depth + 1 < max_syllables:
+            depth += 1
+            for j, e, f, g, h in nxt[i]:
+                push((j, depth, (a * e + b * g) % modulus, (a * f + b * h) % modulus,
+                      (c * e + d * g) % modulus, (c * f + d * h) % modulus))
+            continue
+        count += 3
+        for j, e, f, g, h in leaves[i]:
+            if (a * f + b * h) % modulus or (c * e + d * g) % modulus:
+                continue
+            if (a * e + b * g) % modulus == (c * f + d * h) % modulus:
+                suspects.append((*path[:depth], j))
+    return count, suspects
+
+
+def reduced_words(max_syllables):
+    """Every freely reduced nonempty scan word, as a tuple of syllable indices."""
+    words = frontier = [(i,) for i in range(4)]
+    for _ in range(max_syllables - 1):
+        frontier = [w + (j,) for w in frontier for j in range(4) if j != w[-1] ^ 1]
+        words = words + frontier
+    return words
+
+
+def scan_class(word):
+    """The class the scan tests for a reduced word: the least rotation, in
+    syllable index order, of its cyclic core."""
+    while len(word) > 1 and word[0] == word[-1] ^ 1:
+        word = word[1:-1]
+    return min(word[k:] + word[:k] for k in range(len(word)))
+
+
+def covered(cls, max_syllables):
+    """The words of the scan whose class is cls: r 3^((K - |cls|) // 2),
+    r the number of distinct rotations of cls."""
+    rotations = {cls[k:] + cls[:k] for k in range(len(cls))}
+    return len(rotations) * 3 ** ((max_syllables - len(cls)) // 2)
+
+
+def syllables(word):
+    return "".join(SYLLABLES[i] for i in word)
+
+
+IDENTITY = [(1, 0, 0, 1)] * 4
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_class_walk_tests_each_class_once(k):
+    # with every image I, each class the walk tests is a suspect, so the
+    # suspects are the classes: one per cyclic core up to rotation over
+    # every reduced word, by brute force, each once
+    classes, suspects = freeness._class_walk(IDENTITY, 3, k)
+    assert len(set(suspects)) == len(suspects) == classes
+    assert set(suspects) == {scan_class(w) for w in reduced_words(k)}
+    assert all(scan_class(c) == c for c in suspects)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_classes_cover_every_word(k):
+    # a class c covers r 3^((K - |c|) // 2) words, and the classes cover
+    # all 2(3^K - 1); words_nontrivial subtracts the same count per hit
+    classes, suspects = freeness._class_walk(IDENTITY, 3, k)
+    words = 2 * (3 ** k - 1)
+    assert sum(covered(c, k) for c in suspects) == words
+    if k == 8:
+        assert classes == 1_386
+    hits = [freeness.RetriedWord(syllables(c), [], False) for c in suspects]
+    report = freeness.ScanReport(GenusOneKnot(1, 1, 1), k, [], words, classes, hits)
+    assert report.words_nontrivial == 0
+    report.retried = hits[1:]
+    assert report.words_nontrivial == covered(suspects[0], k)
+
+
+def at_its_prime(rep):
+    """The pair cut down to its prime l: modulus l, alpha mod l."""
+    return dataclasses.replace(rep, modulus=rep.prime, alpha=rep.alpha % rep.prime)
+
+
+@pytest.mark.parametrize("k,words,classes", [(5, 36, 10), (6, 124, 30), (8, 1_152, 134)])
+def test_class_walk_suspects_are_the_classes_of_the_word_walks(k, words, classes):
+    # the trefoil's pair cut down to its prime 3, where many words map to
+    # +-I by coincidence: the classes at +-I are those of the words at +-I
+    knot = GenusOneKnot(1, 1, -1)
+    rep = at_its_prime(sl2_oracle.modular_rep(sl2_oracle.riley_polynomials(knot.fraction)))
+    assert rep.modulus == 3
+    gens = freeness._images(long_meridian_words(knot), rep)
+    walked, word_suspects = word_walk(gens, 3, k)
+    assert walked == 2 * (3 ** k - 1) and len(word_suspects) == words
+    _, class_suspects = freeness._class_walk(gens, 3, k)
+    assert len(class_suspects) == classes
+    assert set(class_suspects) == {scan_class(w) for w in word_suspects}
+
+
 def test_scan_rejects_fewer_than_one_syllable():
     knot = GenusOneKnot(1, 1, 1)
     assert no_relation_scan(knot, 1).words_checked == 4
@@ -407,7 +525,7 @@ def test_scan_rejects_fewer_than_one_syllable():
 
 def test_scan_rejects_more_syllables_than_the_cap(monkeypatch):
     # rejected before the walk, which holds a path as deep as the scan
-    monkeypatch.setattr(freeness, "_walk", None)
+    monkeypatch.setattr(freeness, "_class_walk", None)
     for k in (MAX_SYLLABLES + 1, 10 * MAX_SYLLABLES):
         with pytest.raises(ValueError, match=f"max_syllables must be at least 1 and at most 16, got {k}"):
             no_relation_scan(GenusOneKnot(1, 1, 1), k)
@@ -451,9 +569,15 @@ def test_scan_walks_a_lone_lower_root(monkeypatch, m, n, sign):
 def test_exact_scan_settles_the_float_false_fails(m, n, sign):
     # 16/63 and 8/127: the float scan finds 16 words within 1e-3 of +-I at
     # a small real root; mod l none of the 13,120 words is +-I
-    report = no_relation_scan(GenusOneKnot(m, n, sign), 8)
+    knot = GenusOneKnot(m, n, sign)
+    report = no_relation_scan(knot, 8)
     assert report.words_checked == report.words_nontrivial == 13_120
+    assert report.classes_checked == 1_386
     assert report.clean and report.retried == []
+    # the word walk, the oracle, finds no word at +-I either
+    (rep,) = report.roots
+    gens = freeness._images(long_meridian_words(knot), rep)
+    assert word_walk(gens, rep.modulus, 8) == (13_120, [])
 
 
 def syllable_word(mw, word):
@@ -522,15 +646,14 @@ def test_float_margins_agree_with_the_exact_images():
 
 def test_words_at_identity_are_retried_under_the_next_pair(monkeypatch):
     # the first pair of the trefoil cut down to its prime 3, where 36 of
-    # the 484 words map to +-I by coincidence; the next pair, at the next
-    # prime and its full modulus, proves each nontrivial
+    # the 484 words map to +-I by coincidence, in 10 classes; the next
+    # pair, at the next prime and its full modulus, proves each class
+    # nontrivial, and with it every word
     real = sl2_oracle.modular_rep
 
     def tiny_first(data, above=2):
         rep = real(data, above)
-        if above == 2:
-            return dataclasses.replace(rep, modulus=rep.prime, alpha=rep.alpha % rep.prime)
-        return rep
+        return at_its_prime(rep) if above == 2 else rep
 
     monkeypatch.setattr(sl2_oracle, "modular_rep", tiny_first)
     knot = GenusOneKnot(1, 1, -1)
@@ -538,7 +661,7 @@ def test_words_at_identity_are_retried_under_the_next_pair(monkeypatch):
     report = no_relation_scan(knot, 5, mw)
     (first,) = report.roots
     assert first.prime == first.modulus == 3
-    assert len(report.retried) == 36 and report.clean
+    assert len(report.retried) == 10 and report.clean
     assert report.words_nontrivial == report.words_checked == 2 * (3 ** 5 - 1)
     second = real(sl2_oracle.riley_polynomials(knot.fraction), 3)
     assert second.prime > 3 and second.modulus > 1 << 27
@@ -547,37 +670,43 @@ def test_words_at_identity_are_retried_under_the_next_pair(monkeypatch):
         word = syllable_word(mw, retried.word)
         assert is_pm_identity(sl2_oracle.modular_image(word, first))
         assert not is_pm_identity(sl2_oracle.modular_image(word, second))
+    # the retried classes are those of the word walk's 36 words
+    _, words = word_walk(freeness._images(mw, first), 3, 5)
+    assert len(words) == 36
+    assert sorted(r.word for r in report.retried) == sorted({syllables(scan_class(w)) for w in words})
 
 
 def test_first_pair_proves_every_word_on_the_8x8_grid():
-    # every knot with m, n <= 8 at K = 6: no word is retried
+    # every knot with m, n <= 8 at K = 6: no class is retried, and the
+    # word walk under the same pair finds no word at +-I
     for m in range(1, 9):
         for n in range(1, 9):
             for sign in (1, -1):
-                report = no_relation_scan(GenusOneKnot(m, n, sign), 6)
+                knot = GenusOneKnot(m, n, sign)
+                mw = long_meridian_words(knot)
+                report = no_relation_scan(knot, 6, mw)
                 assert report.words_checked == 2 * (3 ** 6 - 1)
                 assert report.retried == [], (m, n, sign)
+                (rep,) = report.roots
+                gens = freeness._images(mw, rep)
+                assert word_walk(gens, rep.modulus, 6) == (report.words_checked, []), (m, n, sign)
 
 
 def test_words_at_identity_under_every_pair_are_hits():
     # hand-built x_l = y_l = a: a word maps to a^k, k its exponent sum,
-    # which is I exactly when k = 0, under every pair.  Those words are
-    # the hits, each with three pairs at distinct primes as its witness
+    # which is I exactly when k = 0, under every pair.  The classes of
+    # those words are the hits, each with three pairs at distinct primes
+    # as its witness, and together they cover exactly the balanced words
     mw = hand_built(parse_word("a"), parse_word("a"))
     report = no_relation_scan(GenusOneKnot(1, 1, 1), 4, mw)
-    exponent = {"x": 1, "X": -1, "y": 1, "Y": -1}
-    balanced = [
-        "".join(w)
-        for k in range(1, 5)
-        for w in product(SYLLABLES, repeat=k)
-        if sum(exponent[s] for s in w) == 0
-        and all(b != a.swapcase() for a, b in zip(w, w[1:]))
-    ]
-    assert sorted(h.word for h in report.hits) == sorted(balanced)
+    exponent = (1, -1, 1, -1)
+    balanced = [w for w in reduced_words(4) if sum(exponent[i] for i in w) == 0]
+    classes = {syllables(scan_class(w)) for w in balanced}
+    assert sorted(h.word for h in report.hits) == sorted(classes)
     assert not report.clean
     assert report.words_nontrivial == report.words_checked - len(balanced)
     retried = {r.word: r for r in report.retried}
-    assert sorted(retried) == sorted(balanced)
+    assert sorted(retried) == sorted(classes)
     for hit in report.hits:
         assert len({rep.prime for rep in hit.pairs}) == 3
         assert retried[hit.word].pairs == hit.pairs and not retried[hit.word].nontrivial
