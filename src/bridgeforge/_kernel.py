@@ -9,12 +9,12 @@ other offset.
 max_piece_table finds those maxima from the sorted order of the 2n
 rotations: the longest common prefix (LCP) a rotation shares with any
 other is the larger of its LCPs with its two sorted neighbours (the
-suffix-array idea of Kasai et al., CPM 2001).  Rotations are length-n
-slices of the doubled words encoded as bytes, and each is keyed by the
-integer int.from_bytes(slice, "big").  All slices have n bytes, so the
-keys sort as the bytes do, and two keys first differ in the byte where
-the slices do: the XOR of sorted neighbours has (n - LCP) significant
-bytes, so one XOR and one bit_length give each LCP, in C.
+suffix-array idea of Kasai et al., CPM 2001).  With -2, -1, 1, 2 as the
+base-4 digits 0..3, in order, a doubled row is one int and rotation s
+is its n digits at s, (row >> 2(n - s)) & (4^n - 1): the keys sort as
+the words do.  Two keys first differ in the digit where the rotations
+do: the XOR of sorted neighbours has (n - LCP) significant digits, so
+one XOR and one bit_length give each LCP, in C.
 
 reach_table gives, for every offset s and every k up to kmax, how far
 from s at most k pieces reach.  Pieces are prefix-closed, so the spans k
@@ -32,6 +32,8 @@ import operator
 
 IMPL = "pure"
 
+_DIGIT = {-2: "0", -1: "1", 1: "2", 2: "3"}  # base 4, in letter order
+
 
 def encode(word):
     """A word over +-1, +-2 as bytes: each letter shifted up by 2."""
@@ -39,8 +41,8 @@ def encode(word):
 
 
 def doubled_rows(letters):
-    """The encoded words u u and u^-1 u^-1.  Rotation s of u (of u^-1) is
-    the length-n slice at s of the first (second) row."""
+    """The encoded words u u and u^-1 u^-1, searched by find.  Rotation s
+    of u (of u^-1) is the length-n slice at s of the first (second) row."""
     return encode(letters) * 2, bytes(2 - x for x in reversed(letters)) * 2
 
 
@@ -50,15 +52,21 @@ def max_piece_table(letters):
     Returns (fwd, bwd): fwd[s] is the largest L such that the length-L
     cyclic subword of u starting at offset s is a piece; bwd[s] the same
     for u^-1.  Entries are 0 where even the single letter is unique, and
-    n where two of the 2n rotations are the same word.
+    n where two of the 2n rotations are the same word.  A letter other
+    than -2, -1, 1, 2 raises ValueError.
     """
     n = len(letters)
     if n == 0:
         return [], []
-    fwd_row, bwd_row = doubled_rows(letters)
-    key = int.from_bytes
-    keys = [key(fwd_row[s:s + n], "big") for s in range(n)]
-    keys += [key(bwd_row[s:s + n], "big") for s in range(n)]
+    try:
+        digits = "".join([_DIGIT[x] for x in letters])
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]!r} is not one of -2, -1, 1, 2") from None
+    mask = (1 << 2 * n) - 1
+    keys = []
+    for row in (digits, "".join([_DIGIT[-x] for x in reversed(letters)])):
+        row = int(row * 2, 4)
+        keys += [row >> shift & mask for shift in range(2 * n, 0, -2)]
     order = sorted(range(2 * n), key=keys.__getitem__)
     best = [0] * (2 * n)
     i = order[0]
@@ -66,7 +74,7 @@ def max_piece_table(letters):
     for j in order[1:]:
         kj = keys[j]
         # equal keys (two equal rotations) give n
-        lcp = n - ((ki ^ kj).bit_length() + 7) // 8
+        lcp = n - ((ki ^ kj).bit_length() + 1) // 2
         if lcp > best[i]:
             best[i] = lcp
         if lcp > best[j]:

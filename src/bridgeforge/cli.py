@@ -305,6 +305,8 @@ def _cmd_orbifold(args) -> int:
     r = Frac(2 * args.m, 4 * args.m * args.m - 1)
     if args.slope:
         slopes = [_parse_slope(args.slope, "--slope")]
+    elif args.m < 2:
+        raise ValueError("the standard arcs need --m at least 2; give --slope")
     else:
         slopes = [Frac(1, 2 * args.m - 1), Frac(1, 2 * args.m + 1)]
     verdicts = [orbifold.subgroup_verdict(s, r) for s in slopes]

@@ -13,8 +13,9 @@ C(p) reads the (p-1)-piece reach table of row 0, O(p n): the table is
 suffix-closed, so each level follows the reach of the one before.  T(4)
 collects the (first, last) letter classes, O(n).  The piece shapes are
 matched one sign run at a time against a trie of the listed shapes,
-O(n b) for shapes of at most b runs.  The three-piece shape reads the 2-
-and 3-piece reach tables and sweeps the shape windows once.
+O(n b) for shapes of at most b runs, skipping every offset whose longest
+piece is as long as the longest shape.  The three-piece shape reads the
+2- and 3-piece reach tables and sweeps the shape windows once.
 """
 
 from __future__ import annotations
@@ -161,16 +162,16 @@ def check_T(R: SymmetrizedSet) -> bool:
     of r1, r2, r3) takes its elements from the (first, last) letter
     classes (-l3, l1), (-l1, l2) and (-l2, l3), so T(4) fails exactly
     when some of the 64 letter triples finds all three classes occupied.
-    Element (d, s) of R, rotation s of u (d = 0) or of u^-1 (d = 1), has
-    first letter row[s] and last letter row[s - 1] of its doubled row,
-    so one linear pass collects the classes.
+    Element (d, s + 1) of R, rotation s + 1 of u (d = 0) or of u^-1
+    (d = 1), has first letter row[s + 1] and last letter row[s] of its
+    doubled row, so one zip over each row collects the classes.
     """
     # The inverse exclusions never bind.  r2 = r1^-1 lies in class
     # (-l1, -first(r1)) = (-l1, l3), so it needs l2 = l3, and then r3
     # would need class (-l3, l3): first letter inverse to last, which no
     # rotation of a cyclically reduced word has.  r3 = r2^-1 and
     # r1 = r3^-1 likewise empty the class of r1 or of r2.
-    ends = {(row[s], row[s - 1]) for row in R.doubled for s in range(R.n)}
+    ends = set().union(*(zip(row[1:R.n + 1], row) for row in R.doubled))
     letters = (1, -1, 2, -2)
     return not any(
         (-l3, l1) in ends and (-l1, l2) in ends and (-l2, l3) in ends
@@ -256,13 +257,19 @@ def shapes_are_pieces(R: SymmetrizedSet, pats) -> bool:
     there is at least as long.  The walk finds it one sign run at a time:
     every run but the last must be a full run of the subword and match a
     trie edge, and the last may be cut short.  An offset costs one step
-    per run walked, at most the longest shape's run count.
-    """
+    per run walked, at most the longest shape's run count.  No matched
+    subword is longer than the longest shape: offsets and rows whose
+    longest piece reaches that length are skipped."""
     trie = _pattern_trie(pats)
+    longest_shape = max(map(sum, pats), default=0)
     n = R.n
     for row, piece_len in zip(R.doubled, R.piece_len):
+        if min(piece_len) >= longest_shape:
+            continue
         run_end = _run_ends(row)
         for s in range(n):
+            if piece_len[s] >= longest_shape:
+                continue
             stop = s + n  # the subwords at s lie in row[s:stop]
             i, node, longest = s, trie, 0
             while node is not None:

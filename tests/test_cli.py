@@ -303,6 +303,18 @@ def test_orbifold_rejects_nonpositive_m(capsys, m):
     assert "--m must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_orbifold_m1_needs_slope(capsys, json_flag):
+    # the standard arcs 1/(2m - 1), 1/(2m + 1) are the paper's only for m >= 2
+    assert cli.main(["orbifold", "--m", "1", *json_flag]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the standard arcs need --m at least 2; give --slope\n"
+    code, payload = run_json(capsys, "orbifold", "--m", "1", "--slope", "1/3")
+    assert code == 0
+    assert payload["slope"] == "2/3" and payload["verdicts"][0]["proper"] is True
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
 def test_reps_rejects_tol_outside_gate(capsys, tol):
     # nan and inf would switch the residual gate off; tol <= 0 drops every root

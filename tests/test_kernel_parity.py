@@ -2,7 +2,9 @@
 
 max_piece_table sorts the rotations by integer key and takes each
 neighbour LCP from the XOR of two keys; the oracle extends each
-rotation's prefix while any other rotation still shares it.
+rotation's prefix while any other rotation still shares it.  The
+earlier byte-key table, bytes_max_piece_table, is kept here as the
+reference for the packed base-4 keys.
 min_pieces_span is checked against a dynamic program over all piece
 lengths.
 
@@ -65,6 +67,39 @@ def brute_max_piece(word):
                     others = [(r, s2) for r, s2 in others if r[s2 + lcp] == letter]
             out[d][s] = lcp
     return out
+
+
+def bytes_max_piece_table(letters):
+    """Longest-piece lengths per rotation offset, for u and for u^-1.
+
+    Returns (fwd, bwd): fwd[s] is the largest L such that the length-L
+    cyclic subword of u starting at offset s is a piece; bwd[s] the same
+    for u^-1.  Entries are 0 where even the single letter is unique, and
+    n where two of the 2n rotations are the same word.
+    """
+    # the kernel before base-4 packing: each rotation an n-byte slice of
+    # the encoded doubled rows, keyed by int.from_bytes
+    n = len(letters)
+    if n == 0:
+        return [], []
+    fwd_row, bwd_row = _kernel.doubled_rows(letters)
+    key = int.from_bytes
+    keys = [key(fwd_row[s:s + n], "big") for s in range(n)]
+    keys += [key(bwd_row[s:s + n], "big") for s in range(n)]
+    order = sorted(range(2 * n), key=keys.__getitem__)
+    best = [0] * (2 * n)
+    i = order[0]
+    ki = keys[i]
+    for j in order[1:]:
+        kj = keys[j]
+        # equal keys (two equal rotations) give n
+        lcp = n - ((ki ^ kj).bit_length() + 7) // 8
+        if lcp > best[i]:
+            best[i] = lcp
+        if lcp > best[j]:
+            best[j] = lcp
+        i, ki = j, kj
+    return best[:n], best[n:]
 
 
 def brute_min_span(piece_len, start, length):
@@ -273,3 +308,37 @@ def test_span_greedy_matches_dp_on_arbitrary_tables(P, data):
     start = data.draw(st.integers(min_value=0, max_value=len(P) - 1))
     length = data.draw(st.integers(min_value=0, max_value=len(P)))
     assert _kernel.min_pieces_span(P, start, length) == brute_min_span(P, start, length)
+
+
+def test_packed_table_matches_byte_keys_and_brute_force_on_grid():
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for sign in (1, -1):
+                u = list(relator(GenusOneKnot(m, n, sign).fraction).u)
+                got = _kernel.max_piece_table(u)
+                assert got == bytes_max_piece_table(u) == tuple(brute_max_piece(u)), (m, n, sign)
+
+
+def test_packed_table_matches_byte_keys_and_brute_force_on_random_words():
+    # the words and proper powers of test_max_piece_table_on_random_words
+    for w, power in random_words_and_powers(400, random.Random(9)):
+        w = list(w)
+        assert _kernel.max_piece_table(w) == bytes_max_piece_table(w) == tuple(brute_max_piece(w)), w
+        power = list(power)
+        assert _kernel.max_piece_table(power) == bytes_max_piece_table(power), power
+
+
+@pytest.mark.parametrize("m,n", [(24, 24), (1, 24), (24, 1)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_table_matches_byte_keys_on_large_grid_corners(m, n, sign):
+    # up to n = 2 * 2305 letters, too long for the brute-force oracle
+    u = list(relator(GenusOneKnot(m, n, sign).fraction).u)
+    assert _kernel.max_piece_table(u) == bytes_max_piece_table(u)
+
+
+@pytest.mark.parametrize("bad", [0, 3, -3])
+def test_max_piece_table_rejects_letters_outside_alphabet(bad):
+    # 0 once encoded as a byte between -1 and 1 and passed; 3 and -3 failed
+    # only inside bytes()
+    with pytest.raises(ValueError, match=f"letter {bad} is not one of"):
+        _kernel.max_piece_table([1, 2, bad, 2])

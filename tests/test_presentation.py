@@ -1,5 +1,6 @@
 import pytest
 
+from bridgeforge import presentation, words
 from bridgeforge.presentation import (
     canonical_decomposition,
     epsilon_sequence,
@@ -69,6 +70,29 @@ def test_relator_structure_sweep():
             assert len(rel.u) == 2 * p
             assert free_reduce(rel.u) == rel.u
             assert is_cyclically_alternating(rel.u)
+
+
+def _tampered_inverse(position, letter):
+    """words.inverse with the letter at position replaced."""
+    def tampered(word):
+        out = list(words.inverse(word))
+        out[position] = letter
+        return tuple(out)
+    return tampered
+
+
+@pytest.mark.parametrize("position,letter", [
+    (0, -2),   # abaBA b B...: an adjacent inverse pair
+    (-1, -1),  # a...A: the first letter inverse to the last
+    (0, 2),    # abaBA b b...: two adjacent letters of one generator
+])
+def test_relator_validation_rejects_tampered_words(monkeypatch, position, letter):
+    # u = a uhat b uhat^-1 with uhat = baBA at 2/5; the one cyclically
+    # alternating check stands for reducedness and cyclic reducedness too
+    assert relator(Frac(2, 5)).u == (1, 2, 1, -2, -1, 2, 1, 2, -1, -2)
+    monkeypatch.setattr(presentation, "inverse", _tampered_inverse(position, letter))
+    with pytest.raises(AssertionError, match="not cyclically alternating"):
+        relator(Frac(2, 5))
 
 
 def test_relator_rejects_links():

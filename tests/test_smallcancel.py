@@ -274,6 +274,16 @@ def test_check_C_below_two_is_vacuous():
         assert check_C(R, 2) == span_check_C(R, 2) is True
 
 
+@pytest.mark.parametrize("bad", [0, 3, -3])
+def test_symmetrized_set_rejects_letters_outside_alphabet(bad):
+    with pytest.raises(ValueError, match=f"letter {bad} is not one of"):
+        SymmetrizedSet((bad, 1, 2))
+    # a pattern with such a letter occurs in no relator word
+    R = SymmetrizedSet(relator(Frac(2, 5)).u)
+    assert R.find((bad,)) is None
+    assert R.find((1, bad)) is None
+
+
 def test_piece_checks_match_oracles_on_grid():
     # on every knot of the 10x10 grid C(4) holds, C(5) fails and the
     # listed shapes are pieces, by check_C and shapes_are_pieces and by
@@ -414,6 +424,30 @@ def test_shapes_match_letter_scan_on_random_tables():
         assert verdict == letter_shapes_are_pieces(R, pats), (u, pats)
         verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+def test_shapes_match_letter_scan_across_longest_shape():
+    # piece tables with about a third of their entries capped a few
+    # letters either side of the longest shape's length: every row has
+    # offsets that the length bound skips and offsets that the trie walk
+    # must decide
+    rng = random.Random(14)
+    verdicts = set()
+    for knot, R in grid_sets(6):
+        pats = _piece_patterns(knot)
+        longest = max(map(sum, pats))
+        rows = []
+        for row in R.piece_len:
+            row = [min(x, longest + rng.randint(-2, 2)) if rng.random() < 0.3 else x for x in row]
+            low, high = rng.sample(range(R.n), 2)
+            row[low], row[high] = min(row[low], longest - 1), max(row[high], longest)
+            assert min(row) < longest <= max(row)
+            rows.append(row)
+        R.piece_len = tuple(rows)
+        verdict = shapes_are_pieces(R, pats)
+        assert verdict == letter_shapes_are_pieces(R, pats), knot
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_verify_three_piece_examples():
