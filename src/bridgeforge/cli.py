@@ -49,11 +49,13 @@ EXIT_TRUNCATED = 3
 MAX_T = 6
 
 
-def _emit(payload: dict, as_json: bool, human_lines) -> None:
+def _emit(payload: dict, as_json: bool, human_lines: Callable[[], list[str]]) -> None:
+    """Print the payload as JSON, or else the lines human_lines() returns;
+    under --json the lines are never built."""
     if as_json:
         print(json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True))
     else:
-        for line in human_lines:
+        for line in human_lines():
             print(line)
 
 
@@ -91,13 +93,12 @@ def _cmd_relator(args) -> int:
         "cyclic_s_sequence": list(cs),
         "epsilons": list(rel.epsilons),
     }
-    lines = [
+    _emit(payload, args.json, lambda: [
         f"relator for slope {args.q}/{args.p}:",
-        f"  u  = {word_str(rel.u)}   (length {len(rel.u)})",
-        f"  S  = {tuple(s_sequence(rel.u))}",
+        f"  u  = {payload['word']}   (length {len(rel.u)})",
+        f"  S  = {tuple(payload['s_sequence'])}",
         f"  CS = {tuple(cs)}",
-    ]
-    _emit(payload, args.json, lines)
+    ])
     return EXIT_PASS
 
 
@@ -117,20 +118,19 @@ def _cmd_meridians(args) -> int:
         "s_sequences": {k: list(s_sequence(v)) for k, v in fields.items()},
         "verified": meridians.verify_meridian_forms(knot, mw),
     }
-    lines = [f"long meridian pair for {knot} (slope {knot.fraction}):"]
-    lines += [
-        f"  {name:3s} = {word_str(w)}   S = {s_sequence(w)}"
-        for name, w in fields.items()
-    ]
-    lines.append(f"  raw/closed-form agreement: {payload['verified']}")
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: [
+        f"long meridian pair for {knot} (slope {knot.fraction}):",
+        *(f"  {name:3s} = {payload['words'][name]}   S = {tuple(payload['s_sequences'][name])}"
+          for name in fields),
+        f"  raw/closed-form agreement: {payload['verified']}",
+    ])
     return EXIT_PASS if payload["verified"] else EXIT_FAIL
 
 
 def _cmd_pieces(args) -> int:
     knot = _knot_from_args(args)
-    rel = presentation.relator(knot.fraction)
-    R = smallcancel.SymmetrizedSet(rel.u)
+    ctx = CheckContext.for_knot(knot)
+    R = ctx.R
     if args.word is not None:
         w = parse_word(args.word)
         if R.find(w) is None:
@@ -142,12 +142,11 @@ def _cmd_pieces(args) -> int:
                 "min_pieces": None,
                 "note": "not a subword of any relator word",
             }
-            lines = [
+            _emit(payload, args.json, lambda: [
                 f"word {args.word} against the symmetrized set of {knot}:",
                 "  not a subword of any relator word (is_piece = "
                 f"{payload['is_piece']}, min_pieces undefined)",
-            ]
-            _emit(payload, args.json, lines)
+            ])
             return EXIT_PASS
         report = smallcancel.piece_report(w, R)
         mp = report.min_pieces
@@ -158,14 +157,12 @@ def _cmd_pieces(args) -> int:
             "is_piece": report.is_piece,
             "min_pieces": None if mp is smallcancel.UNREPRESENTABLE else mp,
         }
-        lines = [
+        _emit(payload, args.json, lambda: [
             f"word {args.word} against the symmetrized set of {knot}:",
             f"  is_piece   = {report.is_piece}",
             f"  min_pieces = {mp}",
-        ]
-        _emit(payload, args.json, lines)
+        ])
         return EXIT_PASS
-    ctx = CheckContext(knot, R, 0)
     checks = {c.name: c.run(ctx) for c in CHECKS if c.name in _PIECE_CHECKS}
     payload = {
         "command": "pieces",
@@ -173,9 +170,10 @@ def _cmd_pieces(args) -> int:
         "elements": len(R),
         "checks": checks,
     }
-    lines = [f"small cancellation battery for {knot} ({len(R)} relator words):"]
-    lines += [f"  {name:12s} {'pass' if ok else 'FAIL'}" for name, ok in checks.items()]
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: [
+        f"small cancellation battery for {knot} ({len(R)} relator words):",
+        *(f"  {name:12s} {'pass' if ok else 'FAIL'}" for name, ok in checks.items()),
+    ])
     return EXIT_PASS if all(checks.values()) else EXIT_FAIL
 
 
@@ -265,7 +263,7 @@ def _cmd_freeness(args) -> int:
             + ("none" if max_residual is None else f"{max_residual:.3e}")
         )
         all_ok &= report.clean
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: lines)
     return EXIT_PASS if all_ok else EXIT_FAIL
 
 
@@ -295,7 +293,7 @@ def _cmd_reps(args) -> int:
         f"  omega = {rep.omega:.12g}   relator residual {rep.residual:.3e}"
         for rep in reps
     ]
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: lines)
     return EXIT_PASS if reps else EXIT_FAIL
 
 
@@ -325,15 +323,12 @@ def _cmd_orbifold(args) -> int:
             for v in verdicts
         ],
     }
-    lines = [
-        f"dihedral quotient data for slope {r} (homology order {r.den}):"
-    ]
-    lines += [
-        f"  arc {str(v.slope):8s} image order {v.dihedral_image_order:4d}  "
-        f"{'proper' if v.proper else 'NOT proper'}"
-        for v in verdicts
-    ]
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: [
+        f"dihedral quotient data for slope {r} (homology order {r.den}):",
+        *(f"  arc {str(v.slope):8s} image order {v.dihedral_image_order:4d}  "
+          f"{'proper' if v.proper else 'NOT proper'}"
+          for v in verdicts),
+    ])
     return EXIT_PASS if all(v.proper for v in verdicts) else EXIT_FAIL
 
 
@@ -376,18 +371,26 @@ def _cmd_epi(args) -> int:
             for route, s in result.searches.items()
         ]
         lines.append(f"  basis: {farey.EPI_BASIS}")
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: lines)
     return EXIT_PASS
 
 
 @dataclass(frozen=True)
 class CheckContext:
-    """What a check reads: the knot, the symmetrized set of its relator
-    (built once per knot) and the matrix-scan depth (0 for no scan)."""
+    """What a check reads: the knot, its relator and the relator's
+    symmetrized set (each built once per knot) and the matrix-scan depth
+    (0 for no scan)."""
 
     knot: GenusOneKnot
+    rel: presentation.Relator
     R: smallcancel.SymmetrizedSet
     scan_syllables: int
+
+    @classmethod
+    def for_knot(cls, knot: GenusOneKnot, scan_syllables: int = 0) -> CheckContext:
+        """The context of knot, with its one relator and set built here."""
+        rel = presentation.relator(knot.fraction)
+        return cls(knot, rel, smallcancel.SymmetrizedSet(rel.u), scan_syllables)
 
     @functools.cached_property
     def meridian_words(self) -> meridians.MeridianWords:
@@ -416,13 +419,13 @@ class Check:
 # only under --scan), pieces the _PIECE_CHECKS.  Each run looks its
 # library function up when it runs, so tracing sees the call.
 CHECKS = (
-    Check("relator_cs", lambda ctx: presentation.verify_cs_closed_form(ctx.knot)),
+    Check("relator_cs", lambda ctx: presentation.verify_cs_closed_form(ctx.knot, ctx.rel)),
     Check(
         "meridian_forms",
         lambda ctx: meridians.verify_meridian_forms(ctx.knot, ctx.meridian_words),
     ),
-    Check("piece_prop", lambda ctx: smallcancel.verify_piece_prop(ctx.knot)),
-    Check("three_piece", lambda ctx: smallcancel.verify_three_piece_property(ctx.knot)),
+    Check("piece_prop", lambda ctx: smallcancel.verify_piece_prop(ctx.knot, ctx.rel)),
+    Check("three_piece", lambda ctx: smallcancel.verify_three_piece_property(ctx.knot, ctx.rel)),
     Check("C4", lambda ctx: smallcancel.check_C(ctx.R, 4)),
     Check("T4", lambda ctx: smallcancel.check_T(ctx.R)),
     Check(
@@ -461,8 +464,7 @@ _PIECE_CHECKS = ("piece_prop", "three_piece", "C4", "T4")
 def _verify_cell(cell) -> dict:
     m, n, sign, scan_syllables = cell
     knot = GenusOneKnot(m, n, sign)
-    R = smallcancel.SymmetrizedSet(presentation.relator(knot.fraction).u)
-    ctx = CheckContext(knot, R, scan_syllables)
+    ctx = CheckContext.for_knot(knot, scan_syllables)
     checks = []
     for check in CHECKS:
         if check.name == "matrix_scan" and not scan_syllables:
@@ -533,18 +535,13 @@ def _cmd_verify_all(args) -> int:
         "missing_cells": [list(c[:3]) for c in missing],
         "failures": n_fail,
     }
-    lines = []
-    for r in reports:
-        knot = GenusOneKnot(r["m"], r["n"], r["sign"])
-        summary = " ".join(
-            f"{c['name']}={c['status']}" for c in r["checks"]
-        )
-        lines.append(f"{str(knot):10s} {summary}")
-    lines.append(
+    _emit(payload, args.json, lambda: [
+        *(f"{str(GenusOneKnot(r['m'], r['n'], r['sign'])):10s} "
+          + " ".join(f"{c['name']}={c['status']}" for c in r["checks"])
+          for r in reports),
         f"{len(reports)} knots checked, {n_fail} failures"
-        + (", TRUNCATED" if truncated else "")
-    )
-    _emit(payload, args.json, lines)
+        + (", TRUNCATED" if truncated else ""),
+    ])
     if n_fail:
         return EXIT_FAIL
     if truncated:

@@ -1,9 +1,16 @@
 """Two-generator relator of a two-bridge knot group and its S-sequence data.
 
-For a slope q/p (p odd) the group has presentation <a, b | u> where
+For a slope q/p (p odd, q even) the group has presentation <a, b | u>
+where
 
     u = a * uhat * b * uhat^-1,
     uhat = b^e1 a^e2 b^e3 ... a^e(p-1),   ei = (-1)^floor(i*q/p).
+
+The recipe is for even q only: for odd q the word it spells is not a
+relator (at 1/3 it is ababAB, whose Alexander polynomial 2t - 1 is not
+symmetric), so relator refuses odd q and names the mirror slope
+(p - q)/p, whose knot is the mirror image of K(q/p).  Every double-twist
+slope 2n/(4mn +- 1) has an even numerator.
 
 The relator is cyclically alternating of length 2p.  For double-twist
 slopes the cyclic S-sequence of u is literally S1 + S2 + S1 + S2, with
@@ -42,10 +49,14 @@ class Relator:
 
 
 def relator(f: Frac) -> Relator:
-    """Build the relator of q/p (p odd), checked cyclically alternating."""
+    """Build the relator of q/p (p odd, q even), checked cyclically
+    alternating."""
     q, p = f.num, f.den
     if p % 2 == 0:
         raise ValueError("even denominator is a two-bridge link, not a knot")
+    if q % 2:
+        raise ValueError(f"{f} has an odd numerator, which the relator recipe does not "
+                         f"take, but K({f}) is K({p - q}/{p}) up to mirror image: use {p - q}/{p}")
     eps = epsilon_sequence(p, q)
     # uhat alternates b, a, b, a, ... with the epsilon signs
     u_hat = tuple((2 if i % 2 else 1) * eps[i - 1] for i in range(1, p))
@@ -70,12 +81,11 @@ def canonical_decomposition(knot: GenusOneKnot) -> CanonicalDecomposition:
     return CanonicalDecomposition((2 * m,) * (2 * n - 1), (2 * m - 1,))
 
 
-def verify_cs_closed_form(knot: GenusOneKnot) -> bool:
-    """Computed cyclic S-sequence of the relator vs S1 + S2 + S1 + S2,
-    literally: q is even, so e(p-i) = -e(i), and u = a uhat b uhat^-1 has
-    the signs (+, e1, ..., e(p-1)) twice, ending in e(p-1) = -e1 = -.  So
-    no runs merge, u starts with S1's first run and, for sign -, ends with
-    the 2m - 1 of S2."""
-    u = relator(knot.fraction).u
+def verify_cs_closed_form(knot: GenusOneKnot, rel: Relator) -> bool:
+    """Cyclic S-sequence of the knot's relator rel (built by the caller)
+    vs S1 + S2 + S1 + S2, literally: q is even, so e(p-i) = -e(i), and
+    u = a uhat b uhat^-1 has the signs (+, e1, ..., e(p-1)) twice, ending
+    in e(p-1) = -e1 = -.  So no runs merge, u starts with S1's first run
+    and, for sign -, ends with the 2m - 1 of S2."""
     s1, s2 = canonical_decomposition(knot)
-    return cyclic_s_sequence(u) == s1 + s2 + s1 + s2
+    return cyclic_s_sequence(rel.u) == s1 + s2 + s1 + s2

@@ -20,20 +20,21 @@ piece is as long as the longest shape.  The three-piece shape reads the
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernel
-from .presentation import canonical_decomposition, relator
+from .presentation import Relator, canonical_decomposition
 from .slope import GenusOneKnot
 from .words import (
     Word,
     cyclic_s_sequence,
     inverse,
     is_cyclically_reduced,
+    s_sequence,
 )
 
 UNREPRESENTABLE = math.inf
@@ -290,15 +291,15 @@ def shapes_are_pieces(R: SymmetrizedSet, pats) -> bool:
     return True
 
 
-def verify_piece_prop(knot: GenusOneKnot) -> bool:
-    """Piece characterization battery for one knot.
+def verify_piece_prop(knot: GenusOneKnot, rel: Relator) -> bool:
+    """Piece characterization battery for one knot, on its relator rel
+    (built by the caller; the symmetrized set is built here).
 
     Checks that S1 and S2 are palindromic and occur exactly twice in the
     cyclic S-sequence of the relator, and that every subword of the
     relator or its inverse whose S-sequence matches the listed shapes is
     a piece.
     """
-    rel = relator(knot.fraction)
     R = SymmetrizedSet(rel.u)
     s1, s2 = canonical_decomposition(knot)
     if s1 != s1[::-1] or s2 != s2[::-1]:
@@ -309,43 +310,25 @@ def verify_piece_prop(knot: GenusOneKnot) -> bool:
     return shapes_are_pieces(R, _piece_patterns(knot))
 
 
-def verify_three_piece_property(knot: GenusOneKnot) -> bool:
-    """Every length-minimal 3-piece subword of the relator contains a
-    subword of S-sequence shape (S1, S2, l) or (l, S2, S1).
+def _shape_windows(u: Word, head: tuple, tail: tuple) -> list[tuple[int, int]]:
+    """(start, end) of every window over four periods of the relator u
+    that is the full runs head plus the first letter of the next run, or
+    the last letter of the run before plus the full runs tail (run
+    lengths as tuples), in ascending order of start.  Run 0 and the last run are never a
+    window's full runs.
 
-    Containment is monotone in the subword length, so per starting offset
-    only the shortest subword needing exactly three pieces is checked.
-
-    The shape windows are read off four periods of the relator: runs
-    other than the first and last are full runs of the periodic word, and
-    every cyclic position has an untruncated copy inside [n, 3n).  A
-    window of shape (S1, S2, l) is the full runs S1 + S2 and the first
-    letter of the next run; one of shape (l, S2, S1) is the last letter of
-    the run before and the full runs S2 + S1.  No relator run is longer
-    than the first and last runs of S1 (2m + 1 for sign +, 2m for sign -),
-    so no matching subword cuts a run there.  One backward sweep over the
-    window starts keeps the earliest end among the windows starting at or
-    after s + n.
+    u starts with a and ends with a negative letter (u = a uhat b uhat^-1
+    and uhat starts with b^e1, e1 = +), so no run crosses a period seam
+    and the runs of four periods are those of one period, four times.
     """
-    rel = relator(knot.fraction)
-    R = SymmetrizedSet(rel.u)
-    s1, s2 = canonical_decomposition(knot)
-    n = R.n
-    reach = _kernel.reach_table(R.piece_len[0], 3)
-    r2, r3 = reach[2], reach[3]
-
-    letters4 = rel.u * 4
-    total = 4 * n
+    if not u[0] > 0 > u[-1]:
+        raise AssertionError("a run of the relator crosses its period seam")
+    lens = s_sequence(u) * 4
     # starts[j]: the first index of run j; starts[-1] closes the last run
-    starts = [0, *(i for i in range(1, total)
-                   if (letters4[i] > 0) != (letters4[i - 1] > 0)), total]
-    lens = list(map(operator.sub, starts[1:], starts[:-1]))
-    head = list(s1 + s2)  # shape (S1, S2, l): full runs then one letter
-    tail = list(s2 + s1)  # shape (l, S2, S1): one letter then full runs
+    starts = [0, *itertools.accumulate(lens)]
     k = len(head)
-    # (start, end) of every window; a tail window at run j starts one
-    # letter before a head window at j and not before one at j - 1, so
-    # the starts come out in ascending order
+    # a tail window at run j starts one letter before a head window at j
+    # and not before one at j - 1, so the starts come out in ascending order
     windows = []
     for j in range(1, len(lens) - k):  # runs j .. j + k - 1, and one more
         shape = lens[j:j + k]
@@ -353,8 +336,36 @@ def verify_three_piece_property(knot: GenusOneKnot) -> bool:
             windows.append((starts[j] - 1, starts[j + k]))
         if shape == head:
             windows.append((starts[j], starts[j + k] + 1))
+    return windows
 
-    best_end = total + 1
+
+def verify_three_piece_property(knot: GenusOneKnot, rel: Relator) -> bool:
+    """Every length-minimal 3-piece subword of the knot's relator rel
+    (built by the caller; the symmetrized set is built here) contains a
+    subword of S-sequence shape (S1, S2, l) or (l, S2, S1).
+
+    Containment is monotone in the subword length, so per starting offset
+    only the shortest subword needing exactly three pieces is checked.
+
+    The shape windows (_shape_windows) are read off the runs of four
+    periods of the relator: runs other than the first and last are full
+    runs of the periodic word, and every cyclic position has an
+    untruncated copy inside [n, 3n).  A window of shape (S1, S2, l) is
+    the full runs S1 + S2 and the first letter of the next run; one of
+    shape (l, S2, S1) is the last letter of the run before and the full
+    runs S2 + S1.  No relator run is longer than the first and last runs
+    of S1 (2m + 1 for sign +, 2m for sign -), so no matching subword cuts
+    a run there.  One backward sweep over the window starts keeps the
+    earliest end among the windows starting at or after s + n.
+    """
+    R = SymmetrizedSet(rel.u)
+    s1, s2 = canonical_decomposition(knot)
+    n = R.n
+    reach = _kernel.reach_table(R.piece_len[0], 3)
+    r2, r3 = reach[2], reach[3]
+    windows = _shape_windows(rel.u, s1 + s2, s2 + s1)
+
+    best_end = 4 * n + 1
     w = len(windows)
     for s in range(n - 1, -1, -1):
         while w and windows[w - 1][0] >= s + n:

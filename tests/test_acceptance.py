@@ -21,7 +21,6 @@ from bridgeforge.meridians import long_meridian_words, verify_meridian_forms
 from bridgeforge.orbifold import standard_arcs_proper
 from bridgeforge.presentation import canonical_decomposition, relator
 from bridgeforge.slope import INFINITY, Frac, GenusOneKnot
-from bridgeforge.smallcancel import SymmetrizedSet
 from bridgeforge.words import (
     alt_word,
     apply_f,
@@ -91,7 +90,7 @@ def test_criterion_3_small_cancellation():
     ok = True
     checks = [c for c in CHECKS if c.name in _PIECE_CHECKS]
     for knot in grid(4, 4):
-        ctx = CheckContext(knot, SymmetrizedSet(relator(knot.fraction).u), 0)
+        ctx = CheckContext.for_knot(knot)
         ok &= all(c.applies(knot) and c.run(ctx) for c in checks)
     _report(3, f"piece battery with {_kernel.IMPL} kernel, grid 4x4", ok,
             time.perf_counter() - t0, 120.0)

@@ -262,6 +262,16 @@ def test_bad_value_exit_code(capsys):
     assert cli.main(["relator", "--p", "4", "--q", "1"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_relator_odd_numerator_names_the_mirror_slope(capsys, json_flag):
+    # the recipe's word at 1/3, ababAB, is not a relator of the trefoil
+    assert cli.main(["relator", "--p", "3", "--q", "1", *json_flag]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 1/3 has an odd numerator, which the relator recipe does not "
+                            "take, but K(1/3) is K(2/3) up to mirror image: use 2/3\n")
+
+
 @pytest.mark.parametrize("command", ["relator", "reps"])
 def test_non_coprime_slope_rejected(capsys, command):
     # 3/9 must not be silently reduced to 1/3
@@ -663,6 +673,86 @@ def test_scan_shares_the_meridian_words(capsys, monkeypatch, command, builds):
         monkeypatch.setattr(module, "long_meridian_words", counted)
     assert cli.main([*command, "--json"]) == cli.EXIT_PASS
     assert len(built) == builds
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call of owner.name, wherever a
+    bridgeforge module holds that function."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("bridgeforge"):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def _count_set_builds(monkeypatch):
+    built = []
+    real = cli.smallcancel.SymmetrizedSet.__init__
+
+    def counted(self, u):
+        built.append(u)
+        real(self, u)
+
+    monkeypatch.setattr(cli.smallcancel.SymmetrizedSet, "__init__", counted)
+    return built
+
+
+def test_pieces_builds_the_relator_once(capsys, monkeypatch):
+    # the context's relator feeds every check; each piece check still
+    # builds its own symmetrized set
+    relators = _count_calls(monkeypatch, cli.presentation, "relator")
+    sets = _count_set_builds(monkeypatch)
+    code, payload = run_json(capsys, "pieces", "--m", "2", "--n", "1", "--sign", "-")
+    assert code == cli.EXIT_PASS and all(payload["checks"].values())
+    assert len(relators) == 1 and len(sets) == 3
+
+
+def test_verify_cell_builds_the_relator_once(monkeypatch):
+    relators = _count_calls(monkeypatch, cli.presentation, "relator")
+    sets = _count_set_builds(monkeypatch)
+    report = cli._verify_cell((2, 2, -1, 0))
+    assert {c["status"] for c in report["checks"]} == {"pass"}
+    assert len(report["checks"]) == 9
+    assert len(relators) == 1 and len(sets) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["relator", "--p", "9", "--q", "2"],
+    ["meridians", "--m", "2", "--n", "1", "--sign", "-"],
+    ["pieces", "--m", "2", "--n", "1", "--sign", "-"],
+    ["pieces", "--m", "1", "--n", "1", "--sign", "-", "--word", "ba"],
+    ["pieces", "--m", "1", "--n", "1", "--sign", "+", "--word", "aa"],
+    ["freeness", "--m", "2", "--n", "1", "--sign", "-", "--t", "1"],
+    ["reps", "--p", "9", "--q", "2"],
+    ["orbifold", "--m", "2"],
+    ["epi", "--source", "3/5", "--target", "2/5"],
+    ["verify-all", "--m-max", "1", "--n-max", "1"],
+])
+def test_text_lines_are_built_only_without_json(capsys, monkeypatch, argv):
+    built = []
+    real = cli._emit
+
+    def spying(payload, as_json, human_lines):
+        def lines():
+            built.append(as_json)
+            return human_lines()
+        real(payload, as_json, lines)
+
+    monkeypatch.setattr(cli, "_emit", spying)
+    assert cli.main([*argv, "--json"]) == cli.EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["schema"] == cli.SCHEMA
+    assert built == []
+    assert cli.main(argv) == cli.EXIT_PASS
+    assert capsys.readouterr().out.strip()
+    assert built == [False]
 
 
 def test_verify_all_builds_the_sign_pattern_sequences_once(capsys, monkeypatch):

@@ -1,10 +1,12 @@
 """The piece kernels against brute-force oracles.
 
 max_piece_table sorts the rotations by integer key and takes each
-neighbour LCP from the XOR of two keys; the oracle extends each
-rotation's prefix while any other rotation still shares it.  The
-earlier byte-key table, bytes_max_piece_table, is kept here as the
-reference for the packed base-4 keys.
+neighbour LCP from the XOR of two keys; the brute-force oracle extends
+each rotation's prefix while any other rotation still shares it, and the
+definition-level oracle find_max_piece binary-searches the longest
+prefix that bytes.find finds at a second offset.  The earlier byte-key
+table, bytes_max_piece_table, is kept here as the reference for the
+packed base-4 keys.
 min_pieces_span is checked against a dynamic program over all piece
 lengths.
 
@@ -66,6 +68,40 @@ def brute_max_piece(word):
                     letter = row[s + lcp]
                     others = [(r, s2) for r, s2 in others if r[s2 + lcp] == letter]
             out[d][s] = lcp
+    return out
+
+
+def find_max_piece(word):
+    """The longest-piece table by the definition: for each rotation, the
+    longest prefix that bytes.find also finds at another offset below n
+    of the doubled rows u u and u^-1 u^-1 (each letter shifted up by 2).
+    A prefix of a piece is a piece, so a binary search on the prefix
+    length finds it."""
+    n = len(word)
+    rows = tuple(bytes(x + 2 for x in w) * 2 for w in (word, inverse(word)))
+
+    def shared(d, s, length):
+        pattern = rows[d][s:s + length]
+        stop = n - 1 + length  # matches start below n
+        for d2, row in enumerate(rows):
+            at = row.find(pattern, 0, stop)
+            if d2 == d and at == s:
+                at = row.find(pattern, s + 1, stop)
+            if at >= 0:
+                return True
+        return False
+
+    out = ([0] * n, [0] * n)
+    for d in (0, 1):
+        for s in range(n):
+            lo, hi = 0, n  # shared(d, s, lo) holds; the answer is <= hi
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if shared(d, s, mid):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            out[d][s] = lo
     return out
 
 
@@ -310,13 +346,27 @@ def test_span_greedy_matches_dp_on_arbitrary_tables(P, data):
     assert _kernel.min_pieces_span(P, start, length) == brute_min_span(P, start, length)
 
 
+def test_find_oracle_matches_brute_force():
+    # the two oracles agree on the 6x6 grid and on the random words and
+    # proper powers, where every entry is n
+    words = [relator(GenusOneKnot(m, n, sign).fraction).u
+             for m in range(1, 7) for n in range(1, 7) for sign in (1, -1)]
+    for pair in random_words_and_powers(400, random.Random(9)):
+        words.extend(pair)
+    for w in words:
+        assert find_max_piece(w) == brute_max_piece(w), w
+
+
 def test_packed_table_matches_byte_keys_and_brute_force_on_grid():
+    # the definition-level oracle stands for brute_max_piece here: the
+    # grid's pieces run to hundreds of letters, where extending each
+    # prefix one letter at a time against every rotation takes 30 s
     for m in range(1, 13):
         for n in range(1, 13):
             for sign in (1, -1):
                 u = list(relator(GenusOneKnot(m, n, sign).fraction).u)
                 got = _kernel.max_piece_table(u)
-                assert got == bytes_max_piece_table(u) == tuple(brute_max_piece(u)), (m, n, sign)
+                assert got == bytes_max_piece_table(u) == tuple(find_max_piece(u)), (m, n, sign)
 
 
 def test_packed_table_matches_byte_keys_and_brute_force_on_random_words():

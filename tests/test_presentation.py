@@ -66,10 +66,69 @@ def test_relator_structure_sweep():
 
             if gcd(p, q) != 1:
                 continue
+            if q % 2:
+                # the recipe is for even q; the error names the mirror slope
+                with pytest.raises(ValueError, match=f"use {p - q}/{p}$"):
+                    relator(Frac(q, p))
+                continue
             rel = relator(Frac(q, p))
             assert len(rel.u) == 2 * p
             assert free_reduce(rel.u) == rel.u
             assert is_cyclically_alternating(rel.u)
+
+
+def recipe_word(p, q):
+    """a uhat b uhat^-1 with uhat = b^e1 a^e2 ... a^e(p-1), for any q."""
+    eps = oracle_epsilons(p, q)
+    u_hat = tuple((2 if i % 2 else 1) * eps[i - 1] for i in range(1, p))
+    return (1, *u_hat, 2, *words.inverse(u_hat))
+
+
+def alexander_polynomial(word):
+    """The Fox derivative d(word)/da under a -> t, b -> 1/t, as its
+    coefficient list from the lowest power of t, with a positive leading
+    coefficient: the Alexander polynomial when word is a knot group's
+    relator (a and b^-1 are conjugate meridians)."""
+    coeff = {}
+    e = 0  # the exponent of t that the prefix read so far maps to
+    for letter in word:
+        if letter == 1:
+            coeff[e] = coeff.get(e, 0) + 1
+        elif letter == -1:
+            coeff[e - 1] = coeff.get(e - 1, 0) - 1
+        e += 1 if letter in (1, -2) else -1
+    assert e == 0  # the word maps to 1
+    powers = [k for k, c in coeff.items() if c]
+    poly = [coeff.get(k, 0) for k in range(min(powers), max(powers) + 1)]
+    return poly if poly[-1] > 0 else [-c for c in poly]
+
+
+def test_alexander_polynomial_examples():
+    assert alexander_polynomial(recipe_word(3, 1)) == [-1, 2]   # ababAB: not a knot
+    assert alexander_polynomial(relator(Frac(2, 3)).u) == [1, -1, 1]   # trefoil
+    assert alexander_polynomial(relator(Frac(2, 5)).u) == [1, -3, 1]   # figure eight
+
+
+def test_relator_has_a_knot_alexander_polynomial_for_even_q_only():
+    # a knot's Alexander polynomial is palindromic with value +-1 at t = 1;
+    # the recipe meets that exactly for even q, and relator takes only those
+    passed = failed = 0
+    for p in range(3, 40, 2):
+        for q in range(1, p):
+            from math import gcd
+
+            if gcd(p, q) != 1:
+                continue
+            word = recipe_word(p, q)
+            poly = alexander_polynomial(word)
+            is_knot = poly == poly[::-1] and abs(sum(poly)) == 1
+            assert is_knot == (q % 2 == 0), (q, p, poly)
+            if q % 2 == 0:
+                assert relator(Frac(q, p)).u == word
+                passed += 1
+            else:
+                failed += 1
+    assert passed == failed == 158
 
 
 def _tampered_inverse(position, letter):
@@ -119,15 +178,16 @@ def test_decomposition_is_palindromic_and_sums_to_relator_length():
 def test_cs_closed_form_examples():
     assert cyclic_s_sequence(relator(Frac(2, 5)).u) == (3, 2, 3, 2)
     assert cyclic_s_sequence(relator(Frac(2, 3)).u) == (2, 1, 2, 1)
-    assert verify_cs_closed_form(GenusOneKnot(1, 1, 1))
-    assert verify_cs_closed_form(GenusOneKnot(1, 1, -1))
+    for knot in (GenusOneKnot(1, 1, 1), GenusOneKnot(1, 1, -1)):
+        assert verify_cs_closed_form(knot, relator(knot.fraction))
 
 
 def test_cs_closed_form_sweep():
     for m in range(1, 11):
         for n in range(1, 11):
             for sign in (1, -1):
-                assert verify_cs_closed_form(GenusOneKnot(m, n, sign))
+                knot = GenusOneKnot(m, n, sign)
+                assert verify_cs_closed_form(knot, relator(knot.fraction))
 
 
 def test_literal_closed_form_matches_the_rotation_oracle():
@@ -140,4 +200,4 @@ def test_literal_closed_form_matches_the_rotation_oracle():
                 s1, s2 = canonical_decomposition(knot)
                 cs = cyclic_s_sequence(relator(knot.fraction).u)
                 assert cyclic_seq_eq(cs, s1 + s2 + s1 + s2)
-                assert verify_cs_closed_form(knot)
+                assert verify_cs_closed_form(knot, relator(knot.fraction))

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from bisect import bisect_left
 from functools import lru_cache
@@ -389,9 +390,8 @@ def test_trefoil_two_piece_word():
 
 
 def test_verify_piece_prop_examples():
-    assert verify_piece_prop(GenusOneKnot(1, 1, 1))
-    assert verify_piece_prop(GenusOneKnot(2, 2, -1))
-    assert verify_piece_prop(GenusOneKnot(1, 1, -1))
+    for knot in (GenusOneKnot(1, 1, 1), GenusOneKnot(2, 2, -1), GenusOneKnot(1, 1, -1)):
+        assert verify_piece_prop(knot, relator(knot.fraction))
 
 
 def test_shapes_match_letter_scan_on_lowered_rows():
@@ -451,9 +451,8 @@ def test_shapes_match_letter_scan_across_longest_shape():
 
 
 def test_verify_three_piece_examples():
-    assert verify_three_piece_property(GenusOneKnot(1, 1, 1))
-    assert verify_three_piece_property(GenusOneKnot(1, 1, -1))
-    assert verify_three_piece_property(GenusOneKnot(2, 1, 1))
+    for knot in (GenusOneKnot(1, 1, 1), GenusOneKnot(1, 1, -1), GenusOneKnot(2, 1, 1)):
+        assert verify_three_piece_property(knot, relator(knot.fraction))
 
 
 def linear_runs(letters):
@@ -518,30 +517,93 @@ def walk_three_piece(knot, s1, s2):
     return True
 
 
+def run_start_windows(u, head, tail):
+    """smallcancel._shape_windows by scanning the 4n letters of four
+    periods for run starts, which handles a run across a period seam."""
+    letters4 = u * 4
+    total = len(letters4)
+    starts = [0, *(i for i in range(1, total)
+                   if (letters4[i] > 0) != (letters4[i - 1] > 0)), total]
+    lens = list(map(operator.sub, starts[1:], starts[:-1]))
+    head, tail = list(head), list(tail)
+    k = len(head)
+    windows = []
+    for j in range(1, len(lens) - k):
+        shape = lens[j:j + k]
+        if shape == tail:
+            windows.append((starts[j] - 1, starts[j + k]))
+        if shape == head:
+            windows.append((starts[j], starts[j + k] + 1))
+    return windows
+
+
+def perturbed_shapes(s1, s2):
+    """The true shapes, swapped, S1 with every run one longer, S2 without
+    its last run, and S1 with its first run one longer."""
+    return (
+        (s1, s2),
+        (s2, s1),
+        (tuple(x + 1 for x in s1), s2),
+        (s1, s2[:-1]),
+        ((s1[0] + 1,) + s1[1:], s2),
+    )
+
+
+def test_shape_windows_match_run_start_scan_on_grid(monkeypatch):
+    # the runs of one period, four times, give the windows of the letter
+    # scan for every shape of the 24x24 grid, and with the letter scan in
+    # its place verify_three_piece_property gives the same verdicts
+    verdicts = set()
+    for m in range(1, 25):
+        for n in range(1, 25):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                rel = relator(knot.fraction)
+                true_shape = canonical_decomposition(knot)
+                for s1, s2 in perturbed_shapes(*true_shape):
+                    got = smallcancel._shape_windows(rel.u, s1 + s2, s2 + s1)
+                    assert got == run_start_windows(rel.u, s1 + s2, s2 + s1), (knot, s1, s2)
+                    assert got or (s1, s2) != true_shape  # the true shapes occur
+                verdict = verify_three_piece_property(knot, rel)
+                with monkeypatch.context() as patch:
+                    patch.setattr(smallcancel, "_shape_windows", run_start_windows)
+                    assert verify_three_piece_property(knot, rel) == verdict, knot
+                verdicts.add(verdict)
+    assert verdicts == {True}
+
+
+def test_shape_windows_refuse_a_run_across_the_seam():
+    # every relator starts with a and ends with a negative letter; a word
+    # whose first and last runs share a sign is refused, not mishandled
+    u = relator(Frac(2, 5)).u
+    assert u[0] == 1 and u[-1] < 0
+    for word in (u[1:] + u[:1], u[-1:] + u[:-1]):
+        with pytest.raises(AssertionError, match="period seam"):
+            smallcancel._shape_windows(word, (3, 2), (2, 3))
+
+
 def test_three_piece_matches_run_walk_on_perturbed_shapes(monkeypatch):
-    # the true shapes, swapped, S1 with every run one longer, S2 without
-    # its last run, and S1 with its first run one longer, on the 8x8
-    # grid: the one-pass check and the run walk give the same verdicts.
-    # Both read whole runs only, which the true shapes allow because no
-    # relator run is longer than the first and last runs of S1
+    # the perturbed shapes on the 8x8 grid: the one-pass check, the same
+    # check on the windows of the letter scan, and the run walk give the
+    # same verdicts.  All read whole runs only, which the true shapes
+    # allow because no relator run is longer than the first and last
+    # runs of S1
     verdicts = []
     for m in range(1, 9):
         for n in range(1, 9):
             for sign in (1, -1):
                 knot = GenusOneKnot(m, n, sign)
+                rel = relator(knot.fraction)
                 s1, s2 = canonical_decomposition(knot)
-                assert max(cyclic_s_sequence(relator(knot.fraction).u)) == s1[0] == s1[-1]
-                for shape in (
-                    (s1, s2),
-                    (s2, s1),
-                    (tuple(x + 1 for x in s1), s2),
-                    (s1, s2[:-1]),
-                    ((s1[0] + 1,) + s1[1:], s2),
-                ):
+                assert max(cyclic_s_sequence(rel.u)) == s1[0] == s1[-1]
+                for shape in perturbed_shapes(s1, s2):
                     monkeypatch.setattr(smallcancel, "canonical_decomposition",
                                         lambda _knot, shape=shape: shape)
-                    verdict = verify_three_piece_property(knot)
+                    verdict = verify_three_piece_property(knot, rel)
                     assert verdict == walk_three_piece(knot, *shape), (knot, shape)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(smallcancel, "_shape_windows", run_start_windows)
+                        assert verify_three_piece_property(knot, rel) == verdict, (knot, shape)
                     verdicts.append(verdict)
     assert len(verdicts) == 640 and True in verdicts and False in verdicts
 
@@ -573,7 +635,7 @@ def test_three_piece_against_brute_force():
             for L in range(1, len(u) + 1)
             if mp(tuple(dbl[s : s + L])) == 3
         )
-        assert verify_three_piece_property(knot) == expected == True
+        assert verify_three_piece_property(knot, rel) == expected == True
 
 
 def test_battery_sweep_small():
@@ -581,8 +643,9 @@ def test_battery_sweep_small():
         for n in range(1, 3):
             for sign in (1, -1):
                 knot = GenusOneKnot(m, n, sign)
-                R = SymmetrizedSet(relator(knot.fraction).u)
-                assert verify_piece_prop(knot)
-                assert verify_three_piece_property(knot)
+                rel = relator(knot.fraction)
+                R = SymmetrizedSet(rel.u)
+                assert verify_piece_prop(knot, rel)
+                assert verify_three_piece_property(knot, rel)
                 assert check_C(R, 4)
                 assert check_T(R)
