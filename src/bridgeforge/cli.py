@@ -6,8 +6,9 @@ check failed or a check could not run (a RuntimeError, such as a matrix
 scan finding no simple root of the Riley polynomial mod any prime tried,
 or an AssertionError, a word the library built failing its own validation
 in presentation, meridians, freeness or farey; an "error:" line goes to
-stderr), 2 usage error (--t above MAX_T and --scan-syllables above
-freeness.MAX_SYLLABLES included), 3 resource truncation.  The freeness
+stderr; or stdout closed by its reader, with no line), 2 usage error
+(--t above MAX_T and --scan-syllables above freeness.MAX_SYLLABLES
+included), 3 resource truncation.  The freeness
 scan block names its exact pair by prime, modulus (a power of prime) and
 alpha, and the pairs of a retried or hit class as [modulus, alpha].
 """
@@ -36,7 +37,7 @@ from . import (
     smallcancel,
 )
 from .slope import Frac, GenusOneKnot, parse_fraction
-from .words import cyclic_s_sequence, parse_word, s_sequence, word_str
+from .words import parse_word, s_sequence, word_str
 
 SCHEMA = "bridge-forge/1"
 
@@ -82,22 +83,22 @@ def _parse_slope(text: str, flag: str) -> Frac:
 
 def _cmd_relator(args) -> int:
     rel = presentation.relator(_slope_from_args(args))
-    cs = cyclic_s_sequence(rel.u)
+    # no run crosses the seam, so the S-sequence is the cyclic one
     payload = {
         "command": "relator",
         "p": args.p,
         "q": args.q,
         "word": word_str(rel.u),
         "length": len(rel.u),
-        "s_sequence": list(s_sequence(rel.u)),
-        "cyclic_s_sequence": list(cs),
+        "s_sequence": list(rel.runs),
+        "cyclic_s_sequence": list(rel.runs),
         "epsilons": list(rel.epsilons),
     }
     _emit(payload, args.json, lambda: [
         f"relator for slope {args.q}/{args.p}:",
         f"  u  = {payload['word']}   (length {len(rel.u)})",
-        f"  S  = {tuple(payload['s_sequence'])}",
-        f"  CS = {tuple(cs)}",
+        f"  S  = {rel.runs}",
+        f"  CS = {rel.runs}",
     ])
     return EXIT_PASS
 
@@ -133,34 +134,21 @@ def _cmd_pieces(args) -> int:
     R = ctx.R
     if args.word is not None:
         w = parse_word(args.word)
-        if R.find(w) is None:
-            payload = {
-                "command": "pieces",
-                "m": knot.m, "n": knot.n, "sign": knot.sign,
-                "word": args.word,
-                "is_piece": smallcancel.is_piece(w, R),
-                "min_pieces": None,
-                "note": "not a subword of any relator word",
-            }
-            _emit(payload, args.json, lambda: [
-                f"word {args.word} against the symmetrized set of {knot}:",
-                "  not a subword of any relator word (is_piece = "
-                f"{payload['is_piece']}, min_pieces undefined)",
-            ])
-            return EXIT_PASS
-        report = smallcancel.piece_report(w, R)
-        mp = report.min_pieces
+        mp = smallcancel.min_pieces(w, R) if R.find(w) is not None else None
         payload = {
             "command": "pieces",
             "m": knot.m, "n": knot.n, "sign": knot.sign,
             "word": args.word,
-            "is_piece": report.is_piece,
+            "is_piece": smallcancel.is_piece(w, R),
             "min_pieces": None if mp is smallcancel.UNREPRESENTABLE else mp,
         }
+        if mp is None:
+            payload["note"] = "not a subword of any relator word"
         _emit(payload, args.json, lambda: [
             f"word {args.word} against the symmetrized set of {knot}:",
-            f"  is_piece   = {report.is_piece}",
-            f"  min_pieces = {mp}",
+            *([f"  not a subword of any relator word (is_piece = {payload['is_piece']}, "
+               "min_pieces undefined)"] if mp is None else
+              [f"  is_piece   = {payload['is_piece']}", f"  min_pieces = {mp}"]),
         ])
         return EXIT_PASS
     checks = {c.name: c.run(ctx) for c in CHECKS if c.name in _PIECE_CHECKS}
@@ -312,7 +300,7 @@ def _cmd_orbifold(args) -> int:
         "command": "orbifold",
         "m": args.m,
         "slope": str(r),
-        "homology_order": orbifold.homology_order(r),
+        "homology_order": r.den,
         "verdicts": [
             {
                 "arc_slope": str(v.slope),
@@ -416,8 +404,8 @@ class Check:
 
 
 # The battery, in report order.  verify-all runs every check (matrix_scan
-# only under --scan), pieces the _PIECE_CHECKS.  Each run looks its
-# library function up when it runs, so tracing sees the call.
+# only with --scan-syllables above 0), pieces the _PIECE_CHECKS.  Each run
+# looks its library function up when it runs, so tracing sees the call.
 CHECKS = (
     Check("relator_cs", lambda ctx: presentation.verify_cs_closed_form(ctx.knot, ctx.rel)),
     Check(
@@ -439,10 +427,8 @@ CHECKS = (
     ),
     Check(
         "alternating_bounds",
-        lambda ctx: all(
-            freeness.verify_alternating_cs(ctx.knot, pattern, cs=cs)
-            for pattern, cs in ctx.alternating_cs.items()
-        ),
+        lambda ctx: all(freeness.forbidden_terms_ok(ctx.knot, cs)
+                        for cs in ctx.alternating_cs.values()),
     ),
     Check(
         "dihedral_orders",
@@ -503,10 +489,8 @@ def _cmd_verify_all(args) -> int:
         )
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    if args.scan and not args.scan_syllables:
-        raise ValueError("--scan needs --scan-syllables of at least 1")
     cells = [
-        (m, n, sign, args.scan_syllables if args.scan else 0)
+        (m, n, sign, args.scan_syllables)
         for m in range(1, args.m_max + 1)
         for n in range(1, args.n_max + 1)
         for sign in (1, -1)
@@ -564,61 +548,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification battery for genus-one two-bridge knot groups",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # every subcommand takes --json, declared once here
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
 
-    sub = subs.add_parser("relator", help="relator word and S-sequences")
+    sub = subs.add_parser("relator", help="relator word and S-sequences", parents=[json_flag])
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_relator)
 
-    sub = subs.add_parser("meridians", help="long meridian pair words")
+    sub = subs.add_parser("meridians", help="long meridian pair words", parents=[json_flag])
     _add_knot_args(sub)
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_meridians)
 
-    sub = subs.add_parser("pieces", help="piece queries and C(4)/T(4) checks")
+    sub = subs.add_parser("pieces", help="piece queries and C(4)/T(4) checks", parents=[json_flag])
     _add_knot_args(sub)
     sub.add_argument("--word", help="word in a/A/b/B syntax to analyze")
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_pieces)
 
-    sub = subs.add_parser("freeness", help="alternating-word S-sequence checks")
+    sub = subs.add_parser("freeness", help="alternating-word S-sequence checks", parents=[json_flag])
     _add_knot_args(sub)
     sub.add_argument("--t", type=int, default=2, help=f"max syllable pairs (1..{MAX_T})")
     sub.add_argument("--scan-syllables", type=int, default=0,
                      help=f"run the matrix scan up to this many syllables (1..{freeness.MAX_SYLLABLES})")
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_freeness)
 
-    sub = subs.add_parser("reps", help="parabolic representation roots")
+    sub = subs.add_parser("reps", help="parabolic representation roots", parents=[json_flag])
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
     sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_reps)
 
-    sub = subs.add_parser("orbifold", help="dihedral quotient subgroup orders")
+    sub = subs.add_parser("orbifold", help="dihedral quotient subgroup orders", parents=[json_flag])
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--slope", help="arc slope u/v (default: both standard arcs)")
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_orbifold)
 
-    sub = subs.add_parser("epi", help="exact epimorphism test by Farey orbit descent")
+    sub = subs.add_parser("epi", help="exact epimorphism test by Farey orbit descent",
+                          parents=[json_flag])
     sub.add_argument("--source", required=True, help="source slope q/p")
     sub.add_argument("--target", required=True, help="target slope q/p")
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_epi)
 
-    sub = subs.add_parser("verify-all", help="full battery over an (m, n) grid")
+    sub = subs.add_parser("verify-all", help="full battery over an (m, n) grid", parents=[json_flag])
     sub.add_argument("--m-max", type=int, required=True)
     sub.add_argument("--n-max", type=int, required=True)
-    sub.add_argument("--scan", action="store_true",
-                     help="include the exact matrix scan")
-    sub.add_argument("--scan-syllables", type=int, default=4)
+    sub.add_argument("--scan-syllables", type=int, default=0,
+                     help=f"run the matrix scan up to this many syllables (1..{freeness.MAX_SYLLABLES})")
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--max-seconds", type=float, default=0.0,
                      help="soft time budget; exceeding it truncates the grid")
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(fn=_cmd_verify_all)
     return parser
 
@@ -626,7 +605,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send the rest to devnull, so the flush
+        # at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -158,7 +158,10 @@ def alternating_cs_closed_form(knot: GenusOneKnot, sign_pairs) -> tuple[int, ...
     return tuple(out)
 
 
-def _forbidden_terms_ok(knot: GenusOneKnot, cs) -> bool:
+def forbidden_terms_ok(knot: GenusOneKnot, cs) -> bool:
+    """The forbidden-term facts for a sign-pattern word's cyclic
+    S-sequence cs: below 2m + 1 for sign +, never 2m - 1 for sign - with
+    m >= 2, never 1 for (1, n >= 2, -), and in {2, 3, 4} for (1, 1, -)."""
     m, n = knot.m, knot.n
     if knot.sign > 0:
         return all(t < 2 * m + 1 for t in cs)
@@ -169,22 +172,20 @@ def _forbidden_terms_ok(knot: GenusOneKnot, cs) -> bool:
     return all(t in (2, 3, 4) for t in cs)
 
 
-def verify_alternating_cs(
-    knot: GenusOneKnot, sign_pairs, mw: MeridianWords | None = None, cs=None
-) -> bool:
-    """Computed cyclic S-sequence vs closed form, literally, plus forbidden terms.
+def verify_alternating_cs(knot: GenusOneKnot, sign_pairs, mw: MeridianWords | None = None) -> bool:
+    """Computed cyclic S-sequence (alternating_cs_from_runs with mw) vs
+    closed form, literally, plus forbidden terms.
 
     For the (1, 1, -) slope only the membership bound {2, 3, 4} applies.
-    The sequence is cs if given, else alternating_cs_from_runs with mw.
     """
-    cs = alternating_cs_from_runs(knot, sign_pairs, mw) if cs is None else cs
+    cs = alternating_cs_from_runs(knot, sign_pairs, mw)
     try:
         closed = alternating_cs_closed_form(knot, sign_pairs)
     except UnsupportedCaseError:
         closed = None
     if closed is not None and cs != closed:
         return False
-    return _forbidden_terms_ok(knot, cs)
+    return forbidden_terms_ok(knot, cs)
 
 
 @dataclass

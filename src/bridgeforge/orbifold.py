@@ -19,31 +19,6 @@ from .slope import Frac
 
 
 @dataclass(frozen=True)
-class HomologyClass:
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    @property
-    def order(self) -> int:
-        return self.modulus // gcd(self.modulus, self.value)
-
-
-def homology_order(f: Frac) -> int:
-    """Order p of the first homology of the double branched cover."""
-    return f.den
-
-
-def arc_class(s: Frac, p: int) -> HomologyClass:
-    """Homology class of the lifted arc of slope u/v: v mod p."""
-    return HomologyClass(s.den, p)
-
-
-@dataclass(frozen=True)
 class SubgroupVerdict:
     slope: Frac
     order_in_homology: int
@@ -52,9 +27,10 @@ class SubgroupVerdict:
 
 
 def subgroup_verdict(s: Frac, f: Frac) -> SubgroupVerdict:
-    """Order data of the meridian-pair subgroup image in the dihedral quotient."""
-    p = homology_order(f)
-    order = arc_class(s, p).order
+    """Order data of the meridian-pair subgroup image in the dihedral
+    quotient: the arc's class v mod p in Z/p has order p / gcd(p, v)."""
+    p = f.den
+    order = p // gcd(p, s.den)
     return SubgroupVerdict(s, order, 2 * order, order < p)
 
 

@@ -12,9 +12,11 @@ symmetric), so relator refuses odd q and names the mirror slope
 (p - q)/p, whose knot is the mirror image of K(q/p).  Every double-twist
 slope 2n/(4mn +- 1) has an even numerator.
 
-The relator is cyclically alternating of length 2p.  For double-twist
-slopes the cyclic S-sequence of u is literally S1 + S2 + S1 + S2, with
-the closed forms checked by verify_cs_closed_form.
+The relator is cyclically alternating of length 2p, starts with a and
+ends with a negative letter, so no run crosses the period seam and its
+runs (Relator.runs) are both its S-sequence and its cyclic S-sequence.
+For double-twist slopes they are literally S1 + S2 + S1 + S2, with the
+closed forms checked by verify_cs_closed_form.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ class Relator:
     epsilons: tuple[int, ...]
     u_hat: Word
     u: Word
+    runs: tuple[int, ...]
 
 
 def relator(f: Frac) -> Relator:
     """Build the relator of q/p (p odd, q even), checked cyclically
-    alternating."""
+    alternating and with no run across its period seam, and its runs."""
     q, p = f.num, f.den
     if p % 2 == 0:
         raise ValueError("even denominator is a two-bridge link, not a knot")
@@ -65,7 +68,9 @@ def relator(f: Frac) -> Relator:
     # a cyclically alternating word is reduced and cyclically reduced
     if len(u) != 2 * p or not is_cyclically_alternating(u):
         raise AssertionError("relator is not cyclically alternating of length 2p")
-    return Relator(f, eps, u_hat, u)
+    if not u[0] > 0 > u[-1]:
+        raise AssertionError("a run of the relator crosses its period seam")
+    return Relator(f, eps, u_hat, u, cyclic_s_sequence(u))
 
 
 class CanonicalDecomposition(NamedTuple):
@@ -82,10 +87,10 @@ def canonical_decomposition(knot: GenusOneKnot) -> CanonicalDecomposition:
 
 
 def verify_cs_closed_form(knot: GenusOneKnot, rel: Relator) -> bool:
-    """Cyclic S-sequence of the knot's relator rel (built by the caller)
-    vs S1 + S2 + S1 + S2, literally: q is even, so e(p-i) = -e(i), and
+    """The runs of the knot's relator rel (built by the caller) vs
+    S1 + S2 + S1 + S2, literally: q is even, so e(p-i) = -e(i), and
     u = a uhat b uhat^-1 has the signs (+, e1, ..., e(p-1)) twice, ending
     in e(p-1) = -e1 = -.  So no runs merge, u starts with S1's first run
     and, for sign -, ends with the 2m - 1 of S2."""
     s1, s2 = canonical_decomposition(knot)
-    return cyclic_s_sequence(rel.u) == s1 + s2 + s1 + s2
+    return rel.runs == s1 + s2 + s1 + s2

@@ -23,19 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernel
 from .presentation import Relator, canonical_decomposition
 from .slope import GenusOneKnot
-from .words import (
-    Word,
-    cyclic_s_sequence,
-    inverse,
-    is_cyclically_reduced,
-    s_sequence,
-)
+from .words import Word, inverse, is_cyclically_reduced
 
 UNREPRESENTABLE = math.inf
 
@@ -120,17 +113,6 @@ def min_pieces(v: Word, R: SymmetrizedSet):
     d, s = loc
     t = _kernel.min_pieces_span(R.piece_len[d], s, len(v))
     return UNREPRESENTABLE if t < 0 else t
-
-
-@dataclass(frozen=True)
-class PieceReport:
-    word: Word
-    is_piece: bool
-    min_pieces: object  # positive int or UNREPRESENTABLE
-
-
-def piece_report(v: Word, R: SymmetrizedSet) -> PieceReport:
-    return PieceReport(tuple(v), is_piece(v, R), min_pieces(v, R))
 
 
 def check_C(R: SymmetrizedSet, p: int) -> bool:
@@ -304,26 +286,22 @@ def verify_piece_prop(knot: GenusOneKnot, rel: Relator) -> bool:
     s1, s2 = canonical_decomposition(knot)
     if s1 != s1[::-1] or s2 != s2[::-1]:
         return False
-    cs = cyclic_s_sequence(rel.u)
-    if _count_cyclic_pattern(cs, s1) != 2 or _count_cyclic_pattern(cs, s2) != 2:
+    if _count_cyclic_pattern(rel.runs, s1) != 2 or _count_cyclic_pattern(rel.runs, s2) != 2:
         return False
     return shapes_are_pieces(R, _piece_patterns(knot))
 
 
-def _shape_windows(u: Word, head: tuple, tail: tuple) -> list[tuple[int, int]]:
-    """(start, end) of every window over four periods of the relator u
-    that is the full runs head plus the first letter of the next run, or
-    the last letter of the run before plus the full runs tail (run
-    lengths as tuples), in ascending order of start.  Run 0 and the last run are never a
-    window's full runs.
+def _shape_windows(runs: tuple, head: tuple, tail: tuple) -> list[tuple[int, int]]:
+    """(start, end) of every window over four periods of a relator with
+    run lengths runs (Relator.runs) that is the full runs head plus the
+    first letter of the next run, or the last letter of the run before
+    plus the full runs tail (run lengths as tuples), in ascending order of
+    start.  Run 0 and the last run are never a window's full runs.
 
-    u starts with a and ends with a negative letter (u = a uhat b uhat^-1
-    and uhat starts with b^e1, e1 = +), so no run crosses a period seam
-    and the runs of four periods are those of one period, four times.
+    No run of a relator crosses its period seam (presentation.relator
+    checks it), so the runs of four periods are runs four times over.
     """
-    if not u[0] > 0 > u[-1]:
-        raise AssertionError("a run of the relator crosses its period seam")
-    lens = s_sequence(u) * 4
+    lens = runs * 4
     # starts[j]: the first index of run j; starts[-1] closes the last run
     starts = [0, *itertools.accumulate(lens)]
     k = len(head)
@@ -363,7 +341,7 @@ def verify_three_piece_property(knot: GenusOneKnot, rel: Relator) -> bool:
     n = R.n
     reach = _kernel.reach_table(R.piece_len[0], 3)
     r2, r3 = reach[2], reach[3]
-    windows = _shape_windows(rel.u, s1 + s2, s2 + s1)
+    windows = _shape_windows(rel.runs, s1 + s2, s2 + s1)
 
     best_end = 4 * n + 1
     w = len(windows)

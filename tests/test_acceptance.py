@@ -6,20 +6,13 @@ lines; every criterion carries its stated tolerance and time budget.
 
 import random
 import time
-from itertools import product
 
 from bridgeforge import _kernel
-from bridgeforge.cli import _PIECE_CHECKS, CHECKS, CheckContext
+from bridgeforge.cli import _PIECE_CHECKS, CHECKS, CheckContext, _sign_patterns
 from bridgeforge.farey import orbit_contains, reflection_generators
-from bridgeforge.freeness import (
-    UnsupportedCaseError,
-    alternating_cs_closed_form,
-    alternating_relation_word,
-    no_relation_scan,
-)
-from bridgeforge.meridians import long_meridian_words, verify_meridian_forms
+from bridgeforge.freeness import alternating_relation_word, no_relation_scan
+from bridgeforge.meridians import long_meridian_words
 from bridgeforge.orbifold import standard_arcs_proper
-from bridgeforge.presentation import canonical_decomposition, relator
 from bridgeforge.slope import INFINITY, Frac, GenusOneKnot
 from bridgeforge.words import (
     alt_word,
@@ -53,22 +46,19 @@ def grid(m_max, n_max):
     ]
 
 
-def all_sign_patterns(t_max=2):
-    pats = []
-    for t in range(1, t_max + 1):
-        for combo in product((1, -1), repeat=2 * t):
-            pats.append(tuple(zip(combo[::2], combo[1::2])))
-    return pats
+def battery(names):
+    """The cli.CHECKS rows with these names, in report order."""
+    return [c for c in CHECKS if c.name in names]
 
 
 def test_criterion_1_relator_closed_forms():
     t0 = time.perf_counter()
     ok = True
+    (check,) = battery(("relator_cs",))
     for knot in grid(10, 10):
-        rel = relator(knot.fraction)
-        s1, s2 = canonical_decomposition(knot)
-        ok &= len(rel.u) == 2 * knot.p
-        ok &= cyclic_s_sequence(rel.u) == s1 + s2 + s1 + s2
+        ctx = CheckContext.for_knot(knot)
+        ok &= len(ctx.rel.u) == 2 * knot.p
+        ok &= check.applies(knot) and check.run(ctx)
     _report(1, "relator length and CS closed form, grid 10x10", ok,
             time.perf_counter() - t0, 5.0)
 
@@ -76,8 +66,9 @@ def test_criterion_1_relator_closed_forms():
 def test_criterion_2_meridian_identities():
     t0 = time.perf_counter()
     ok = True
+    (check,) = battery(("meridian_forms",))
     for knot in grid(10, 10):
-        ok &= verify_meridian_forms(knot)
+        ok &= check.applies(knot) and check.run(CheckContext.for_knot(knot))
     # the exceptional degenerate case keeps its closed form
     mw = long_meridian_words(GenusOneKnot(1, 1, -1))
     ok &= word_str(mw.w_x) == "b" and word_str(mw.w_y) == "A"
@@ -88,7 +79,7 @@ def test_criterion_2_meridian_identities():
 def test_criterion_3_small_cancellation():
     t0 = time.perf_counter()
     ok = True
-    checks = [c for c in CHECKS if c.name in _PIECE_CHECKS]
+    checks = battery(_PIECE_CHECKS)
     for knot in grid(4, 4):
         ctx = CheckContext.for_knot(knot)
         ok &= all(c.applies(knot) and c.run(ctx) for c in checks)
@@ -99,23 +90,16 @@ def test_criterion_3_small_cancellation():
 def test_criterion_4_alternating_cs_closed_forms():
     t0 = time.perf_counter()
     ok = True
-    patterns = all_sign_patterns(2)
+    checks = battery(("alternating_cs", "alternating_bounds"))
     for knot in grid(4, 4):
-        for pattern in patterns:
+        ctx = CheckContext.for_knot(knot)
+        # the torus knot (1, 1, -) alone has no closed form
+        ok &= all(c.run(ctx) for c in checks if c.applies(knot))
+        ok &= all(c.applies(knot) for c in checks) != ((knot.m, knot.n, knot.sign) == (1, 1, -1))
+        # the letter-by-letter reference for the composed sequences
+        for pattern in _sign_patterns(2):
             cs = cyclic_s_sequence(alternating_relation_word(knot, pattern))
-            try:
-                closed = alternating_cs_closed_form(knot, pattern)
-                ok &= cs == closed
-            except UnsupportedCaseError:
-                ok &= (knot.m, knot.n, knot.sign) == (1, 1, -1)
-            if knot.sign > 0:
-                ok &= all(t < 2 * knot.m + 1 for t in cs)
-            elif knot.m >= 2:
-                ok &= all(t != 2 * knot.m - 1 for t in cs)
-            elif knot.n >= 2:
-                ok &= all(t != 1 for t in cs)
-            else:
-                ok &= all(t in (2, 3, 4) for t in cs)
+            ok &= cs == ctx.alternating_cs[pattern]
     _report(4, "alternating-word CS closed forms and forbidden terms, t <= 2", ok,
             time.perf_counter() - t0, 60.0)
 

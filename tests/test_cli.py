@@ -336,7 +336,7 @@ def test_reps_rejects_tol_outside_gate(capsys, tol):
 
 @pytest.mark.parametrize("command", [
     ["freeness", "--m", "1", "--n", "1", "--sign", "+"],
-    ["verify-all", "--m-max", "1", "--n-max", "1", "--scan"],
+    ["verify-all", "--m-max", "1", "--n-max", "1"],
 ])
 def test_negative_scan_syllables_rejected(capsys, command):
     assert cli.main([*command, "--scan-syllables=-1", "--json"]) == cli.EXIT_USAGE
@@ -347,7 +347,7 @@ def test_negative_scan_syllables_rejected(capsys, command):
 
 @pytest.mark.parametrize("command", [
     ["freeness", "--m", "1", "--n", "1", "--sign", "+"],
-    ["verify-all", "--m-max", "1", "--n-max", "1", "--scan"],
+    ["verify-all", "--m-max", "1", "--n-max", "1"],
 ])
 @pytest.mark.parametrize("extra", [1, 1000])
 def test_scan_syllables_capped(capsys, monkeypatch, command, extra):
@@ -396,7 +396,7 @@ def test_freeness_t_capped(capsys, t):
 
 @pytest.mark.parametrize("command", [
     ["freeness", "--m", "1", "--n", "1", "--sign", "+", "--scan-syllables", "2"],
-    ["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "--scan-syllables", "2"],
+    ["verify-all", "--m-max", "1", "--n-max", "1", "--scan-syllables", "2"],
 ])
 def test_scan_without_roots_exits_fail(capsys, monkeypatch, command):
     # no prime gives the exact root finder a simple root
@@ -410,19 +410,33 @@ def test_scan_without_roots_exits_fail(capsys, monkeypatch, command):
 def test_scan_with_a_false_root_exits_fail(capsys, monkeypatch):
     # w = 0 sends b to I, so the relator maps to a, not I, mod 3^18
     monkeypatch.setattr(cli.sl2_oracle, "_lifted_root", lambda poly, prime, modulus: 0)
-    command = ["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "--scan-syllables", "2"]
+    command = ["verify-all", "--m-max", "1", "--n-max", "1", "--scan-syllables", "2"]
     assert cli.main([*command, "--json"]) == cli.EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: relator of 2/5 is not I at w = 0 mod 387420489" in captured.err
 
 
-def test_verify_all_scan_needs_syllables(capsys):
-    command = ["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "--scan-syllables", "0"]
-    assert cli.main([*command, "--json"]) == cli.EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: --scan needs --scan-syllables of at least 1" in captured.err
+@pytest.mark.parametrize("scan_flags", [[], ["--scan-syllables", "0"]], ids=["default", "zero"])
+def test_verify_all_without_scan_syllables_runs_no_scan(capsys, monkeypatch, scan_flags):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("no_relation_scan called")
+
+    monkeypatch.setattr(cli.freeness, "no_relation_scan", no_scan)
+    code, payload = run_json(capsys, "verify-all", "--m-max", "1", "--n-max", "1", *scan_flags)
+    assert code == cli.EXIT_PASS
+    assert all(c["name"] != "matrix_scan" for r in payload["reports"] for c in r["checks"])
+
+
+@pytest.mark.parametrize("scan_flags", [["--scan"], ["--scan", "--scan-syllables", "2"]],
+                         ids=["bare", "with-syllables"])
+def test_verify_all_scan_flag_is_gone(capsys, scan_flags):
+    # --scan-syllables K alone turns the scan on; argparse reads a bare
+    # --scan as its abbreviation, with no value
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify-all", "--m-max", "1", "--n-max", "1", *scan_flags])
+    assert err.value.code == cli.EXIT_USAGE
+    assert "argument --scan-syllables: expected one argument" in capsys.readouterr().err
 
 
 def test_verify_all_scan_never_finds_float_roots(capsys, monkeypatch):
@@ -431,7 +445,7 @@ def test_verify_all_scan_never_finds_float_roots(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.sl2_oracle, "numeric_reps", no_float_roots)
     code, payload = run_json(
-        capsys, "verify-all", "--m-max", "2", "--n-max", "1", "--scan", "--scan-syllables", "3"
+        capsys, "verify-all", "--m-max", "2", "--n-max", "1", "--scan-syllables", "3"
     )
     assert code == 0
     statuses = [c["status"] for r in payload["reports"] for c in r["checks"] if c["name"] == "matrix_scan"]
@@ -638,7 +652,7 @@ def test_sign_patterns_by_length_then_lexicographic():
 def test_verify_all_with_scan(capsys):
     code, payload = run_json(
         capsys, "verify-all", "--m-max", "1", "--n-max", "1",
-        "--scan", "--scan-syllables", "3",
+        "--scan-syllables", "3",
     )
     assert code == 0
     for report in payload["reports"]:
@@ -658,7 +672,7 @@ def test_verify_all_truncation(capsys):
 
 @pytest.mark.parametrize("command,builds", [
     (["freeness", "--m", "1", "--n", "2", "--sign", "-", "--scan-syllables", "2"], 1),
-    (["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "--scan-syllables", "2"], 2),
+    (["verify-all", "--m-max", "1", "--n-max", "1", "--scan-syllables", "2"], 2),
 ])
 def test_scan_shares_the_meridian_words(capsys, monkeypatch, command, builds):
     # the matrix scan takes the long meridian words its caller already holds
@@ -770,6 +784,40 @@ def test_verify_all_builds_the_sign_pattern_sequences_once(capsys, monkeypatch):
     assert code == cli.EXIT_PASS and len(payload["reports"]) == 8
     assert len(built) == 20 * 8
     assert {knot: built.count(knot) for knot in built} == {knot: 20 for knot in set(built)}
+
+
+def test_verify_all_builds_each_closed_form_once(capsys, monkeypatch):
+    # only alternating_cs compares with the closed forms, and only on the
+    # hyperbolic knots; alternating_bounds tests the forbidden terms
+    calls = _count_calls(monkeypatch, cli.freeness, "alternating_cs_closed_form")
+    code, payload = run_json(capsys, "verify-all", "--m-max", "2", "--n-max", "2")
+    assert code == cli.EXIT_PASS and len(payload["reports"]) == 8
+    knots = [knot for knot, _pattern in calls]
+    assert {knot: knots.count(knot) for knot in knots} == {
+        cli.GenusOneKnot(m, n, sign): 20
+        for m in (1, 2) for n in (1, 2) for sign in (1, -1) if (m, n, sign) != (1, 1, -1)
+    }
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_fail_without_a_traceback(unbuffered):
+    # the reader of the pipe is gone before anything is written
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "bridgeforge", "relator", "--p", "5", "--q", "2", "--json"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert done.returncode == cli.EXIT_FAIL
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,25 +1,22 @@
 import pytest
 
-from bridgeforge.orbifold import (
-    arc_class,
-    homology_order,
-    standard_arcs_proper,
-    subgroup_verdict,
-)
+from bridgeforge.orbifold import standard_arcs_proper, subgroup_verdict
 from bridgeforge.slope import INFINITY, Frac
 
 
 def test_homology_order():
-    assert homology_order(Frac(2, 5)) == 5
-    assert homology_order(Frac(4, 15)) == 15
-    assert homology_order(Frac(1, 1)) == 1
+    # the arc of slope 1/1 has class 1, a generator of Z/p, so its order
+    # is the homology order p
+    for f, p in ((Frac(2, 5), 5), (Frac(4, 15), 15), (Frac(1, 1), 1)):
+        assert subgroup_verdict(Frac(1, 1), f).order_in_homology == p
 
 
 def test_arc_class():
-    assert arc_class(Frac(1, 3), 15).value == 3
-    assert arc_class(Frac(1, 5), 15).value == 5
-    assert arc_class(INFINITY, 15).value == 0
-    assert arc_class(Frac(7, 18), 15).value == 3
+    # the arc u/v has class v mod 15, of order 15 / gcd(15, v): 1/0 has
+    # class 0, and 7/18 class 3
+    for s, order in ((Frac(1, 3), 5), (Frac(1, 5), 3), (INFINITY, 1), (Frac(7, 18), 5)):
+        v = subgroup_verdict(s, Frac(4, 15))
+        assert (v.order_in_homology, v.dihedral_image_order, v.proper) == (order, 2 * order, True)
 
 
 def test_subgroup_verdicts():

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from bridgeforge import presentation, words
@@ -13,6 +15,7 @@ from bridgeforge.words import (
     cyclic_seq_eq,
     free_reduce,
     is_cyclically_alternating,
+    s_sequence,
     word_str,
 )
 
@@ -152,6 +155,23 @@ def test_relator_validation_rejects_tampered_words(monkeypatch, position, letter
     monkeypatch.setattr(presentation, "inverse", _tampered_inverse(position, letter))
     with pytest.raises(AssertionError, match="not cyclically alternating"):
         relator(Frac(2, 5))
+
+
+def test_relator_refuses_a_run_across_the_seam(monkeypatch):
+    # abaBA b abAb is cyclically alternating, but its last letter is
+    # positive: its first and last runs would merge across the seam
+    monkeypatch.setattr(presentation, "inverse", _tampered_inverse(-1, 2))
+    with pytest.raises(AssertionError, match="crosses its period seam"):
+        relator(Frac(2, 5))
+
+
+def test_relator_runs_are_its_s_sequence_and_cyclic_s_sequence():
+    # every even-numerator slope with p < 200
+    for p in range(3, 200, 2):
+        for q in range(2, p, 2):
+            if gcd(p, q) == 1:
+                rel = relator(Frac(q, p))
+                assert rel.runs == s_sequence(rel.u) == cyclic_s_sequence(rel.u), (q, p)
 
 
 def test_relator_rejects_links():

@@ -17,7 +17,6 @@ from bridgeforge.smallcancel import (
     check_T,
     is_piece,
     min_pieces,
-    piece_report,
     shapes_are_pieces,
     verify_piece_prop,
     verify_three_piece_property,
@@ -226,8 +225,8 @@ def test_piece_report_consistency():
     dbl = list(u) * 2
     for s in range(0, len(u), 3):
         for L in (1, 2, 3, 5):
-            rep = piece_report(tuple(dbl[s : s + L]), R)
-            assert rep.is_piece == (rep.min_pieces == 1)
+            v = tuple(dbl[s : s + L])
+            assert is_piece(v, R) == (min_pieces(v, R) == 1)
 
 
 def test_prefix_of_piece_is_piece():
@@ -537,6 +536,12 @@ def run_start_windows(u, head, tail):
     return windows
 
 
+def letter_scan_of(rel):
+    """run_start_windows on the letters of rel, in place of
+    smallcancel._shape_windows on its runs."""
+    return lambda runs, head, tail: run_start_windows(rel.u, head, tail)
+
+
 def perturbed_shapes(s1, s2):
     """The true shapes, swapped, S1 with every run one longer, S2 without
     its last run, and S1 with its first run one longer."""
@@ -561,25 +566,15 @@ def test_shape_windows_match_run_start_scan_on_grid(monkeypatch):
                 rel = relator(knot.fraction)
                 true_shape = canonical_decomposition(knot)
                 for s1, s2 in perturbed_shapes(*true_shape):
-                    got = smallcancel._shape_windows(rel.u, s1 + s2, s2 + s1)
+                    got = smallcancel._shape_windows(rel.runs, s1 + s2, s2 + s1)
                     assert got == run_start_windows(rel.u, s1 + s2, s2 + s1), (knot, s1, s2)
                     assert got or (s1, s2) != true_shape  # the true shapes occur
                 verdict = verify_three_piece_property(knot, rel)
                 with monkeypatch.context() as patch:
-                    patch.setattr(smallcancel, "_shape_windows", run_start_windows)
+                    patch.setattr(smallcancel, "_shape_windows", letter_scan_of(rel))
                     assert verify_three_piece_property(knot, rel) == verdict, knot
                 verdicts.add(verdict)
     assert verdicts == {True}
-
-
-def test_shape_windows_refuse_a_run_across_the_seam():
-    # every relator starts with a and ends with a negative letter; a word
-    # whose first and last runs share a sign is refused, not mishandled
-    u = relator(Frac(2, 5)).u
-    assert u[0] == 1 and u[-1] < 0
-    for word in (u[1:] + u[:1], u[-1:] + u[:-1]):
-        with pytest.raises(AssertionError, match="period seam"):
-            smallcancel._shape_windows(word, (3, 2), (2, 3))
 
 
 def test_three_piece_matches_run_walk_on_perturbed_shapes(monkeypatch):
@@ -602,7 +597,7 @@ def test_three_piece_matches_run_walk_on_perturbed_shapes(monkeypatch):
                     verdict = verify_three_piece_property(knot, rel)
                     assert verdict == walk_three_piece(knot, *shape), (knot, shape)
                     with monkeypatch.context() as patch:
-                        patch.setattr(smallcancel, "_shape_windows", run_start_windows)
+                        patch.setattr(smallcancel, "_shape_windows", letter_scan_of(rel))
                         assert verify_three_piece_property(knot, rel) == verdict, (knot, shape)
                     verdicts.append(verdict)
     assert len(verdicts) == 640 and True in verdicts and False in verdicts
