@@ -12,9 +12,11 @@ other is the larger of its LCPs with its two sorted neighbours (the
 suffix-array idea of Kasai et al., CPM 2001).  With -2, -1, 1, 2 as the
 base-4 digits 0..3, in order, a doubled row is one int and rotation s
 is its n digits at s, (row >> 2(n - s)) & (4^n - 1): the keys sort as
-the words do.  Two keys first differ in the digit where the rotations
-do: the XOR of sorted neighbours has (n - LCP) significant digits, so
-one XOR and one bit_length give each LCP, in C.
+the words do.  bytes.translate turns the encoded letters into the
+digits, and each d into 3 - d for the reversed row of u^-1.  Two keys
+first differ in the digit where the rotations do: the XOR of sorted
+neighbours has (n - LCP) significant digits, so one XOR and one
+bit_length give each LCP, in C.
 
 reach_table gives, for every offset s and every k up to kmax, how far
 from s at most k pieces reach.  Pieces are prefix-closed, so the spans k
@@ -32,12 +34,15 @@ import operator
 
 IMPL = "pure"
 
-_DIGIT = {-2: "0", -1: "1", 1: "2", 2: "3"}  # base 4, in letter order
+# encoded letters -2, -1, 1, 2 (bytes 0, 1, 3, 4) as base-4 digits, in
+# letter order, and every other byte as an "x" that int() refuses
+_DIGITS = b"01x23" + b"x" * 251
+_FLIP = bytes.maketrans(b"0123", b"3210")
 
 
 def encode(word):
     """A word over +-1, +-2 as bytes: each letter shifted up by 2."""
-    return bytes(x + 2 for x in word)
+    return bytes(map((2).__add__, word))
 
 
 def doubled_rows(letters):
@@ -59,13 +64,14 @@ def max_piece_table(letters):
     if n == 0:
         return [], []
     try:
-        digits = "".join([_DIGIT[x] for x in letters])
-    except KeyError as exc:
-        raise ValueError(f"letter {exc.args[0]!r} is not one of -2, -1, 1, 2") from None
+        digits = encode(letters).translate(_DIGITS)
+        rows = int(digits * 2, 4), int(digits[::-1].translate(_FLIP) * 2, 4)
+    except ValueError:
+        bad = next(x for x in letters if x not in (-2, -1, 1, 2))
+        raise ValueError(f"letter {bad!r} is not one of -2, -1, 1, 2") from None
     mask = (1 << 2 * n) - 1
     keys = []
-    for row in (digits, "".join([_DIGIT[-x] for x in reversed(letters)])):
-        row = int(row * 2, 4)
+    for row in rows:
         keys += [row >> shift & mask for shift in range(2 * n, 0, -2)]
     order = sorted(range(2 * n), key=keys.__getitem__)
     best = [0] * (2 * n)

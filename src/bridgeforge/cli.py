@@ -134,12 +134,16 @@ def _cmd_pieces(args) -> int:
     R = ctx.R
     if args.word is not None:
         w = parse_word(args.word)
-        mp = smallcancel.min_pieces(w, R) if R.find(w) is not None else None
+        # one search: a subword is a piece exactly when it is one piece
+        try:
+            mp = smallcancel.min_pieces(w, R)
+        except ValueError:  # w is no subword of an element
+            mp = None
         payload = {
             "command": "pieces",
             "m": knot.m, "n": knot.n, "sign": knot.sign,
             "word": args.word,
-            "is_piece": smallcancel.is_piece(w, R),
+            "is_piece": mp == 1 if w else smallcancel.is_piece(w, R),
             "min_pieces": None if mp is smallcancel.UNREPRESENTABLE else mp,
         }
         if mp is None:
@@ -209,11 +213,6 @@ def _cmd_freeness(args) -> int:
         "all_ok": all_ok,
         "results": results,
     }
-    lines = [
-        f"alternating-word cyclic S-sequence checks for {knot}:",
-        f"  {len(results)} sign patterns with t <= {args.t}: "
-        f"{'all pass' if all_ok else 'FAILURES'}",
-    ]
     if args.scan_syllables:
         data = sl2_oracle.riley_polynomials(knot.fraction)
         report = freeness.no_relation_scan(knot, args.scan_syllables, mw=mw, data=data)
@@ -240,18 +239,26 @@ def _cmd_freeness(args) -> int:
             "dropped_roots": _dropped_payload(reps.dropped),
             "max_residual": max_residual,
         }
-        lines.append(
-            f"  matrix scan: {report.words_checked} words in {report.classes_checked} classes "
-            f"at w = {rep.alpha} mod {rep.modulus}, "
-            f"{report.words_nontrivial} proven nontrivial ({len(report.retried)} retried), "
-            f"hits: {len(report.hits)}"
-        )
-        lines.append(
-            f"  float margins: {len(reps)} roots, max relator residual "
-            + ("none" if max_residual is None else f"{max_residual:.3e}")
-        )
         all_ok &= report.clean
-    _emit(payload, args.json, lambda: lines)
+
+    def lines():
+        out = [
+            f"alternating-word cyclic S-sequence checks for {knot}:",
+            f"  {len(results)} sign patterns with t <= {args.t}: "
+            f"{'all pass' if payload['all_ok'] else 'FAILURES'}",
+        ]
+        if args.scan_syllables:
+            out += [
+                f"  matrix scan: {report.words_checked} words in {report.classes_checked} classes "
+                f"at w = {rep.alpha} mod {rep.modulus}, "
+                f"{report.words_nontrivial} proven nontrivial ({len(report.retried)} retried), "
+                f"hits: {len(report.hits)}",
+                f"  float margins: {len(reps)} roots, max relator residual "
+                + ("none" if max_residual is None else f"{max_residual:.3e}"),
+            ]
+        return out
+
+    _emit(payload, args.json, lines)
     return EXIT_PASS if all_ok else EXIT_FAIL
 
 
@@ -271,17 +278,13 @@ def _cmd_reps(args) -> int:
         ],
         "dropped_roots": _dropped_payload(reps.dropped),
     }
-    lines = [
+    _emit(payload, args.json, lambda: [
         f"parabolic representations of slope {args.q}/{args.p}"
         + (f" (via mirror slope {data.fraction})" if str(data.fraction) != f"{args.q}/{args.p}" else "")
         + ":",
         f"  defining polynomial coefficients (low->high): {list(data.poly)}",
-    ]
-    lines += [
-        f"  omega = {rep.omega:.12g}   relator residual {rep.residual:.3e}"
-        for rep in reps
-    ]
-    _emit(payload, args.json, lambda: lines)
+        *(f"  omega = {rep.omega:.12g}   relator residual {rep.residual:.3e}" for rep in reps),
+    ])
     return EXIT_PASS if reps else EXIT_FAIL
 
 
@@ -542,55 +545,53 @@ def _add_knot_args(sub):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  It binds the _cmd_*
-    handlers, which look up library functions only when they run."""
+    handlers, which look up library functions only when they run.  No
+    parser takes a prefix of an option for the option."""
     parser = argparse.ArgumentParser(
         prog="bridgeforge",
         description="verification battery for genus-one two-bridge knot groups",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
     # every subcommand takes --json, declared once here
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true")
 
-    sub = subs.add_parser("relator", help="relator word and S-sequences", parents=[json_flag])
+    def command(name, summary, fn):
+        sub = subs.add_parser(name, help=summary, parents=[json_flag], allow_abbrev=False)
+        sub.set_defaults(fn=fn)
+        return sub
+
+    sub = command("relator", "relator word and S-sequences", _cmd_relator)
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
-    sub.set_defaults(fn=_cmd_relator)
 
-    sub = subs.add_parser("meridians", help="long meridian pair words", parents=[json_flag])
-    _add_knot_args(sub)
-    sub.set_defaults(fn=_cmd_meridians)
+    _add_knot_args(command("meridians", "long meridian pair words", _cmd_meridians))
 
-    sub = subs.add_parser("pieces", help="piece queries and C(4)/T(4) checks", parents=[json_flag])
+    sub = command("pieces", "piece queries and C(4)/T(4) checks", _cmd_pieces)
     _add_knot_args(sub)
     sub.add_argument("--word", help="word in a/A/b/B syntax to analyze")
-    sub.set_defaults(fn=_cmd_pieces)
 
-    sub = subs.add_parser("freeness", help="alternating-word S-sequence checks", parents=[json_flag])
+    sub = command("freeness", "alternating-word S-sequence checks", _cmd_freeness)
     _add_knot_args(sub)
     sub.add_argument("--t", type=int, default=2, help=f"max syllable pairs (1..{MAX_T})")
     sub.add_argument("--scan-syllables", type=int, default=0,
                      help=f"run the matrix scan up to this many syllables (1..{freeness.MAX_SYLLABLES})")
-    sub.set_defaults(fn=_cmd_freeness)
 
-    sub = subs.add_parser("reps", help="parabolic representation roots", parents=[json_flag])
+    sub = command("reps", "parabolic representation roots", _cmd_reps)
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
     sub.add_argument("--tol", type=float, default=1e-9)
-    sub.set_defaults(fn=_cmd_reps)
 
-    sub = subs.add_parser("orbifold", help="dihedral quotient subgroup orders", parents=[json_flag])
+    sub = command("orbifold", "dihedral quotient subgroup orders", _cmd_orbifold)
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--slope", help="arc slope u/v (default: both standard arcs)")
-    sub.set_defaults(fn=_cmd_orbifold)
 
-    sub = subs.add_parser("epi", help="exact epimorphism test by Farey orbit descent",
-                          parents=[json_flag])
+    sub = command("epi", "exact epimorphism test by Farey orbit descent", _cmd_epi)
     sub.add_argument("--source", required=True, help="source slope q/p")
     sub.add_argument("--target", required=True, help="target slope q/p")
-    sub.set_defaults(fn=_cmd_epi)
 
-    sub = subs.add_parser("verify-all", help="full battery over an (m, n) grid", parents=[json_flag])
+    sub = command("verify-all", "full battery over an (m, n) grid", _cmd_verify_all)
     sub.add_argument("--m-max", type=int, required=True)
     sub.add_argument("--n-max", type=int, required=True)
     sub.add_argument("--scan-syllables", type=int, default=0,
@@ -598,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--max-seconds", type=float, default=0.0,
                      help="soft time budget; exceeding it truncates the grid")
-    sub.set_defaults(fn=_cmd_verify_all)
     return parser
 
 

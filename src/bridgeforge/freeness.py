@@ -164,12 +164,12 @@ def forbidden_terms_ok(knot: GenusOneKnot, cs) -> bool:
     m >= 2, never 1 for (1, n >= 2, -), and in {2, 3, 4} for (1, 1, -)."""
     m, n = knot.m, knot.n
     if knot.sign > 0:
-        return all(t < 2 * m + 1 for t in cs)
+        return max(cs, default=0) < 2 * m + 1
     if m >= 2:
-        return all(t != 2 * m - 1 for t in cs)
+        return 2 * m - 1 not in cs
     if n >= 2:
-        return all(t != 1 for t in cs)
-    return all(t in (2, 3, 4) for t in cs)
+        return 1 not in cs
+    return {2, 3, 4}.issuperset(cs)
 
 
 def verify_alternating_cs(knot: GenusOneKnot, sign_pairs, mw: MeridianWords | None = None) -> bool:

@@ -23,15 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .slope import Frac, GenusOneKnot
 from .words import (
     Word,
     concat,
-    cyclic_s_sequence,
     inverse,
     is_cyclically_alternating,
+    s_sequence,
 )
 
 
@@ -39,7 +40,7 @@ def epsilon_sequence(p: int, q: int) -> tuple[int, ...]:
     """Signs (-1)^floor(i*q/p) for i = 1..p-1."""
     if p < 2 or not 0 < q < p or gcd(p, q) != 1:
         raise ValueError("need coprime 0 < q < p")
-    return tuple(-1 if (i * q // p) % 2 else 1 for i in range(1, p))
+    return tuple([-1 if (i * q // p) % 2 else 1 for i in range(1, p)])
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def relator(f: Frac) -> Relator:
                          f"take, but K({f}) is K({p - q}/{p}) up to mirror image: use {p - q}/{p}")
     eps = epsilon_sequence(p, q)
     # uhat alternates b, a, b, a, ... with the epsilon signs
-    u_hat = tuple((2 if i % 2 else 1) * eps[i - 1] for i in range(1, p))
+    u_hat = tuple(map(mul, eps, (2, 1) * (p // 2)))
     u = concat((1,), u_hat, (2,), inverse(u_hat))
     # two letters of different generators are never mutually inverse, so
     # a cyclically alternating word is reduced and cyclically reduced
@@ -70,7 +71,7 @@ def relator(f: Frac) -> Relator:
         raise AssertionError("relator is not cyclically alternating of length 2p")
     if not u[0] > 0 > u[-1]:
         raise AssertionError("a run of the relator crosses its period seam")
-    return Relator(f, eps, u_hat, u, cyclic_s_sequence(u))
+    return Relator(f, eps, u_hat, u, s_sequence(u))
 
 
 class CanonicalDecomposition(NamedTuple):

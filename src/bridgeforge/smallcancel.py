@@ -11,11 +11,13 @@ Every check reads the longest-piece table of _kernel.max_piece_table,
 one entry per element, and is near-linear in the relator length n.
 C(p) reads the (p-1)-piece reach table of row 0, O(p n): the table is
 suffix-closed, so each level follows the reach of the one before.  T(4)
-collects the (first, last) letter classes, O(n).  The piece shapes are
-matched one sign run at a time against a trie of the listed shapes,
-O(n b) for shapes of at most b runs, skipping every offset whose longest
-piece is as long as the longest shape.  The three-piece shape reads the
-2- and 3-piece reach tables and sweeps the shape windows once.
+collects the (first, last) letter classes of u in one zip, O(n), and
+derives those of u^-1.  The piece shapes are matched one sign run at a
+time against a trie of the listed shapes, O(n b) for shapes of at most
+b runs, skipping every offset whose longest piece is as long as the
+longest shape; only this walk reads the doubled rows.  The three-piece
+shape reads the 2- and 3-piece reach tables and sweeps the shape
+windows once.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from .words import Word, inverse, is_cyclically_reduced
 
 UNREPRESENTABLE = math.inf
 
+# a cancellation triangle's element classes per junction letters (check_T)
+_TRIANGLES = [((-l3, l1), (-l1, l2), (-l2, l3))
+              for l1, l2, l3 in itertools.product((1, -1, 2, -2), repeat=3)]
+
 
 class SymmetrizedSet:
     """All rotations of a cyclic word and of its inverse, with piece tables.
@@ -47,17 +53,21 @@ class SymmetrizedSet:
         if not is_cyclically_reduced(u):
             raise ValueError("relator must be cyclically reduced")
         n = len(u)
-        piece_len = _kernel.max_piece_table(list(u))
+        piece_len = _kernel.max_piece_table(u)
         # a piece as long as the relator is a rotation shared by two elements
         if n in piece_len[0] or n in piece_len[1]:
             raise ValueError("rotations collide; need all 2|u| elements distinct")
         self.word = u
         self.n = n
-        self.doubled = (list(u) * 2, list(inverse(u)) * 2)
         self.piece_len = piece_len
 
     def __len__(self):
         return 2 * self.n
+
+    @cached_property
+    def doubled(self):
+        """The rows u u and u^-1 u^-1 as lists, built on first use."""
+        return list(self.word) * 2, list(inverse(self.word)) * 2
 
     @cached_property
     def encoded(self):
@@ -145,33 +155,33 @@ def check_T(R: SymmetrizedSet) -> bool:
     of r1, r2, r3) takes its elements from the (first, last) letter
     classes (-l3, l1), (-l1, l2) and (-l2, l3), so T(4) fails exactly
     when some of the 64 letter triples finds all three classes occupied.
-    Element (d, s + 1) of R, rotation s + 1 of u (d = 0) or of u^-1
-    (d = 1), has first letter row[s + 1] and last letter row[s] of its
-    doubled row, so one zip over each row collects the classes.
+    Rotation s + 1 of u has first letter u[s + 1] and last letter u[s];
+    the rotations of u^-1 are their inverses, of classes (-last, -first).
     """
     # The inverse exclusions never bind.  r2 = r1^-1 lies in class
     # (-l1, -first(r1)) = (-l1, l3), so it needs l2 = l3, and then r3
     # would need class (-l3, l3): first letter inverse to last, which no
     # rotation of a cyclically reduced word has.  r3 = r2^-1 and
     # r1 = r3^-1 likewise empty the class of r1 or of r2.
-    ends = set().union(*(zip(row[1:R.n + 1], row) for row in R.doubled))
-    letters = (1, -1, 2, -2)
-    return not any(
-        (-l3, l1) in ends and (-l1, l2) in ends and (-l2, l3) in ends
-        for l1 in letters
-        for l2 in letters
-        for l3 in letters
-    )
+    u = R.word
+    ends = set(zip(u[1:] + u[:1], u))
+    ends |= {(-last, -first) for first, last in ends}
+    return not any(map(ends.issuperset, _TRIANGLES))
 
 
 def _count_cyclic_pattern(cs, pattern) -> int:
+    """How many offsets of the cyclic sequence cs start pattern: str.find
+    over cs twice, written one character (chr) per run length."""
     t = len(cs)
-    if len(pattern) > t:
+    if not cs or len(pattern) > t:
         return 0
+    text, word = "".join(map(chr, cs)) * 2, "".join(map(chr, pattern))
+    end = t - 1 + len(pattern)  # a match starts at an offset below t
     count = 0
-    for off in range(t):
-        if all(cs[(off + i) % t] == pattern[i] for i in range(len(pattern))):
-            count += 1
+    i = text.find(word, 0, end)
+    while i >= 0:
+        count += 1
+        i = text.find(word, i + 1, end)
     return count
 
 

@@ -12,6 +12,8 @@ block when their signs agree, into its first entry.
 
 from __future__ import annotations
 
+from operator import add, eq, neg
+
 Word = tuple[int, ...]
 
 _CHAR = {1: "a", -1: "A", 2: "b", -2: "B"}
@@ -28,11 +30,11 @@ def parse_word(text: str) -> Word:
 
 def word_str(word) -> str:
     """Inverse of :func:`parse_word`."""
-    return "".join(_CHAR[x] for x in word)
+    return "".join(map(_CHAR.__getitem__, word))
 
 
 def inverse(word) -> Word:
-    return tuple(-x for x in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 def concat(*parts) -> Word:
@@ -63,7 +65,7 @@ def free_reduce(word) -> Word:
 
 
 def is_reduced(word) -> bool:
-    return all(word[i] != -word[i + 1] for i in range(len(word) - 1))
+    return 0 not in map(add, word, word[1:])  # x and -x add up to 0
 
 
 def is_cyclically_reduced(word) -> bool:
@@ -87,7 +89,7 @@ def alt_power(x, y, k: int) -> Word:
 
 def apply_f(word) -> Word:
     """Letterwise substitution a -> b^-1, b -> a^-1 (an involution)."""
-    return tuple((abs(x) - 3) * (1 if x > 0 else -1) for x in word)
+    return tuple([x - 3 if x > 0 else x + 3 for x in word])
 
 
 def s_sequence(word) -> tuple[int, ...]:
@@ -128,7 +130,8 @@ def cyclic_s_sequence(word) -> tuple[int, ...]:
 
 def is_alternating(word) -> bool:
     """True when the generators a, b alternate along the word."""
-    return all(abs(word[i]) != abs(word[i + 1]) for i in range(len(word) - 1))
+    gens = list(map(abs, word))
+    return not any(map(eq, gens, gens[1:]))
 
 
 def is_cyclically_alternating(word) -> bool:

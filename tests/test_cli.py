@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,10 @@ from pathlib import Path
 import pytest
 
 from bridgeforge import cli
+from bridgeforge.presentation import relator
+from bridgeforge.slope import GenusOneKnot
+from bridgeforge.smallcancel import UNREPRESENTABLE, SymmetrizedSet, is_piece, min_pieces
+from bridgeforge.words import word_str
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +60,55 @@ def test_pieces_word_not_subword(capsys):
     assert code == 0
     assert payload["min_pieces"] is None
     assert payload["is_piece"] is False
+
+
+def test_pieces_word_matches_is_piece_and_min_pieces_on_grid(capsys):
+    # the one-search answers against the library's two searches: subwords
+    # at random offsets and lengths of both rows of every 6x6 knot, words
+    # that no element holds (a cancelling pair, a letter run too long for
+    # an alternating word, the whole relator plus a letter) and the
+    # relator itself
+    rng = random.Random(21)
+    answers = set()
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                R = SymmetrizedSet(relator(knot.fraction).u)
+                words = ["aA", "aa", word_str(R.word), word_str(R.word) + "a"]
+                for _ in range(8):
+                    d, s = rng.randrange(2), rng.randrange(R.n)
+                    words.append(word_str(R.doubled[d][s:s + rng.randint(1, min(R.n, 12))]))
+                for word in words:
+                    code, payload = run_json(capsys, "pieces", "--m", str(m), "--n", str(n),
+                                             "--sign", "+" if sign > 0 else "-", "--word", word)
+                    v = cli.parse_word(word)
+                    assert code == cli.EXIT_PASS
+                    assert payload["is_piece"] is is_piece(v, R), (knot, word)
+                    if R.find(v) is None:
+                        assert payload["min_pieces"] is None and "note" in payload, (knot, word)
+                    else:
+                        t = min_pieces(v, R)
+                        assert payload["min_pieces"] == (None if t is UNREPRESENTABLE else t)
+                        assert "note" not in payload
+                    answers.add((payload["is_piece"], payload["min_pieces"]))
+    assert {(True, 1), (False, 2), (False, None)} <= answers
+
+
+@pytest.mark.parametrize("word,piece", [("ba", False), ("aa", False), ("bA", True)])
+def test_pieces_word_searches_the_set_once(capsys, monkeypatch, word, piece):
+    searched = []
+    real = SymmetrizedSet.find
+    monkeypatch.setattr(SymmetrizedSet, "find",
+                        lambda self, v: searched.append(v) or real(self, v))
+    code, payload = run_json(capsys, "pieces", "--m", "1", "--n", "1", "--sign", "-", "--word", word)
+    assert code == cli.EXIT_PASS and payload["is_piece"] is piece
+    assert len(searched) == 1
+
+
+def test_pieces_empty_word_is_a_usage_error(capsys):
+    assert cli.main(["pieces", "--m", "1", "--n", "1", "--sign", "-", "--word", ""]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: the empty word is not a piece candidate\n"
 
 
 def test_pieces_battery(capsys):
@@ -431,12 +485,28 @@ def test_verify_all_without_scan_syllables_runs_no_scan(capsys, monkeypatch, sca
 @pytest.mark.parametrize("scan_flags", [["--scan"], ["--scan", "--scan-syllables", "2"]],
                          ids=["bare", "with-syllables"])
 def test_verify_all_scan_flag_is_gone(capsys, scan_flags):
-    # --scan-syllables K alone turns the scan on; argparse reads a bare
-    # --scan as its abbreviation, with no value
+    # --scan-syllables K alone turns the scan on, and no option is read as
+    # the abbreviation of a longer one
     with pytest.raises(SystemExit) as err:
         cli.main(["verify-all", "--m-max", "1", "--n-max", "1", *scan_flags])
     assert err.value.code == cli.EXIT_USAGE
-    assert "argument --scan-syllables: expected one argument" in capsys.readouterr().err
+    assert "unrecognized arguments: --scan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["verify-all", "--m-max", "1", "--n-max", "1", "--scan", "2", "--json"], "--scan 2"),
+    (["freeness", "--m", "1", "--n", "1", "--sign", "+", "--scan", "1", "--json"], "--scan 1"),
+    (["verify-all", "--m-max", "1", "--n-max", "1", "--max-sec", "5", "--json"], "--max-sec 5"),
+    (["pieces", "--m", "1", "--n", "1", "--sign", "+", "--wo", "ab"], "--wo ab"),
+    (["relator", "--p", "5", "--q", "2", "--js"], "--js"),
+])
+def test_option_prefixes_are_usage_errors(capsys, argv, prefix):
+    # argparse took an unambiguous prefix for the option: --scan 2 ran the
+    # matrix scan as --scan-syllables 2 and exited 0
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {prefix}\n")
 
 
 def test_verify_all_scan_never_finds_float_roots(capsys, monkeypatch):
@@ -502,10 +572,12 @@ def test_library_has_no_bare_asserts():
 # Defined in src for the tests alone.  perfbench/spans.py wraps each by
 # name, so they leave src with ROADMAP items 1 and 5.  cyclic_seq_eq is
 # the tests' rotation oracle for the closed forms, which src compares
-# literally.
+# literally; cyclic_s_sequence is their reference for Relator.runs, which
+# presentation.relator takes from s_sequence (no run of a relator crosses
+# its period seam).
 TEST_ONLY_API = {
     "rotations", "least_rotation", "relation_word", "alternating_relation_word",
-    "reflection_generators", "cyclic_seq_eq",
+    "reflection_generators", "cyclic_seq_eq", "cyclic_s_sequence",
 }
 
 
@@ -751,7 +823,10 @@ def test_verify_cell_builds_the_relator_once(monkeypatch):
     ["verify-all", "--m-max", "1", "--n-max", "1"],
 ])
 def test_text_lines_are_built_only_without_json(capsys, monkeypatch, argv):
-    built = []
+    # built: calls of the lines callable.  formatted: text-only values
+    # formatted, the knot's name and each root, which catches lines built
+    # before _emit and handed to it ready-made
+    built, formatted = [], []
     real = cli._emit
 
     def spying(payload, as_json, human_lines):
@@ -760,10 +835,25 @@ def test_text_lines_are_built_only_without_json(capsys, monkeypatch, argv):
             return human_lines()
         real(payload, as_json, lines)
 
+    class Root(complex):
+        def __format__(self, spec):
+            formatted.append(spec)
+            return complex.__format__(self, spec)
+
+    real_reps, real_str = cli.sl2_oracle.numeric_reps, cli.GenusOneKnot.__str__
+
+    def spied_reps(data, tol=1e-9):
+        reps = real_reps(data, tol)
+        return cli.sl2_oracle.NumericReps(
+            [cli.sl2_oracle.NumericRep(Root(r.omega), r.residual) for r in reps], reps.dropped)
+
     monkeypatch.setattr(cli, "_emit", spying)
+    monkeypatch.setattr(cli.sl2_oracle, "numeric_reps", spied_reps)
+    monkeypatch.setattr(cli.GenusOneKnot, "__str__",
+                        lambda knot: formatted.append(knot) or real_str(knot))
     assert cli.main([*argv, "--json"]) == cli.EXIT_PASS
     assert json.loads(capsys.readouterr().out)["schema"] == cli.SCHEMA
-    assert built == []
+    assert built == [] and formatted == []
     assert cli.main(argv) == cli.EXIT_PASS
     assert capsys.readouterr().out.strip()
     assert built == [False]

@@ -226,6 +226,44 @@ def test_forbidden_terms_by_case():
         assert all(t != 1 for t in cs)  # no isolated letters
 
 
+def letter_forbidden_terms_ok(knot, cs):
+    """forbidden_terms_ok term by term, as the facts read."""
+    m, n = knot.m, knot.n
+    if knot.sign > 0:
+        return all(t < 2 * m + 1 for t in cs)
+    if m >= 2:
+        return all(t != 2 * m - 1 for t in cs)
+    if n >= 2:
+        return all(t != 1 for t in cs)
+    return all(t in (2, 3, 4) for t in cs)
+
+
+def test_forbidden_terms_match_the_term_loop():
+    # the sequences of every sign pattern with t <= 2 on the 12x12 grid,
+    # each with one term moved to a random value, and random sequences
+    # (empty ones too) over the terms each case forbids or allows
+    rng = random.Random(41)
+    verdicts = set()
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                mw = long_meridian_words(knot)
+                seqs = [(), (2 * m + 1,), (2 * m - 1,), (1,), (5,)]
+                for pattern in sign_patterns(2):
+                    cs = alternating_cs_from_runs(knot, pattern, mw)
+                    i = rng.randrange(len(cs))
+                    seqs += [cs, cs[:i] + (rng.randint(0, 2 * m + 2),) + cs[i + 1:]]
+                seqs += [tuple(rng.randint(0, 2 * m + 2) for _ in range(rng.randint(1, 6)))
+                         for _ in range(10)]
+                for cs in seqs:
+                    verdict = freeness.forbidden_terms_ok(knot, cs)
+                    assert verdict is letter_forbidden_terms_ok(knot, cs), (knot, cs)
+                    case = "+" if sign > 0 else "m" if m >= 2 else "n" if n >= 2 else "1, 1"
+                    verdicts.add((case, verdict))
+    assert len(verdicts) == 8  # both verdicts in each of the four cases
+
+
 @dataclass
 class FloatScan:
     roots: list

@@ -6,7 +6,8 @@ each rotation's prefix while any other rotation still shares it, and the
 definition-level oracle find_max_piece binary-searches the longest
 prefix that bytes.find finds at a second offset.  The earlier byte-key
 table, bytes_max_piece_table, is kept here as the reference for the
-packed base-4 keys.
+packed base-4 keys, and dict_join_max_piece_table, which joins the
+digits letter by letter, as the reference for the translated digit rows.
 min_pieces_span is checked against a dynamic program over all piece
 lengths.
 
@@ -135,6 +136,32 @@ def bytes_max_piece_table(letters):
         if lcp > best[j]:
             best[j] = lcp
         i, ki = j, kj
+    return best[:n], best[n:]
+
+
+def dict_join_max_piece_table(letters):
+    """max_piece_table with its digit rows built letter by letter: a dict
+    maps each letter (and, for u^-1, each inverse letter) to its base-4
+    digit, and the digits are joined into a str."""
+    digit = {-2: "0", -1: "1", 1: "2", 2: "3"}
+    n = len(letters)
+    if n == 0:
+        return [], []
+    try:
+        digits = "".join([digit[x] for x in letters])
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]!r} is not one of -2, -1, 1, 2") from None
+    mask = (1 << 2 * n) - 1
+    keys = []
+    for row in (digits, "".join([digit[-x] for x in reversed(letters)])):
+        row = int(row * 2, 4)
+        keys += [row >> shift & mask for shift in range(2 * n, 0, -2)]
+    order = sorted(range(2 * n), key=keys.__getitem__)
+    best = [0] * (2 * n)
+    for i, j in zip(order, order[1:]):
+        lcp = n - ((keys[i] ^ keys[j]).bit_length() + 1) // 2
+        best[i] = max(best[i], lcp)
+        best[j] = max(best[j], lcp)
     return best[:n], best[n:]
 
 
@@ -392,3 +419,33 @@ def test_max_piece_table_rejects_letters_outside_alphabet(bad):
     # only inside bytes()
     with pytest.raises(ValueError, match=f"letter {bad} is not one of"):
         _kernel.max_piece_table([1, 2, bad, 2])
+
+
+def test_translated_digits_match_the_dict_join():
+    # the 12x12 grid (as tuples, as SymmetrizedSet passes them, and as
+    # lists), the random words and proper powers, and words with letters
+    # outside the alphabet, each raising ValueError for its first one
+    words = [relator(GenusOneKnot(m, n, sign).fraction).u
+             for m in range(1, 13) for n in range(1, 13) for sign in (1, -1)]
+    words += [list(w) for w in words[:24]]
+    for pair in random_words_and_powers(400, random.Random(19)):
+        words.extend(pair)
+    rng = random.Random(20)
+    bad = [(300,), (-300,), (1, 0), (3, 0, 2), (2, -1, -3, 4), (1, 2) * 30 + (300,)]
+    bad += [tuple(rng.choice([1, -1, 2, -2, 0, 3, -3, 300]) for _ in range(rng.randint(1, 12)))
+            for _ in range(300)]
+    outcomes = set()
+    for w in words + bad:
+        try:
+            expected = dict_join_max_piece_table(w)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                _kernel.max_piece_table(w)
+            assert str(err.value) == str(exc), w
+            outcomes.add(str(exc))
+        else:
+            assert _kernel.max_piece_table(w) == expected, w
+            outcomes.add("table")
+    assert {"table", "letter 300 is not one of -2, -1, 1, 2",
+            "letter -300 is not one of -2, -1, 1, 2", "letter 0 is not one of -2, -1, 1, 2",
+            "letter 3 is not one of -2, -1, 1, 2", "letter -3 is not one of -2, -1, 1, 2"} == outcomes

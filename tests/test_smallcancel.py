@@ -449,6 +449,43 @@ def test_shapes_match_letter_scan_across_longest_shape():
     assert verdicts == {True, False}
 
 
+def letter_count_cyclic_pattern(cs, pattern):
+    """_count_cyclic_pattern by comparing pattern term by term at every
+    offset of cs."""
+    t = len(cs)
+    if len(pattern) > t:
+        return 0
+    return sum(all(cs[(off + i) % t] == x for i, x in enumerate(pattern)) for off in range(t))
+
+
+def test_count_cyclic_pattern_matches_the_term_loop():
+    # S1 and S2 against the runs of every 12x12 relator, and random run
+    # sequences against random patterns: empty, wrapping the end, longer
+    # than the sequence, with overlapping matches, and with large terms
+    rng = random.Random(42)
+    counts = set()
+    cases = []
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                runs = relator(knot.fraction).runs
+                cases += [(runs, part) for part in canonical_decomposition(knot)]
+    for _ in range(3000):
+        cs = tuple(rng.choice([1, 2, 3, 300, 0x10FFFF]) for _ in range(rng.randint(0, 9)))
+        length = rng.randint(0, len(cs) + 1)
+        start = rng.randrange(len(cs)) if cs and rng.random() < 0.7 else 0
+        pattern = ((cs * 2)[start:start + length] if cs and rng.random() < 0.7
+                   else tuple(rng.choice([1, 2, 3]) for _ in range(length)))
+        cases.append((cs, pattern))
+    cases += [((), ()), ((2,), ()), ((2, 2, 2, 2), (2, 2)), ((1, 2, 1, 2), (2, 1, 2))]
+    for cs, pattern in cases:
+        count = smallcancel._count_cyclic_pattern(cs, pattern)
+        assert count == letter_count_cyclic_pattern(cs, pattern), (cs, pattern)
+        counts.add(count)
+    assert {0, 1, 2, 4} <= counts
+
+
 def test_verify_three_piece_examples():
     for knot in (GenusOneKnot(1, 1, 1), GenusOneKnot(1, 1, -1), GenusOneKnot(2, 1, 1)):
         assert verify_three_piece_property(knot, relator(knot.fraction))

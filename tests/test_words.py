@@ -174,3 +174,67 @@ def test_least_rotation_is_canonical(w):
     canon = least_rotation(w)
     assert sorted(canon) == sorted(w)
     assert all(least_rotation(rot) == canon for rot in rotations(w))
+
+
+# Letter-by-letter definitions of the primitives that run their loops in
+# builtins (map, in, str.join); each must give the same result, or raise
+# the same exception, on every word.
+
+def letter_inverse(word):
+    return tuple(-x for x in reversed(word))
+
+
+def letter_is_reduced(word):
+    return all(word[i] != -word[i + 1] for i in range(len(word) - 1))
+
+
+def letter_is_alternating(word):
+    return all(abs(word[i]) != abs(word[i + 1]) for i in range(len(word) - 1))
+
+
+def letter_word_str(word):
+    return "".join({1: "a", -1: "A", 2: "b", -2: "B"}[x] for x in word)
+
+
+def letter_apply_f(word):
+    return tuple((abs(x) - 3) * (1 if x > 0 else -1) for x in word)
+
+
+def outcome(fn, word):
+    try:
+        return "value", fn(word)
+    except Exception as exc:  # the exception's type and text are the outcome
+        return type(exc).__name__, str(exc)
+
+
+def oracle_words(count, rng):
+    """The empty word, every one-letter word, and random words of up to 40
+    letters over +-1, +-2, about one in five also holding 0, +-3 or 300."""
+    letters = [1, -1, 2, -2]
+    odd = [0, 3, -3, 300]
+    words = [(), *((x,) for x in letters + odd)]
+    for _ in range(count):
+        pool = letters + odd if rng.random() < 0.2 else letters
+        words.append(tuple(rng.choice(pool) for _ in range(rng.randint(2, 40))))
+    # runs of one letter, cancelling pairs and long alternating stretches
+    words += [(1, 1, 1), (2, -2), (1, 2, -2, 1), (1, 2) * 20, (-1, -2, 1, 2) * 9, (300, -300)]
+    return words
+
+
+@pytest.mark.parametrize("fast,letter,seen", [
+    (inverse, letter_inverse, {"value"}),
+    (is_reduced, letter_is_reduced, {True, False}),
+    (is_alternating, letter_is_alternating, {True, False}),
+    (word_str, letter_word_str, {"value", "KeyError"}),
+    (apply_f, letter_apply_f, {"value"}),
+])
+def test_primitives_match_their_letter_loops(fast, letter, seen):
+    # seen: the verdicts of a predicate, else "value" and the errors raised
+    rng = random.Random(31)
+    outcomes = set()
+    for w in oracle_words(2000, rng):
+        for arg in (w, list(w)):
+            got = outcome(fast, arg)
+            assert got == outcome(letter, arg), (fast.__name__, arg)
+            outcomes.add(got[1] if isinstance(got[1], bool) else got[0])
+    assert outcomes == seen
