@@ -65,13 +65,13 @@ def d0_d1(knot: GenusOneKnot) -> tuple[Word, Word]:
     return (cm, c_neg) if knot.sign > 0 else (c_neg, cm)
 
 
-def long_meridian_raw(knot: GenusOneKnot) -> Word:
-    """The unreduced conjugate word for y_l from the Wirtinger relations.
+def long_meridian_raw(knot: GenusOneKnot, d0: Word, d1: Word) -> Word:
+    """The unreduced conjugate word for y_l from the Wirtinger relations,
+    with (d0, d1) = d0_d1(knot).
 
     For even m the conjugator is the alternating product of (d1, d0^-1)
     with n factors, for odd m of (d1^-1, d0); y_l conjugates b^-1 by it.
     """
-    d0, d1 = d0_d1(knot)
     if knot.m % 2 == 0:
         core = alt_power(d1, inverse(d0), knot.n)
     else:
@@ -181,7 +181,7 @@ def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords | None = None) -
     """
     if mw is None:
         mw = long_meridian_words(knot)
-    if free_reduce(long_meridian_raw(knot)) != mw.y_l:
+    if free_reduce(long_meridian_raw(knot, mw.d0, mw.d1)) != mw.y_l:
         return False
     if apply_f(mw.y_l) != mw.x_l:
         return False

@@ -18,7 +18,10 @@ The float layer (numeric_reps) finds all roots by simultaneous
 Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) that evaluates
 the polynomial and its derivative through the product of generator
 matrices, never through the monomial coefficients, which are
-ill-conditioned once p is large.  Conjugate roots are made exact
+ill-conditioned once p is large.  Since uhat = v swap(v)^-1 for its
+first half v (swap exchanges a and b), that product runs over v alone:
+g = y^2 - w xi^2 from the bottom row (w xi, y) of rho(v), see
+_riley_value.  Conjugate roots are made exact
 conjugates, so a word's images at the two are exact conjugates too.
 Every root is checked against the relator in double precision, by the
 same right-multiplication column operations as the exact layer; the
@@ -122,27 +125,39 @@ def _float_image(word, w: complex) -> tuple[complex, complex, complex, complex]:
 
 
 def _riley_value(u_hat, w: complex) -> tuple[complex, complex]:
-    """(2,2) entry of rho(uhat) at w and its derivative in w.
+    """(2,2) entry of rho(uhat) at w and its derivative in w, from the
+    first half v of uhat alone.
 
-    The column operations of riley_polynomials on complex numbers, with
-    the derivative carried alongside (forward mode).
+    q is even, so e(p-i) = -e(i), and the letter at position p - i is the
+    other generator: uhat = v swap(v)^-1, where swap exchanges a and b.
+    With A = rho(a), B = rho(b) and M = rho(v):
+    - P = [[0, 1], [1, 0]] gives P A^T P = A and P B^T P = B, so
+      rho(reverse v) = P M^T P;
+    - D = diag(1, w) gives D A^T D^-1 = B and D B^T D^-1 = A, so
+      rho(swap v) = D rho(reverse v)^T D^-1 = D P M P D^-1.
+    Hence rho(uhat) = M D P M^-1 P D^-1, whose (2,2) entry is
+    m22^2 - m21^2 / w.  The column operations of riley_polynomials keep
+    m21 a multiple of w, so the walk carries the bottom row (w xi, y) of M
+    as (xi, y), with the derivatives alongside (forward mode), and returns
+    g = y^2 - w xi^2 and g' = 2 (y y' - w xi xi') - xi^2: the same
+    polynomial from (p - 1)/2 letters instead of p - 1.
     """
-    x = dx = dy = 0j
+    xi = dxi = dy = 0j
     y = 1 + 0j
-    for letter in u_hat:
+    for letter in u_hat[:len(u_hat) // 2]:
         if letter == 1:
-            y += x
-            dy += dx
+            dy += xi + w * dxi
+            y += w * xi
         elif letter == -1:
-            y -= x
-            dy -= dx
+            dy -= xi + w * dxi
+            y -= w * xi
         elif letter == 2:
-            dx += y + w * dy
-            x += w * y
+            xi += y
+            dxi += dy
         else:
-            dx -= y + w * dy
-            x -= w * y
-    return y, dy
+            xi -= y
+            dxi -= dy
+    return y * y - w * xi * xi, 2 * (y * dy - w * xi * dxi) - xi * xi
 
 
 _MAX_ITER = 200
@@ -160,7 +175,11 @@ def _all_roots(u_hat, poly: Poly) -> list[complex]:
     offset keeps every start off the real axis.  Each sweep updates the
     roots in turn (Gauss-Seidel); a root whose correction falls below
     _STOP is frozen, and the sweeps stop when every root is frozen or
-    after _MAX_ITER (every slope with p <= 151 needs at most 41 sweeps).
+    after max(_MAX_ITER, n) sweeps.  Every slope with p <= 151 needs at
+    most 41.  At 32/1025 (n = 512), 200 sweeps leave 140 iterates
+    unconverged and n sweeps leave 18, each where the float walk
+    overflows; numeric_reps then keeps all 512 roots, 18 of them as
+    restored conjugates.
     Unconverged iterates are returned as they are, for the caller's
     residual check to reject.
     """
@@ -172,7 +191,7 @@ def _all_roots(u_hat, poly: Poly) -> list[complex]:
         radius = 1.0
     zs = [centre + radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     active = range(n)
-    for _ in range(_MAX_ITER):
+    for _ in range(max(_MAX_ITER, n)):
         moving = []
         for k in active:
             z = zs[k]

@@ -51,7 +51,8 @@ def test_d0_d1_s_sequences():
 
 
 def test_long_meridian_raw_frozen_example():
-    assert word_str(free_reduce(long_meridian_raw(GenusOneKnot(1, 1, 1)))) == "bABaB"
+    knot = GenusOneKnot(1, 1, 1)
+    assert word_str(free_reduce(long_meridian_raw(knot, *d0_d1(knot)))) == "bABaB"
 
 
 def test_closed_form_examples():
@@ -113,7 +114,7 @@ def test_verify_meridian_forms_sweep():
 def power_loop_verdict(knot, mw, k_max=8):
     """verify_meridian_forms as it was, with the power identity checked
     for every 0 < |k| <= k_max by reducing the k-th power in full."""
-    if free_reduce(meridians.long_meridian_raw(knot)) != mw.y_l:
+    if free_reduce(meridians.long_meridian_raw(knot, mw.d0, mw.d1)) != mw.y_l:
         return False
     if apply_f(mw.y_l) != mw.x_l:
         return False
@@ -170,5 +171,5 @@ def test_unit_powers_match_the_power_loop_on_hand_built_words(data):
     ))
     mw = MeridianWords((), (), w_x, w_y, x_l, y_l)
     knot = GenusOneKnot(1, 1, 1)
-    with mock.patch.object(meridians, "long_meridian_raw", lambda knot: raw):
+    with mock.patch.object(meridians, "long_meridian_raw", lambda knot, d0, d1: raw):
         assert verify_meridian_forms(knot, mw) == power_loop_verdict(knot, mw)
