@@ -106,8 +106,9 @@ def _cmd_relator(args) -> int:
 def _cmd_meridians(args) -> int:
     knot = _knot_from_args(args)
     mw = meridians.long_meridian_words(knot)
+    d0, d1 = mw.d0_d1
     fields = {
-        "d0": mw.d0, "d1": mw.d1,
+        "d0": d0, "d1": d1,
         "w_x": mw.w_x, "w_y": mw.w_y,
         "x_l": mw.x_l, "y_l": mw.y_l,
     }

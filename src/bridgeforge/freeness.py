@@ -179,11 +179,7 @@ def verify_alternating_cs(knot: GenusOneKnot, sign_pairs, mw: MeridianWords | No
     For the (1, 1, -) slope only the membership bound {2, 3, 4} applies.
     """
     cs = alternating_cs_from_runs(knot, sign_pairs, mw)
-    try:
-        closed = alternating_cs_closed_form(knot, sign_pairs)
-    except UnsupportedCaseError:
-        closed = None
-    if closed is not None and cs != closed:
+    if knot.is_hyperbolic and cs != alternating_cs_closed_form(knot, sign_pairs):
         return False
     return forbidden_terms_ok(knot, cs)
 

@@ -81,12 +81,17 @@ def long_meridian_raw(knot: GenusOneKnot, d0: Word, d1: Word) -> Word:
 
 @dataclass(frozen=True)
 class MeridianWords:
-    d0: Word
-    d1: Word
+    knot: GenusOneKnot
     w_x: Word
     w_y: Word
     x_l: Word
     y_l: Word
+
+    @functools.cached_property
+    def d0_d1(self) -> tuple[Word, Word]:
+        """d0_d1(knot), built on first use: only the raw Wirtinger word of
+        verify_meridian_forms and the meridians payload read them."""
+        return d0_d1(self.knot)
 
     @functools.cached_property
     def factor_runs(self) -> tuple[dict, dict]:
@@ -143,7 +148,6 @@ def long_meridian_words(knot: GenusOneKnot) -> MeridianWords:
     validated to be alternating, to swap under the symmetry, and to have
     the tabulated S-sequences for the power x_l^((-1)^n).
     """
-    d0, d1 = d0_d1(knot)
     runs = _conjugator_runs(knot)
     wy_initial = 2 if knot.sign > 0 else -1
     w_y = alt_word(wy_initial, runs)
@@ -162,7 +166,7 @@ def long_meridian_words(knot: GenusOneKnot) -> MeridianWords:
     y_pow = y_l if eps == 1 else inverse(y_l)
     if s_sequence(x_pow) != table or s_sequence(y_pow) != table:
         raise AssertionError("meridian S-sequence table mismatch")
-    return MeridianWords(d0, d1, w_x, w_y, x_l, y_l)
+    return MeridianWords(knot, w_x, w_y, x_l, y_l)
 
 
 def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords | None = None) -> bool:
@@ -181,7 +185,7 @@ def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords | None = None) -
     """
     if mw is None:
         mw = long_meridian_words(knot)
-    if free_reduce(long_meridian_raw(knot, mw.d0, mw.d1)) != mw.y_l:
+    if free_reduce(long_meridian_raw(knot, *mw.d0_d1)) != mw.y_l:
         return False
     if apply_f(mw.y_l) != mw.x_l:
         return False

@@ -21,11 +21,11 @@ matrices, never through the monomial coefficients, which are
 ill-conditioned once p is large.  Since uhat = v swap(v)^-1 for its
 first half v (swap exchanges a and b), that product runs over v alone:
 g = y^2 - w xi^2 from the bottom row (w xi, y) of rho(v), see
-_riley_value.  Conjugate roots are made exact
-conjugates, so a word's images at the two are exact conjugates too.
-Every root is checked against the relator in double precision, by the
-same right-multiplication column operations as the exact layer; the
-residuals are margins, not proofs.
+_riley_value.  Each iterate is folded into the upper half-plane and
+checked once against the relator in double precision, by the same
+right-multiplication column operations as the exact layer; a kept
+non-real root comes with its exact conjugate, so a word's images at the
+two are exact conjugates too.  The residuals are margins, not proofs.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def _all_roots(u_hat, poly: Poly) -> list[complex]:
     after max(_MAX_ITER, n) sweeps.  Every slope with p <= 151 needs at
     most 41.  At 32/1025 (n = 512), 200 sweeps leave 140 iterates
     unconverged and n sweeps leave 18, each where the float walk
-    overflows; numeric_reps then keeps all 512 roots, 18 of them as
-    restored conjugates.
+    overflows; numeric_reps still keeps all 512 roots, as the conjugates
+    of the kept ones include the 18 that no iterate reached.
     Unconverged iterates are returned as they are, for the caller's
     residual check to reject.
     """
@@ -218,41 +218,14 @@ def _all_roots(u_hat, poly: Poly) -> list[complex]:
     return zs
 
 
-# conjugate roots and near-real roots are matched within this relative distance
+# iterates this close are one root, and a root this close to the real
+# axis, relative to max(1, |w|), is real
 _PAIR_TOL = 1e-8
-
-
-def _conjugate_pairs(zs: list[complex]) -> list[complex]:
-    """zs with the conjugate symmetry of a real polynomial's roots made exact.
-
-    For each finite root z_k let j be the finite root nearest conj(z_k).
-    If j = k and |Im z_k| <= _PAIR_TOL max(1, |z_k|), z_k becomes real
-    with imaginary part 0.0.  If j != k, k is also j's nearest and
-    |z_k - conj z_j| <= _PAIR_TOL max(1, |z_k|), the upper root u of the
-    two is kept and its partner becomes exactly u.conjugate().  Every
-    other root, non-finite iterates and unconverged roots included, is
-    left as it is.
-    """
-    out = list(zs)
-    finite = [k for k, z in enumerate(zs) if cmath.isfinite(z)]
-    nearest = {
-        k: min(finite, key=lambda j: abs(zs[j] - zs[k].conjugate())) for k in finite
-    }
-    for k, j in nearest.items():
-        z = zs[k]
-        bound = _PAIR_TOL * max(1.0, abs(z))
-        if j == k:
-            if abs(z.imag) <= bound:
-                out[k] = complex(z.real, 0.0)
-        elif k < j and nearest[j] == k and abs(z - zs[j].conjugate()) <= bound:
-            upper, lower = (k, j) if z.imag >= zs[j].imag else (j, k)
-            out[lower] = zs[upper].conjugate()
-    return out
 
 
 class NumericReps(list):
     """The kept representations, as a list; dropped holds (omega, residual)
-    for each root the residual gate rejected, in the order found."""
+    for each root the residual gate rejected, in the order gated."""
 
     def __init__(self, reps=(), dropped=()):
         super().__init__(reps)
@@ -263,53 +236,47 @@ def numeric_reps(data: RileyData, tol: float = 1e-9) -> NumericReps:
     """All distinct parabolic representations at the roots of data.poly.
 
     The polynomial has integer coefficients, so its non-real roots come
-    in conjugate pairs; _conjugate_pairs makes each pair that the
-    iteration found exact conjugates and each real root exactly real.
-    Each root is then packaged with its relator residual, the largest
-    entry of |rho(u) - I| by _float_image, and nan when an entry is not
-    finite.  At conj(w) the image of every word is the entrywise
-    conjugate of the one at w, bit for bit (IEEE rounding is symmetric in
-    sign), so the residual is computed at the root in the upper
-    half-plane and shared by its conjugate.  A root whose residual is not
-    at most tol (nan included) is dropped with a warning and listed in
-    the result's dropped.  The kept roots are deduplicated to 1e-8.  A
-    kept non-real root whose conjugate the iteration lost (at 24/577 two
-    do) gets that conjugate added, with the same residual, unless a kept
-    root lies within 1e-8 of it.  The roots are ordered by (real, imag).
+    in conjugate pairs, and the image of every word at conj(w) is the
+    entrywise conjugate of the one at w, bit for bit (IEEE rounding is
+    symmetric in sign).  So each iterate z is folded to u = z, or to
+    conj(z) when Im z < 0, the upper iterates taken first so that a pair
+    keeps its upper iterate.  u is made exactly real when
+    |Im u| <= _PAIR_TOL max(1, |u|), and skipped when it lies within
+    _PAIR_TOL of a u already gated.  Every other u is gated once by its
+    relator residual, the largest entry of |rho(u) - I| by _float_image,
+    and nan when an entry is not finite.  A root whose residual is not at
+    most tol (nan included) is dropped with a warning and listed, as the
+    iterate z, in the result's dropped.  A kept non-real u is kept with
+    its exact conjugate and the same residual, so a root the iteration
+    found in one half-plane only (at 24/577 two are) comes back in both.
+    The roots are ordered by (real, imag).
     """
     if len(data.poly) < 2:
         warnings.warn(f"slope {data.fraction} has a constant defining polynomial; no roots")
         return NumericReps()
     rel = data.relator
     reps = NumericReps()
-    residuals: dict[complex, float] = {}  # by the root in the upper half-plane
-    for omega in _conjugate_pairs(_all_roots(rel.u_hat, data.poly)):
-        upper = omega if omega.imag >= 0 else omega.conjugate()
-        residual = residuals.get(upper)
-        if residual is None:
-            a, b, c, d = _float_image(rel.u, upper)
-            # tested first: max() drops a nan that is not its first argument
-            if all(map(cmath.isfinite, (a, b, c, d))):
-                residual = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
-            else:
-                residual = math.nan
-            residuals[upper] = residual
-        if not residual <= tol:
-            warnings.warn(
-                f"dropping root {omega} with relator residual {residual:.3e}"
-            )
-            reps.dropped.append((omega, residual))
+    gated: list[complex] = []
+    for z in sorted(_all_roots(rel.u_hat, data.poly), key=lambda z: z.imag < 0):
+        u = z.conjugate() if z.imag < 0 else z
+        if abs(u.imag) <= _PAIR_TOL * max(1.0, abs(u)):
+            u = complex(u.real, 0.0)
+        if any(abs(u - seen) <= _PAIR_TOL for seen in gated):
             continue
-        if all(abs(omega - kept.omega) > 1e-8 for kept in reps):
-            reps.append(NumericRep(omega, residual))
-    omegas = {rep.omega for rep in reps}
-    for rep in list(reps):
-        twin = rep.omega.conjugate()
-        if twin != rep.omega and twin not in omegas and all(
-            abs(twin - kept.omega) > 1e-8 for kept in reps
-        ):
-            reps.append(NumericRep(twin, rep.residual))
-            omegas.add(twin)
+        gated.append(u)
+        a, b, c, d = _float_image(rel.u, u)
+        # tested first: max() drops a nan that is not its first argument
+        if all(map(cmath.isfinite, (a, b, c, d))):
+            residual = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
+        else:
+            residual = math.nan
+        if not residual <= tol:
+            warnings.warn(f"dropping root {z} with relator residual {residual:.3e}")
+            reps.dropped.append((z, residual))
+            continue
+        reps.append(NumericRep(u, residual))
+        if u.imag:
+            reps.append(NumericRep(u.conjugate(), residual))
     reps.sort(key=lambda rep: (rep.omega.real, rep.omega.imag))
     if not reps:
         warnings.warn(f"no representation root of {data.fraction} met tolerance {tol}")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bridgeforge import cli
+from bridgeforge import cli, meridians
 from bridgeforge.presentation import relator
 from bridgeforge.slope import GenusOneKnot
 from bridgeforge.smallcancel import UNREPRESENTABLE, SymmetrizedSet, is_piece, min_pieces
@@ -93,6 +93,22 @@ def test_pieces_word_matches_is_piece_and_min_pieces_on_grid(capsys):
                         assert "note" not in payload
                     answers.add((payload["is_piece"], payload["min_pieces"]))
     assert {(True, 1), (False, 2), (False, None)} <= answers
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["freeness", "--m", "3", "--n", "2", "--sign", "+", "--t", "2"], 0),
+    (["freeness", "--m", "2", "--n", "1", "--sign", "-", "--t", "1", "--scan-syllables", "2"], 0),
+    (["meridians", "--m", "3", "--n", "2", "--sign", "+"], 2),
+    (["verify-all", "--m-max", "2", "--n-max", "1"], 2 * 4),
+])
+def test_d0_d1_are_built_only_where_read(capsys, monkeypatch, argv, calls):
+    # d0 and d1 are two c_word calls: built once per meridians call and per
+    # verify-all cell (its meridian_forms row), never on the freeness path
+    built = []
+    real = meridians.c_word
+    monkeypatch.setattr(meridians, "c_word", lambda i, m: built.append(i) or real(i, m))
+    code, _ = run_json(capsys, *argv)
+    assert code == cli.EXIT_PASS and len(built) == calls
 
 
 @pytest.mark.parametrize("word,piece", [("ba", False), ("aa", False), ("bA", True)])

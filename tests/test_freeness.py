@@ -163,7 +163,7 @@ def test_literal_closed_form_matches_the_rotation_oracle():
 
 
 def hand_built(x_l, y_l):
-    return MeridianWords((), (), (), (), tuple(x_l), tuple(y_l))
+    return MeridianWords(None, (), (), tuple(x_l), tuple(y_l))
 
 
 def outcome(fn, mw, pattern):

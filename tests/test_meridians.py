@@ -114,7 +114,7 @@ def test_verify_meridian_forms_sweep():
 def power_loop_verdict(knot, mw, k_max=8):
     """verify_meridian_forms as it was, with the power identity checked
     for every 0 < |k| <= k_max by reducing the k-th power in full."""
-    if free_reduce(meridians.long_meridian_raw(knot, mw.d0, mw.d1)) != mw.y_l:
+    if free_reduce(meridians.long_meridian_raw(knot, *mw.d0_d1)) != mw.y_l:
         return False
     if apply_f(mw.y_l) != mw.x_l:
         return False
@@ -169,7 +169,7 @@ def test_unit_powers_match_the_power_loop_on_hand_built_words(data):
     raw = draw(st.sampled_from(
         [y_l, y_l[:cut] + (letter, -letter) + y_l[cut:], draw(reduced_words)]
     ))
-    mw = MeridianWords((), (), w_x, w_y, x_l, y_l)
     knot = GenusOneKnot(1, 1, 1)
+    mw = MeridianWords(knot, w_x, w_y, x_l, y_l)
     with mock.patch.object(meridians, "long_meridian_raw", lambda knot, d0, d1: raw):
         assert verify_meridian_forms(knot, mw) == power_loop_verdict(knot, mw)

@@ -380,23 +380,120 @@ def test_numeric_reps_never_keeps_nan_residual(monkeypatch):
     assert not math.isfinite(nan_res) and not math.isfinite(inf_res)
 
 
-def test_conjugate_pairs_rule():
-    pair = sl2_oracle._conjugate_pairs
-    # a pair within 1e-8 becomes the upper root and its exact conjugate
-    assert pair([1 + 2j, 1 + 1e-9 - 2j]) == [1 + 2j, (1 + 2j).conjugate()]
-    assert pair([1 - 2j, 1 + 1e-9 + 2j]) == [(1 + 1e-9 + 2j).conjugate(), 1 + 1e-9 + 2j]
-    # a near-real root becomes real, with imaginary part +0.0
-    (z,) = pair([3 - 1e-12j])
-    assert z == 3 and math.copysign(1.0, z.imag) == 1.0
-    # too far apart to pair, or non-finite: left as they are
-    far = [1 + 2j, 1 + 1e-6 - 2j, 5 + 1e-6j]
-    assert pair(far) == far
-    odd = [complex("nan"), complex("inf"), 1 + 2j]
-    assert pair(odd)[2] == 1 + 2j and cmath.isnan(pair(odd)[0])
-    # nearest conjugates that are not mutual are not paired: the root
-    # nearest conj(2 + 1j) is z, whose own nearest conjugate is the third
-    z, upper = 2 - 1.000000001j, 2 + 1.0000000005j
-    assert pair([2 + 1j, z, upper]) == [2 + 1j, upper.conjugate(), upper]
+def folded(monkeypatch, iterates):
+    """numeric_reps of 2/7 on the given iterates, with tol = inf so that
+    every finite root passes the gate: its kept omegas and dropped list."""
+    monkeypatch.setattr(sl2_oracle, "_all_roots", lambda u_hat, poly: list(iterates))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reps = reps_of(Frac(2, 7), tol=math.inf)
+    by_omega = {rep.omega: rep.residual for rep in reps}
+    assert all(by_omega[rep.omega.conjugate()] == rep.residual for rep in reps)
+    return [rep.omega for rep in reps], reps.dropped
+
+
+def test_fold_rule(monkeypatch):
+    # a pair keeps its upper iterate and that iterate's exact conjugate,
+    # whichever of the two comes first
+    upper, lower = 1 + 2j, 1 + 1e-9 - 2j
+    for iterates in ([lower, upper], [upper, lower]):
+        assert folded(monkeypatch, iterates) == ([upper.conjugate(), upper], [])
+    # a root found only in the lower half comes back as conj(z) and z
+    z = 3 - 1j
+    assert folded(monkeypatch, [z]) == ([z, z.conjugate()], [])
+    # a near-real root becomes real, with imaginary part +0.0, within
+    # 1e-8 max(1, |z|)
+    for z in (3 - 1e-12j, -2 + 1e-12j, 1e4 - 5e-5j, complex(-0.5, -0.0)):
+        (omega,), dropped = folded(monkeypatch, [z])
+        assert omega == z.real and math.copysign(1.0, omega.imag) == 1.0 and not dropped
+    assert folded(monkeypatch, [3 - 1e-7j])[0] == [3 - 1e-7j, 3 + 1e-7j]
+    # two iterates within 1e-8 give one root, in either half-plane; 1e-6
+    # apart they give two
+    for twin in (2 + 1j + 5e-9, 2 - 1j + 5e-9j):
+        assert folded(monkeypatch, [2 + 1j, twin])[0] == [2 - 1j, 2 + 1j]
+    assert len(folded(monkeypatch, [2 + 1j, 2 + 1j + 1e-6])[0]) == 4
+    # each nan or inf iterate is listed in dropped, as it was found
+    nan, inf = complex("nan"), complex("inf")
+    omegas, dropped = folded(monkeypatch, [nan, inf, 1 + 2j, nan, complex(inf, -1)])
+    assert omegas == [1 - 2j, 1 + 2j]
+    assert len(dropped) == 4 and all(math.isnan(residual) for _, residual in dropped)
+    roots = [z for z, _ in dropped]
+    assert cmath.isnan(roots[0]) and roots[1] == inf and cmath.isnan(roots[2])
+    assert roots[3] == complex(inf, -1)
+
+
+# The conjugate pairing that the fold replaced, kept as its reference:
+# mutual-nearest pairs before the gate, a residual cache keyed by the upper
+# root, and the restoration of lost conjugates after it.
+
+def conjugate_pairs(zs):
+    """zs with each mutual-nearest conjugate pair within 1e-8 max(1, |z|)
+    made exact conjugates of its upper root, and each root that is its
+    own nearest conjugate and that close to the real axis made real."""
+    out = list(zs)
+    finite = [k for k, z in enumerate(zs) if cmath.isfinite(z)]
+    nearest = {
+        k: min(finite, key=lambda j: abs(zs[j] - zs[k].conjugate())) for k in finite
+    }
+    for k, j in nearest.items():
+        z = zs[k]
+        bound = 1e-8 * max(1.0, abs(z))
+        if j == k:
+            if abs(z.imag) <= bound:
+                out[k] = complex(z.real, 0.0)
+        elif k < j and nearest[j] == k and abs(z - zs[j].conjugate()) <= bound:
+            upper, lower = (k, j) if z.imag >= zs[j].imag else (j, k)
+            out[lower] = zs[upper].conjugate()
+    return out
+
+
+def paired_reps(data, zs, tol=1e-9):
+    """numeric_reps by the pairing rule on the iterates zs: kept
+    (omega, residual) pairs and the dropped list."""
+    reps, dropped = [], []
+    residuals = {}  # by the root in the upper half-plane
+    for omega in conjugate_pairs(zs):
+        upper = omega if omega.imag >= 0 else omega.conjugate()
+        residual = residuals.get(upper)
+        if residual is None:
+            img = sl2_oracle._float_image(data.relator.u, upper)
+            residual = relator_residual(img) if all(map(cmath.isfinite, img)) else math.nan
+            residuals[upper] = residual
+        if not residual <= tol:
+            dropped.append((omega, residual))
+        elif all(abs(omega - kept) > 1e-8 for kept, _ in reps):
+            reps.append((omega, residual))
+    omegas = {omega for omega, _ in reps}
+    for omega, residual in list(reps):
+        twin = omega.conjugate()
+        if twin != omega and twin not in omegas and all(
+            abs(twin - kept) > 1e-8 for kept, _ in reps
+        ):
+            reps.append((twin, residual))
+            omegas.add(twin)
+    reps.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+    return reps, dropped
+
+
+def test_fold_matches_the_pairing_rule(monkeypatch):
+    # on the same iterates, every even slope with p <= 61 and the first two
+    # slopes by p where the iteration loses a conjugate
+    found = sl2_oracle._all_roots
+    iterates = []
+    monkeypatch.setattr(sl2_oracle, "_all_roots", lambda u_hat, poly: list(iterates))
+    lost = 0
+    for f in even_slopes(61) + [Frac(80, 269), Frac(24, 577)]:
+        data = riley_polynomials(f)
+        iterates[:] = found(data.relator.u_hat, data.poly)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reps = numeric_reps(data)
+        expected, dropped = paired_reps(data, iterates)
+        assert [(rep.omega, rep.residual) for rep in reps] == expected, f
+        assert repr(reps.dropped) == repr(dropped), f
+        # a kept root that no iterate came near is a conjugate put back
+        lost += sum(all(abs(omega - z) > 1e-8 for z in iterates) for omega, _ in expected)
+    assert lost == 3  # one at 80/269, two at 24/577
 
 
 def test_conjugate_residuals_are_equal_bit_for_bit():
@@ -436,24 +533,30 @@ def test_residual_matches_the_generic_product_bit_for_bit():
 @pytest.mark.parametrize("entry", range(4))
 def test_residual_gate_drops_a_nan_in_any_entry(monkeypatch, entry):
     # max() keeps a nan only as its first argument; a nan in any entry of
-    # the relator image must still give a nan residual and drop the root
+    # the relator image must still give a nan residual and drop the root.
+    # Each root is gated once: the dropped one is listed once, and its
+    # conjugate iterate is neither kept nor listed
     image = sl2_oracle._float_image
     calls = []
 
-    def nan_at_first_root(word, w):
+    def nan_at_first_pair(word, w):
         img = list(image(word, w))
-        if not calls:
+        if not any(z.imag for z in calls) and w.imag:
             img[entry] = complex("nan")
         calls.append(w)
         return tuple(img)
 
-    monkeypatch.setattr(sl2_oracle, "_float_image", nan_at_first_root)
-    with pytest.warns(UserWarning, match="dropping root"):
+    monkeypatch.setattr(sl2_oracle, "_float_image", nan_at_first_pair)
+    with pytest.warns(UserWarning, match="dropping root") as caught:
         reps = reps_of(Frac(2, 7))
-    assert reps.dropped and len(reps) + len(reps.dropped) == 3
-    assert all(math.isnan(residual) for _, residual in reps.dropped)
-    assert all(rep.residual <= 1e-9 for rep in reps)
-    assert calls[0] in {z for z, _ in reps.dropped}
+    assert len(caught) == 1
+    (dropped, residual), = reps.dropped
+    assert math.isnan(residual)
+    # 2/7 has one real root and one pair: two roots, each gated once
+    assert len(calls) == 2 and calls[0].imag == 0 < calls[1].imag
+    assert dropped == calls[1]
+    assert [rep.omega for rep in reps] == [calls[0]]
+    assert reps[0].residual <= 1e-9
 
 
 def test_relator_image_is_identity():
