@@ -15,9 +15,10 @@ knot group to SL2(Z/N), checked on the relator, so a word whose image
 there is not I is proven nontrivial.  The matrix scan rests on it.
 
 The float layer (numeric_reps) finds all roots by simultaneous
-Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) that evaluates
-the polynomial and its derivative through the product of generator
-matrices, never through the monomial coefficients, which are
+Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973).  It reads the
+top three monomial coefficients, exactly, for the starting points, but
+evaluates the polynomial and its derivative only through the product of
+generator matrices, never through the coefficients, which are
 ill-conditioned once p is large.  Since uhat = v swap(v)^-1 for its
 first half v (swap exchanges a and b), that product runs over v alone:
 g = y^2 - w xi^2 from the bottom row (w xi, y) of rho(v), see
@@ -166,20 +167,53 @@ _MAX_ITER = 200
 _STOP = 4 * sys.float_info.epsilon
 
 
+def _spread(poly: Poly) -> float:
+    """Mean of (w - mu)^2 over the n roots w of poly, mu their mean.
+
+    By Newton's identities the roots' sum is -a(n-1)/a(n) and the sum of
+    their squares is (a(n-1)^2 - 2 a(n) a(n-2)) / a(n)^2, so the mean is
+    ((n - 1) a(n-1)^2 - 2n a(n) a(n-2)) / (n a(n))^2: exact integer
+    arithmetic up to one division, real because poly is, and 0 when n = 1.
+    """
+    n = len(poly) - 1
+    below = poly[-3] if n > 1 else 0
+    return ((n - 1) * poly[-2] ** 2 - 2 * n * poly[-1] * below) / (n * poly[-1]) ** 2
+
+
+def _semi_axes(spread: float, radius: float) -> tuple[float, float]:
+    """Semi-axes (a, b), along the real and the imaginary axis, of the
+    ellipse with a^2 - b^2 = 2 spread and ab = radius^2.
+
+    With h = sqrt(spread^2 + radius^4) they are sqrt(h + spread) and
+    sqrt(h - spread); the smaller one is taken as radius^2 over the larger,
+    which loses no digits to h - |spread| on a thin ellipse.  spread = 0
+    gives a = b = radius exactly.
+    """
+    major = math.sqrt(math.hypot(spread, radius * radius) + abs(spread))
+    minor = radius * (radius / major)
+    return (major, minor) if spread >= 0 else (minor, major)
+
+
 def _all_roots(u_hat, poly: Poly) -> list[complex]:
     """All roots of the Riley polynomial of uhat by Aberth-Ehrlich iteration.
 
-    The n = deg(poly) starting points lie on the circle around the mean
-    root -a(n-1) / (n a(n)) whose radius is the geometric mean distance
-    from that centre to the roots, |g(centre) / a(n)|^(1/n); the angular
+    The n = deg(poly) starting points lie on the ellipse around the mean
+    root mu = -a(n-1) / (n a(n)) that matches the roots' first two
+    moments: its semi-axes a (real) and b (imaginary) have a^2 - b^2 = 2S,
+    S = _spread(poly) the roots' mean of (w - mu)^2, so that for n >= 3
+    the starts' own mean of (z - mu)^2 is S; and ab = r^2, r the geometric
+    mean distance from mu to the roots, |g(mu) / a(n)|^(1/n).  Riley roots
+    lie along thin curves (at 24/577 near [-4, 0], at 66/67 all real), so
+    a circle of radius r puts most starts far from any root.  The angular
     offset keeps every start off the real axis.  Each sweep updates the
     roots in turn (Gauss-Seidel); a root whose correction falls below
     _STOP is frozen, and the sweeps stop when every root is frozen or
     after max(_MAX_ITER, n) sweeps.  Every slope with p <= 151 needs at
-    most 41.  At 32/1025 (n = 512), 200 sweeps leave 140 iterates
-    unconverged and n sweeps leave 18, each where the float walk
+    most 27 but 144/151, where the iterate at one real root keeps moving
+    by about 4.4 ulp, the rounding noise of g there, until the cap.  At
+    32/1025 (n = 512) one iterate never converges, where the float walk
     overflows; numeric_reps still keeps all 512 roots, as the conjugates
-    of the kept ones include the 18 that no iterate reached.
+    of the kept ones include the one that no iterate reached.
     Unconverged iterates are returned as they are, for the caller's
     residual check to reject.
     """
@@ -189,7 +223,9 @@ def _all_roots(u_hat, poly: Poly) -> list[complex]:
     radius = abs(_riley_value(u_hat, centre)[0] / lead) ** (1 / n)
     if not 0 < radius < math.inf:
         radius = 1.0
-    zs = [centre + radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    a, b = _semi_axes(_spread(poly), radius)
+    angles = [2 * math.pi * k / n + 0.4 for k in range(n)]
+    zs = [centre + complex(a * math.cos(t), b * math.sin(t)) for t in angles]
     active = range(n)
     for _ in range(max(_MAX_ITER, n)):
         moving = []
@@ -248,7 +284,7 @@ def numeric_reps(data: RileyData, tol: float = 1e-9) -> NumericReps:
     most tol (nan included) is dropped with a warning and listed, as the
     iterate z, in the result's dropped.  A kept non-real u is kept with
     its exact conjugate and the same residual, so a root the iteration
-    found in one half-plane only (at 24/577 two are) comes back in both.
+    found in one half-plane only (at 32/1025 one is) comes back in both.
     The roots are ordered by (real, imag).
     """
     if len(data.poly) < 2:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,16 @@ def test_reps_command(capsys):
     assert code == 0
     assert len(payload["roots"]) == 2
     assert all(r["residual"] < 1e-9 for r in payload["roots"])
+    assert payload["dropped_roots"] == []
+
+
+def test_reps_keeps_every_root_at_204_239(capsys):
+    # started on a circle, the iteration left one iterate stuck where the
+    # float walk overflows, and 118 of the 119 roots were kept
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, "reps", "--p", "239", "--q", "204")
+    assert code == 0 and len(payload["roots"]) == 119
     assert payload["dropped_roots"] == []
 
 
