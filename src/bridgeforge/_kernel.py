@@ -28,6 +28,8 @@ those cuts.  Pieces are also closed under dropping their first letter
 minus its first letter), so piece_len[(i+1) % n] >= piece_len[i] - 1:
 every row is suffix-closed, a never decreases, and the maximum is at
 the last cut.  Each level is one pass, a whole table O(kmax n).
+min_pieces_span walks the same recurrence from one offset, one cut per
+piece, O(pieces).  Both refuse a row that is not suffix-closed.
 """
 
 import operator
@@ -89,32 +91,39 @@ def max_piece_table(letters):
     return best[:n], best[n:]
 
 
+def _require_suffix_closed(piece_len):
+    """Raise ValueError unless piece_len[(i+1) % n] >= piece_len[i] - 1
+    for every i, as on every max_piece_table row."""
+    n = len(piece_len)
+    # a over one period and the wrap to the next
+    a = [i + x for i, x in enumerate(piece_len)]
+    if n:
+        a.append(n + piece_len[0])
+    if not all(map(operator.le, a, a[1:])):
+        raise ValueError("piece table is not suffix-closed")
+
+
 def min_pieces_span(piece_len, start, length):
     """Minimal number of pieces covering the cyclic span [start, start+length).
 
-    piece_len is a max_piece_table row.  Works as a shortest path on the
-    cut positions: pieces are prefix-closed, so the positions reachable
-    with k pieces form an interval and one frontier sweep per k suffices.
-    Returns -1 when the span is not a product of pieces at all.
+    piece_len is a max_piece_table row.  On a suffix-closed row the last
+    cut reached is the best place for the next piece (reach_table), so
+    r += piece_len[(start + r) % n], one step per piece, until r covers
+    the span.  Returns -1 when the span is not a product of pieces at
+    all: the walk meets a cut where no piece starts, and no earlier cut
+    reaches past it.  A row that is not suffix-closed raises ValueError.
     """
+    _require_suffix_closed(piece_len)
     n = len(piece_len)
-    if length == 0:
-        return 0
-    if not 0 < length <= n:
-        raise ValueError("span length must be between 1 and len(piece_len)")
-    k = 0
-    lo = hi = 0
-    while hi < length:
-        k += 1
-        best = hi
-        for pos in range(lo, hi + 1):
-            reach = pos + piece_len[(start + pos) % n]
-            if reach > best:
-                best = reach
-        if best == hi:
+    if not 0 <= length <= n:
+        raise ValueError("span length must be between 0 and len(piece_len)")
+    k = r = 0
+    while r < length:
+        step = piece_len[(start + r) % n]
+        if not step:
             return -1
-        lo = hi + 1
-        hi = length if best >= length else best
+        r += step
+        k += 1
     return k
 
 
@@ -127,14 +136,8 @@ def reach_table(piece_len, kmax):
     so the last cut i = s + r gives the largest reach.  A row that is not
     suffix-closed (no max_piece_table row) raises ValueError.
     """
+    _require_suffix_closed(piece_len)
     n = len(piece_len)
-    # a over one period and the wrap to the next: it never decreases
-    # exactly when piece_len[(i+1) % n] >= piece_len[i] - 1 for every i
-    a = [i + x for i, x in enumerate(piece_len)]
-    if n:
-        a.append(n + piece_len[0])
-    if not all(map(operator.le, a, a[1:])):
-        raise ValueError("piece table is not suffix-closed")
     tables = [[0] * n]
     if kmax >= 1:
         tables.append([x if x < n else n for x in piece_len])

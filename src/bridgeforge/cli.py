@@ -72,13 +72,17 @@ def _slope_from_args(args) -> Frac:
 
 
 def _parse_slope(text: str, flag: str) -> Frac:
-    """parse_fraction for a slope flag, but a q/p with a common factor is
-    a usage error: Frac would reduce it and answer for another slope."""
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if math.gcd(int(num), int(den)) > 1:
-            raise ValueError(f"{flag} {text} is not in lowest terms")
-    return parse_fraction(text)
+    """parse_fraction for a slope flag, naming the flag when text is no
+    q/p; a q/p with a common factor is a usage error too: Frac would
+    reduce it and answer for another slope."""
+    try:
+        slope = parse_fraction(text)
+    except (ValueError, ZeroDivisionError):  # no integers, or 0/0
+        raise ValueError(f"{flag} {text} is not a slope q/p") from None
+    num, _, den = text.partition("/")
+    if den and math.gcd(int(num), int(den)) > 1:
+        raise ValueError(f"{flag} {text} is not in lowest terms")
+    return slope
 
 
 def _cmd_relator(args) -> int:
@@ -216,7 +220,7 @@ def _cmd_freeness(args) -> int:
     }
     if args.scan_syllables:
         data = sl2_oracle.riley_polynomials(knot.fraction)
-        report = freeness.no_relation_scan(knot, args.scan_syllables, mw=mw, data=data)
+        report = freeness.no_relation_scan(knot, args.scan_syllables, mw, data)
         (rep,) = report.roots
         # the float roots are margins only; the verdict rests on the exact scan
         reps = sl2_oracle.numeric_reps(data)
@@ -294,12 +298,11 @@ def _cmd_orbifold(args) -> int:
         raise ValueError("--m must be at least 1")
     r = Frac(2 * args.m, 4 * args.m * args.m - 1)
     if args.slope:
-        slopes = [_parse_slope(args.slope, "--slope")]
+        verdicts = [orbifold.subgroup_verdict(_parse_slope(args.slope, "--slope"), r)]
     elif args.m < 2:
         raise ValueError("the standard arcs need --m at least 2; give --slope")
     else:
-        slopes = [Frac(1, 2 * args.m - 1), Frac(1, 2 * args.m + 1)]
-    verdicts = [orbifold.subgroup_verdict(s, r) for s in slopes]
+        verdicts = orbifold.standard_arcs(args.m)
     payload = {
         "command": "orbifold",
         "m": args.m,
@@ -350,20 +353,15 @@ def _cmd_epi(args) -> int:
         "reflections": sum(s.visited for s in result.searches.values()),
         "basis": farey.EPI_BASIS,
     }
-    lines = [
-        f"epimorphism G(K({result.source})) ->> G(K({result.target})): "
-        f"{result.verdict}"
-    ]
-    if result.route:
-        lines.append(f"  via {result.route}, {len(result.witness)} reflections")
-    else:
-        lines += [
-            f"  {route}: {s.target} is not in the orbit of {{{s.r}, 1/0}} "
-            f"(descent stopped at {s.landing})"
-            for route, s in result.searches.items()
-        ]
-        lines.append(f"  basis: {farey.EPI_BASIS}")
-    _emit(payload, args.json, lambda: lines)
+    _emit(payload, args.json, lambda: [
+        f"epimorphism G(K({result.source})) ->> G(K({result.target})): {result.verdict}",
+        *([f"  via {result.route}, {len(result.witness)} reflections"] if result.route else [
+            *(f"  {route}: {s.target} is not in the orbit of {{{s.r}, 1/0}} "
+              f"(descent stopped at {s.landing})"
+              for route, s in result.searches.items()),
+            f"  basis: {farey.EPI_BASIS}",
+        ]),
+    ])
     return EXIT_PASS
 
 
@@ -393,7 +391,7 @@ class CheckContext:
     @functools.cached_property
     def alternating_cs(self) -> dict:
         """alternating_cs_from_runs per sign pattern with t <= 2, for both rows."""
-        return {pattern: freeness.alternating_cs_from_runs(self.knot, pattern, self.meridian_words)
+        return {pattern: freeness.alternating_cs_from_runs(pattern, self.meridian_words)
                 for pattern in _sign_patterns(2)}
 
 
@@ -436,14 +434,17 @@ CHECKS = (
     ),
     Check(
         "dihedral_orders",
-        lambda ctx: orbifold.standard_arcs_proper(ctx.knot.m),
+        # proper subgroups of orders 2m + 1 and 2m - 1
+        lambda ctx: [(v.proper, v.order_in_homology) for v in orbifold.standard_arcs(ctx.knot.m)]
+        == [(True, 2 * ctx.knot.m + 1), (True, 2 * ctx.knot.m - 1)],
         # the slope 2m/(4m^2 - 1) of the standard arcs is that of [2m,-2m]
         applies=lambda knot: knot.sign == -1 and knot.m == knot.n >= 2,
     ),
     Check(
         "matrix_scan",
         lambda ctx: freeness.no_relation_scan(
-            ctx.knot, ctx.scan_syllables, mw=ctx.meridian_words
+            ctx.knot, ctx.scan_syllables, ctx.meridian_words,
+            sl2_oracle.riley_polynomials(ctx.knot.fraction),
         ).clean,
     ),
 )
@@ -554,12 +555,17 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    # every subcommand takes --json, declared once here
+    # every subcommand takes --json, and two take --scan-syllables: each
+    # declared once here
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true")
+    scan_flag = argparse.ArgumentParser(add_help=False)
+    scan_flag.add_argument(
+        "--scan-syllables", type=int, default=0,
+        help=f"run the matrix scan up to this many syllables (1..{freeness.MAX_SYLLABLES})")
 
-    def command(name, summary, fn):
-        sub = subs.add_parser(name, help=summary, parents=[json_flag], allow_abbrev=False)
+    def command(name, summary, fn, *parents):
+        sub = subs.add_parser(name, help=summary, parents=[json_flag, *parents], allow_abbrev=False)
         sub.set_defaults(fn=fn)
         return sub
 
@@ -573,11 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_knot_args(sub)
     sub.add_argument("--word", help="word in a/A/b/B syntax to analyze")
 
-    sub = command("freeness", "alternating-word S-sequence checks", _cmd_freeness)
+    sub = command("freeness", "alternating-word S-sequence checks", _cmd_freeness, scan_flag)
     _add_knot_args(sub)
     sub.add_argument("--t", type=int, default=2, help=f"max syllable pairs (1..{MAX_T})")
-    sub.add_argument("--scan-syllables", type=int, default=0,
-                     help=f"run the matrix scan up to this many syllables (1..{freeness.MAX_SYLLABLES})")
 
     sub = command("reps", "parabolic representation roots", _cmd_reps)
     sub.add_argument("--p", type=int, required=True)
@@ -592,11 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--source", required=True, help="source slope q/p")
     sub.add_argument("--target", required=True, help="target slope q/p")
 
-    sub = command("verify-all", "full battery over an (m, n) grid", _cmd_verify_all)
+    sub = command("verify-all", "full battery over an (m, n) grid", _cmd_verify_all, scan_flag)
     sub.add_argument("--m-max", type=int, required=True)
     sub.add_argument("--n-max", type=int, required=True)
-    sub.add_argument("--scan-syllables", type=int, default=0,
-                     help=f"run the matrix scan up to this many syllables (1..{freeness.MAX_SYLLABLES})")
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--max-seconds", type=float, default=0.0,
                      help="soft time budget; exceeding it truncates the grid")

@@ -56,22 +56,12 @@ def reflection_in_edge(s: Frac, t: Frac) -> Reflection:
     return refl
 
 
-def _farey_neighbor_ints(r: Frac) -> tuple[int, int]:
-    """Some (q0, p0) with q*p0 - p*q0 = 1, as raw integers."""
+def _left_parent(r: Frac) -> tuple[int, int]:
+    """(a, b) with b = q^-1 mod p and qb - pa = 1: for p >= 2, a/b is the
+    left Farey parent of r = q/p, with 0 < b < p."""
     q, p = r.num, r.den
-    # extended euclid on (q, p)
-    old_r, cur_r = q, p
-    old_s, cur_s = 1, 0
-    old_t, cur_t = 0, 1
-    while cur_r:
-        quo = old_r // cur_r
-        old_r, cur_r = cur_r, old_r - quo * cur_r
-        old_s, cur_s = cur_s, old_s - quo * cur_s
-        old_t, cur_t = cur_t, old_t - quo * cur_t
-    # old_r = gcd = +-1 = q*old_s + p*old_t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return -old_t, old_s
+    b = pow(q, -1, p)
+    return (q * b - 1) // p, b
 
 
 def reflection_generators(r: Frac, neighbor_bound: int) -> list[Reflection]:
@@ -79,7 +69,7 @@ def reflection_generators(r: Frac, neighbor_bound: int) -> list[Reflection]:
 
     Edges (infinity, k) for |k| <= neighbor_bound, and edges (r, s_j)
     over the Farey neighbors s_j = (q0 + j q)/(p0 + j p) of r for
-    |j| <= neighbor_bound.
+    |j| <= neighbor_bound, from the left parent q0/p0 of r.
     """
     if r.is_infinity:
         raise ValueError("r must be rational")
@@ -87,7 +77,7 @@ def reflection_generators(r: Frac, neighbor_bound: int) -> list[Reflection]:
         reflection_in_edge(INFINITY, Frac(k, 1))
         for k in range(-neighbor_bound, neighbor_bound + 1)
     ]
-    q0, p0 = _farey_neighbor_ints(r)
+    q0, p0 = _left_parent(r)
     seen = {g.edge for g in gens}
     for j in range(-neighbor_bound, neighbor_bound + 1):
         s = Frac(q0 + j * r.num, p0 + j * r.den)
@@ -139,8 +129,7 @@ def orbit_contains(r: Frac, target: Frac) -> OrbitSearch:
     if p < 2:
         raise ValueError(f"r must be a non-integer rational, got {r}")
     k = q // p
-    b = pow(q, -1, p)  # left parent r1 = n_0 = a/b, with qb - pa = 1
-    a = (q * b - 1) // p
+    a, b = _left_parent(r)  # r1 = n_0 = a/b
     x, y = target.num, target.den
     edges = []  # the reflections applied, from the target down
 

@@ -10,8 +10,9 @@ nontrivial by the image of its cyclic core's rotation class in
 SL2(Z/l^k) under an exact parabolic representation.
 
 The checks compose that S-sequence from the runs of the four factors
-x_l^+-1, y_l^+-1, each validated once, and check only the junctions
-between factors (alternating_cs_from_runs); alternating_relation_word
+x_l^+-1, y_l^+-1 (x_l and y_l validated once, their inverses' runs
+derived from theirs), and check only the junctions between factors
+(alternating_cs_from_runs); alternating_relation_word
 builds the whole word letter by letter and is the reference it is
 tested against.  The closed form is written at the composition's rotation.
 """
@@ -65,18 +66,12 @@ def _checked_signs(sign_pairs) -> list[tuple[int, int]]:
     return signs
 
 
-def alternating_relation_word(
-    knot: GenusOneKnot, sign_pairs, mw: MeridianWords | None = None
-) -> Word:
-    """The cyclically alternating word x_l^e1x y_l^e1y ... for signs +-1.
-
-    mw is long_meridian_words(knot); a caller that loops over sign
-    patterns builds it once and passes it in.  This is the letter-by-letter
+def alternating_relation_word(sign_pairs, mw: MeridianWords) -> Word:
+    """The cyclically alternating word x_l^e1x y_l^e1y ... for signs +-1,
+    in the long meridian words mw.  This is the letter-by-letter
     reference for alternating_cs_from_runs.
     """
     signs = _checked_signs(sign_pairs)
-    if mw is None:
-        mw = long_meridian_words(knot)
     parts = []
     for ex, ey in signs:
         parts.append(mw.x_l if ex == 1 else inverse(mw.x_l))
@@ -87,14 +82,13 @@ def alternating_relation_word(
     return w
 
 
-def alternating_cs_from_runs(
-    knot: GenusOneKnot, sign_pairs, mw: MeridianWords | None = None
-) -> tuple[int, ...]:
-    """cyclic_s_sequence(alternating_relation_word(knot, sign_pairs, mw)),
+def alternating_cs_from_runs(sign_pairs, mw: MeridianWords) -> tuple[int, ...]:
+    """cyclic_s_sequence(alternating_relation_word(sign_pairs, mw)),
     composed from the factors' runs without building the word.
 
-    Each factor x_l^+-1, y_l^+-1 is checked and its S-sequence taken once
-    per MeridianWords (MeridianWords.factor_runs).  A pattern then checks
+    x_l and y_l are checked and their S-sequences taken once per
+    MeridianWords, and those of x_l^-1, y_l^-1 derived from them
+    (MeridianWords.factor_runs).  A pattern then checks
     only its junctions, the cyclic one from the last factor to the first
     included: the word is cyclically alternating, and so cyclically
     reduced, exactly when its factors are and no junction joins two
@@ -104,8 +98,6 @@ def alternating_cs_from_runs(
     O(runs), not O(letters), per pattern.
     """
     signs = _checked_signs(sign_pairs)
-    if mw is None:
-        mw = long_meridian_words(knot)
     x_runs, y_runs = mw.factor_runs
     factors = [f for ex, ey in signs for f in (x_runs[ex], y_runs[ey])]
     runs: list[int] = []
@@ -172,13 +164,13 @@ def forbidden_terms_ok(knot: GenusOneKnot, cs) -> bool:
     return {2, 3, 4}.issuperset(cs)
 
 
-def verify_alternating_cs(knot: GenusOneKnot, sign_pairs, mw: MeridianWords | None = None) -> bool:
+def verify_alternating_cs(knot: GenusOneKnot, sign_pairs, mw: MeridianWords) -> bool:
     """Computed cyclic S-sequence (alternating_cs_from_runs with mw) vs
     closed form, literally, plus forbidden terms.
 
     For the (1, 1, -) slope only the membership bound {2, 3, 4} applies.
     """
-    cs = alternating_cs_from_runs(knot, sign_pairs, mw)
+    cs = alternating_cs_from_runs(sign_pairs, mw)
     if knot.is_hyperbolic and cs != alternating_cs_closed_form(knot, sign_pairs):
         return False
     return forbidden_terms_ok(knot, cs)
@@ -301,8 +293,7 @@ def _is_pm_identity(word, gens, modulus: int) -> bool:
 
 
 def no_relation_scan(
-    knot: GenusOneKnot, max_syllables: int = 6, mw: MeridianWords | None = None,
-    data: sl2_oracle.RileyData | None = None,
+    knot: GenusOneKnot, max_syllables: int, mw: MeridianWords, data: sl2_oracle.RileyData
 ) -> ScanReport:
     """Exact scan over words in the long meridian pair.
 
@@ -317,18 +308,14 @@ def no_relation_scan(
     evaluated again under the pair of the next prime above, up to _PAIRS
     pairs, and is a hit when it stays at +-I under every one; its witness
     is its representative and the pairs.  mw is long_meridian_words(knot)
-    and data is riley_polynomials(knot.fraction); a caller that holds
-    them passes them in.  The classes are walked in pre-order on one
-    explicit stack (_class_walk), a node one 2x2 product mod l^k.
+    and data is riley_polynomials(knot.fraction).  The classes are walked
+    in pre-order on one explicit stack (_class_walk), a node one 2x2
+    product mod l^k.
     """
     if not 1 <= max_syllables <= MAX_SYLLABLES:
         raise ValueError(
             f"max_syllables must be at least 1 and at most {MAX_SYLLABLES}, got {max_syllables}"
         )
-    if mw is None:
-        mw = long_meridian_words(knot)
-    if data is None:
-        data = sl2_oracle.riley_polynomials(knot.fraction)
     pairs = [sl2_oracle.modular_rep(data)]
     images = [_images(mw, pairs[0])]
     classes, suspects = _class_walk(images[0], pairs[0].modulus, max_syllables)

@@ -97,15 +97,17 @@ class MeridianWords:
     def factor_runs(self) -> tuple[dict, dict]:
         """The factors x_l^e and y_l^e (e = +-1) of a sign-pattern word,
         summarised once: x_runs[e] and y_runs[e] are (first letter, last
-        letter, S-sequence, nonempty reduced and alternating)."""
+        letter, S-sequence, nonempty reduced and alternating).  Only x_l
+        and y_l are walked: inversion keeps a word nonempty, reduced and
+        alternating, reverses its runs and turns its ends (f, l) into
+        (-l, -f)."""
         def summary(w):
             if not (w and is_reduced(w) and is_alternating(w)):
-                return 0, 0, (), False
-            return w[0], w[-1], s_sequence(w), True
+                return {1: (0, 0, (), False), -1: (0, 0, (), False)}
+            seq = s_sequence(w)
+            return {1: (w[0], w[-1], seq, True), -1: (-w[-1], -w[0], seq[::-1], True)}
 
-        return tuple(
-            {1: summary(w), -1: summary(inverse(w))} for w in (self.x_l, self.y_l)
-        )
+        return summary(self.x_l), summary(self.y_l)
 
 
 def _conjugator_runs(knot: GenusOneKnot) -> tuple[int, ...]:
@@ -169,7 +171,7 @@ def long_meridian_words(knot: GenusOneKnot) -> MeridianWords:
     return MeridianWords(knot, w_x, w_y, x_l, y_l)
 
 
-def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords | None = None) -> bool:
+def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords) -> bool:
     """Raw Wirtinger reduction vs closed forms, plus the power identity.
 
     Checks free_reduce(raw y_l) == closed-form y_l, the f-symmetry
@@ -181,10 +183,8 @@ def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords | None = None) -
     (w_x a w_x^-1)^-1 = w_x a^-1 w_x^-1.  For |k| >= 2: free reduction
     is confluent, so x_l^k reduces as (w_x a^+-1 w_x^-1)^|k| does, to
     w_x a^k w_x^-1, which is reduced because w_x a^+-1 is, and holds aa.
-    mw is long_meridian_words(knot); a caller that has built it passes it in.
+    mw is long_meridian_words(knot).
     """
-    if mw is None:
-        mw = long_meridian_words(knot)
     if free_reduce(long_meridian_raw(knot, *mw.d0_d1)) != mw.y_l:
         return False
     if apply_f(mw.y_l) != mw.x_l:

@@ -34,18 +34,11 @@ def subgroup_verdict(s: Frac, f: Frac) -> SubgroupVerdict:
     return SubgroupVerdict(s, order, 2 * order, order < p)
 
 
-def standard_arcs_proper(m: int) -> bool:
-    """Proper-subgroup verdicts for the slope 2m/(4m^2 - 1), m >= 2.
-
-    The two arc slopes 1/(2m-1) and 1/(2m+1) must give proper subgroups
-    of orders 2m+1 and 2m-1 respectively.
-    """
+def standard_arcs(m: int) -> tuple[SubgroupVerdict, SubgroupVerdict]:
+    """The verdicts of the two arc slopes 1/(2m-1) and 1/(2m+1) of the
+    slope 2m/(4m^2 - 1), m >= 2: proper subgroups of orders 2m+1 and
+    2m-1 respectively."""
     if m < 2:
         raise ValueError("m must be at least 2")
     r = Frac(2 * m, 4 * m * m - 1)
-    v1 = subgroup_verdict(Frac(1, 2 * m - 1), r)
-    v2 = subgroup_verdict(Frac(1, 2 * m + 1), r)
-    return (
-        v1.proper and v1.order_in_homology == 2 * m + 1
-        and v2.proper and v2.order_in_homology == 2 * m - 1
-    )
+    return subgroup_verdict(Frac(1, 2 * m - 1), r), subgroup_verdict(Frac(1, 2 * m + 1), r)

@@ -12,7 +12,7 @@ from bridgeforge.cli import _PIECE_CHECKS, CHECKS, CheckContext, _sign_patterns
 from bridgeforge.farey import orbit_contains, reflection_generators
 from bridgeforge.freeness import alternating_relation_word, no_relation_scan
 from bridgeforge.meridians import long_meridian_words
-from bridgeforge.orbifold import standard_arcs_proper
+from bridgeforge.sl2_oracle import riley_polynomials
 from bridgeforge.slope import INFINITY, Frac, GenusOneKnot
 from bridgeforge.words import (
     alt_word,
@@ -98,7 +98,7 @@ def test_criterion_4_alternating_cs_closed_forms():
         ok &= all(c.applies(knot) for c in checks) != ((knot.m, knot.n, knot.sign) == (1, 1, -1))
         # the letter-by-letter reference for the composed sequences
         for pattern in _sign_patterns(2):
-            cs = cyclic_s_sequence(alternating_relation_word(knot, pattern))
+            cs = cyclic_s_sequence(alternating_relation_word(pattern, ctx.meridian_words))
             ok &= cs == ctx.alternating_cs[pattern]
     _report(4, "alternating-word CS closed forms and forbidden terms, t <= 2", ok,
             time.perf_counter() - t0, 60.0)
@@ -109,9 +109,10 @@ def test_criterion_5_dihedral_orders():
     check = next(c for c in CHECKS if c.name == "dihedral_orders")
     ok = True
     for m in range(2, 21):
-        # check.run(ctx) is standard_arcs_proper(ctx.knot.m); a context would
-        # build a symmetrized set of (8m^2 - 2)-letter words it never reads
-        ok &= check.applies(GenusOneKnot(m, m, -1)) and standard_arcs_proper(m)
+        # the check reads only the knot: a full context would build a
+        # symmetrized set of (8m^2 - 2)-letter words it never reads
+        knot = GenusOneKnot(m, m, -1)
+        ok &= check.applies(knot) and check.run(CheckContext(knot, None, None, 0))
     _report(5, "dihedral image orders 2m+1 / 2m-1, m = 2..20", ok,
             time.perf_counter() - t0, 1.0)
 
@@ -121,7 +122,7 @@ def test_criterion_6_matrix_scan():
     ok = True
     for params in ((1, 1, 1), (2, 1, 1), (1, 2, -1), (2, 2, -1)):
         knot = GenusOneKnot(*params)
-        report = no_relation_scan(knot, max_syllables=6)
+        report = no_relation_scan(knot, 6, long_meridian_words(knot), riley_polynomials(knot.fraction))
         ok &= report.clean and report.words_nontrivial == report.words_checked
         ok &= report.words_checked == 4 * (3**6 - 1) // 2
         # the float margins, from the test oracle

@@ -378,6 +378,21 @@ def test_slope_not_in_lowest_terms_rejected(capsys, argv, flag, text):
     assert captured.err == f"error: {flag} {text} is not in lowest terms\n"
 
 
+@pytest.mark.parametrize("text", ["abc", "1/x", "0/0"])
+@pytest.mark.parametrize("argv,flag", [
+    (["orbifold", "--m", "2", "--slope"], "--slope"),
+    (["epi", "--target", "2/5", "--source"], "--source"),
+    (["epi", "--source", "3/5", "--target"], "--target"),
+])
+def test_slope_flag_parse_error_names_the_flag(capsys, argv, flag, text):
+    # the error was int()'s, "invalid literal for int() with base 10:
+    # 'abc'", or Frac's, "0/0 is not a slope"
+    assert cli.main([*argv, text, "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {text} is not a slope q/p\n"
+
+
 @pytest.mark.parametrize("slope,arc,code", [("1/0", "1/0", 0), ("3", "3/1", 1), ("-1/3", "-1/3", 0)])
 def test_orbifold_slope_in_lowest_terms_accepted(capsys, slope, arc, code):
     # infinity and bare integers are in lowest terms too
@@ -596,31 +611,43 @@ def test_library_has_no_bare_asserts():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
-# Defined in src for the tests alone.  perfbench/spans.py wraps each by
-# name, so they leave src with ROADMAP items 1 and 5.  cyclic_seq_eq is
-# the tests' rotation oracle for the closed forms, which src compares
-# literally; cyclic_s_sequence is their reference for Relator.runs, which
-# presentation.relator takes from s_sequence (no run of a relator crosses
-# its period seam).
+# Defined in src for the tests alone.  perfbench/spans.py wraps each
+# function here but is_infinity by name, so they leave src with ROADMAP
+# items 1 and 8.  cyclic_seq_eq is the tests' rotation oracle for the
+# closed forms, which src compares literally; cyclic_s_sequence is their
+# reference for Relator.runs, which presentation.relator takes from
+# s_sequence (no run of a relator crosses its period seam).  letter_power
+# is reached only from relation_word, and is_infinity only from
+# reflection_generators.
 TEST_ONLY_API = {
     "rotations", "least_rotation", "relation_word", "alternating_relation_word",
-    "reflection_generators", "cyclic_seq_eq", "cyclic_s_sequence",
+    "reflection_generators", "cyclic_seq_eq", "cyclic_s_sequence", "letter_power",
+    "is_infinity",
 }
 
 
 def test_library_defines_nothing_it_does_not_use():
     # every function, method and class is loaded by name or as an
-    # attribute somewhere in src (dunder methods run implicitly)
+    # attribute somewhere in src (dunder methods run implicitly), outside
+    # the bodies of TEST_ONLY_API: a helper that only they reach is
+    # test-only too
     defined, used = set(), set()
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                defined.add(node.name)
+            if node.name in TEST_ONLY_API:
+                return
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.add(node.name)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        visit(ast.parse(path.read_text()))
     assert defined - used == TEST_ONLY_API
 
 
@@ -847,12 +874,14 @@ def test_verify_cell_builds_the_relator_once(monkeypatch):
     ["reps", "--p", "9", "--q", "2"],
     ["orbifold", "--m", "2"],
     ["epi", "--source", "3/5", "--target", "2/5"],
+    ["epi", "--source", "3/7", "--target", "2/5"],
     ["verify-all", "--m-max", "1", "--n-max", "1"],
 ])
 def test_text_lines_are_built_only_without_json(capsys, monkeypatch, argv):
     # built: calls of the lines callable.  formatted: text-only values
-    # formatted, the knot's name and each root, which catches lines built
-    # before _emit and handed to it ready-made
+    # formatted, the knot's name, each root and each slope put in an
+    # f-string (the payloads take str()), which catches lines built before
+    # _emit and handed to it ready-made
     built, formatted = [], []
     real = cli._emit
 
@@ -878,6 +907,9 @@ def test_text_lines_are_built_only_without_json(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli.sl2_oracle, "numeric_reps", spied_reps)
     monkeypatch.setattr(cli.GenusOneKnot, "__str__",
                         lambda knot: formatted.append(knot) or real_str(knot))
+    monkeypatch.setattr(cli.Frac, "__format__",
+                        lambda frac, spec: formatted.append(frac) or format(str(frac), spec),
+                        raising=False)
     assert cli.main([*argv, "--json"]) == cli.EXIT_PASS
     assert json.loads(capsys.readouterr().out)["schema"] == cli.SCHEMA
     assert built == [] and formatted == []
@@ -892,9 +924,9 @@ def test_verify_all_builds_the_sign_pattern_sequences_once(capsys, monkeypatch):
     built = []
     real = cli.freeness.alternating_cs_from_runs
 
-    def counted(knot, pattern, mw=None):
-        built.append(knot)
-        return real(knot, pattern, mw)
+    def counted(pattern, mw):
+        built.append(mw.knot)
+        return real(pattern, mw)
 
     monkeypatch.setattr(cli.freeness, "alternating_cs_from_runs", counted)
     code, payload = run_json(capsys, "verify-all", "--m-max", "2", "--n-max", "2")

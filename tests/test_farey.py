@@ -1,11 +1,15 @@
+import importlib.util
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from bridgeforge.farey import (
+    _left_parent,
     epimorphism_exists,
     is_farey_edge,
     orbit_contains,
@@ -115,6 +119,32 @@ def test_generator_family():
             assert is_farey_edge(Frac(2, 5), other)
     with pytest.raises(ValueError):
         reflection_generators(INFINITY, 1)
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, which imports nothing of bridgeforge."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_left_parent_is_the_benchmark_neighbour_rule():
+    # orbit_contains and reflection_generators start from _left_parent;
+    # the epi workload builds its sources from farey_neighbour, so the
+    # two rules must agree on every slope (here 2 <= p < 60, |q| < 70)
+    farey_neighbour = _benchmark_workloads().farey_neighbour
+    slopes = 0
+    for p in range(2, 60):
+        for q in range(-69, 70):
+            if gcd(q, p) == 1:
+                a, b = _left_parent(Frac(q, p))
+                assert (a, b) == farey_neighbour(q, p), (q, p)
+                assert q * b - p * a == 1 and 0 < b < p
+                slopes += 1
+    assert slopes > 2_000
 
 
 def test_orbit_seeds_and_depth_one():

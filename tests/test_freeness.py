@@ -26,9 +26,12 @@ from bridgeforge.words import (
     cyclic_seq_eq,
     free_reduce,
     inverse,
+    is_alternating,
     is_cyclically_alternating,
+    is_reduced,
     least_rotation,
     parse_word,
+    s_sequence,
 )
 
 from test_sl2_oracle import dist_pm_identity, float_image, mat_inv, mat_mul
@@ -67,7 +70,7 @@ def test_relation_word_matches_alternating_for_unit_exponents():
         knot = GenusOneKnot(m, n, sign)
         for pattern in sign_patterns(2):
             w = relation_word(knot, pattern)
-            w_alt = alternating_relation_word(knot, pattern)
+            w_alt = alternating_relation_word(pattern, long_meridian_words(knot))
             assert least_rotation(w) == least_rotation(w_alt)
             assert is_cyclically_alternating(w_alt)
 
@@ -77,7 +80,7 @@ def test_alternating_word_length():
         knot = GenusOneKnot(m, n, sign)
         mw = long_meridian_words(knot)
         for t in (1, 2):
-            w = alternating_relation_word(knot, [(1, 1)] * t)
+            w = alternating_relation_word([(1, 1)] * t, mw)
             assert len(w) == t * (2 * (2 * len(mw.w_x) + 1))
             cs = cyclic_s_sequence(w)
             assert sum(cs) == len(w)
@@ -85,7 +88,7 @@ def test_alternating_word_length():
 
 def test_closed_form_frozen_examples():
     assert cyclic_seq_eq(
-        cyclic_s_sequence(alternating_relation_word(GenusOneKnot(1, 1, 1), [(1, 1)])),
+        cyclic_s_sequence(alternating_relation_word([(1, 1)], long_meridian_words(GenusOneKnot(1, 1, 1)))),
         (2, 2, 1, 2, 2, 1),
     )
     assert cyclic_seq_eq(
@@ -113,16 +116,15 @@ def test_closed_form_matches_computed_sweep():
         for n in range(1, 4):
             for sign in (1, -1):
                 knot = GenusOneKnot(m, n, sign)
+                mw = long_meridian_words(knot)
                 for pattern in sign_patterns(2):
-                    cs = cyclic_s_sequence(
-                        alternating_relation_word(knot, pattern)
-                    )
+                    cs = cyclic_s_sequence(alternating_relation_word(pattern, mw))
                     if (m, n, sign) == (1, 1, -1):
                         assert all(t in (2, 3, 4) for t in cs)
                     else:
                         closed = alternating_cs_closed_form(knot, pattern)
                         assert cyclic_seq_eq(cs, closed)
-                    assert verify_alternating_cs(knot, pattern)
+                    assert verify_alternating_cs(knot, pattern, mw)
 
 
 def test_runs_match_word_on_grid():
@@ -140,8 +142,8 @@ def test_runs_match_word_on_grid():
                     for _ in range(4)
                 ]
                 for pattern in patterns:
-                    word = alternating_relation_word(knot, pattern, mw)
-                    assert alternating_cs_from_runs(knot, pattern, mw) == cyclic_s_sequence(word)
+                    word = alternating_relation_word(pattern, mw)
+                    assert alternating_cs_from_runs(pattern, mw) == cyclic_s_sequence(word)
 
 
 def test_literal_closed_form_matches_the_rotation_oracle():
@@ -156,7 +158,7 @@ def test_literal_closed_form_matches_the_rotation_oracle():
                     continue
                 mw = long_meridian_words(knot)
                 for pattern in sign_patterns(3):
-                    cs = alternating_cs_from_runs(knot, pattern, mw)
+                    cs = alternating_cs_from_runs(pattern, mw)
                     closed = alternating_cs_closed_form(knot, pattern)
                     assert cyclic_seq_eq(cs, closed)
                     assert cs == closed
@@ -168,7 +170,7 @@ def hand_built(x_l, y_l):
 
 def outcome(fn, mw, pattern):
     try:
-        return fn(GenusOneKnot(1, 1, 1), pattern, mw)
+        return fn(pattern, mw)
     except AssertionError as exc:
         return str(exc)
 
@@ -181,9 +183,9 @@ def test_runs_raise_as_the_word_does():
                hand_built(parse_word("aab"), parse_word("ab"))):
         for pattern in sign_patterns(2):
             with pytest.raises(AssertionError, match=message):
-                alternating_relation_word(None, pattern, mw)
+                alternating_relation_word(pattern, mw)
             with pytest.raises(AssertionError, match=message):
-                alternating_cs_from_runs(None, pattern, mw)
+                alternating_cs_from_runs(pattern, mw)
 
 
 def test_runs_match_word_on_hand_built_factors():
@@ -203,26 +205,50 @@ def test_runs_match_word_on_hand_built_factors():
             assert outcome(alternating_cs_from_runs, mw, pattern) == expected
 
 
+def direct_summary(w):
+    """A factor's (first letter, last letter, S-sequence, nonempty reduced
+    and alternating), read off the word itself."""
+    if not (w and is_reduced(w) and is_alternating(w)):
+        return 0, 0, (), False
+    return w[0], w[-1], s_sequence(w), True
+
+
+def test_inverse_runs_match_the_inverse_words():
+    # factor_runs walks x_l and y_l only and derives the summaries of their
+    # inverses; each must be the summary of the inverse word itself, on
+    # the 12x12 grid and on 300 hand-built factor pairs, among them valid
+    # factors whose runs are no palindrome and invalid ones
+    rng = random.Random(14)
+    letters = (1, -1, 2, -2)
+    mws = [long_meridian_words(GenusOneKnot(m, n, sign))
+           for m in range(1, 13) for n in range(1, 13) for sign in (1, -1)]
+    mws += [hand_built([rng.choice(letters) for _ in range(rng.randint(1, 4))],
+                       [rng.choice(letters) for _ in range(rng.randint(1, 4))])
+            for _ in range(300)]
+    kinds = set()
+    for mw in mws:
+        for runs, w in zip(mw.factor_runs, (mw.x_l, mw.y_l)):
+            assert runs == {1: direct_summary(w), -1: direct_summary(inverse(w))}, w
+            seq = runs[1][2]
+            kinds.add((runs[1][3], seq != seq[::-1]))
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
 def test_runs_reject_bad_signs():
-    knot = GenusOneKnot(1, 1, 1)
+    mw = long_meridian_words(GenusOneKnot(1, 1, 1))
     for pattern in ([], [(1, 2)], [(0, 1)]):
         with pytest.raises(ValueError):
-            alternating_cs_from_runs(knot, pattern)
+            alternating_cs_from_runs(pattern, mw)
 
 
 def test_forbidden_terms_by_case():
+    plus, minus, one = (long_meridian_words(GenusOneKnot(*k)) for k in ((2, 2, 1), (3, 2, -1), (1, 3, -1)))
     for pattern in sign_patterns(2):
-        cs = cyclic_s_sequence(
-            alternating_relation_word(GenusOneKnot(2, 2, 1), pattern)
-        )
+        cs = cyclic_s_sequence(alternating_relation_word(pattern, plus))
         assert all(t < 5 for t in cs)  # no term >= 2m + 1
-        cs = cyclic_s_sequence(
-            alternating_relation_word(GenusOneKnot(3, 2, -1), pattern)
-        )
+        cs = cyclic_s_sequence(alternating_relation_word(pattern, minus))
         assert all(t != 5 for t in cs)  # no term = 2m - 1
-        cs = cyclic_s_sequence(
-            alternating_relation_word(GenusOneKnot(1, 3, -1), pattern)
-        )
+        cs = cyclic_s_sequence(alternating_relation_word(pattern, one))
         assert all(t != 1 for t in cs)  # no isolated letters
 
 
@@ -251,7 +277,7 @@ def test_forbidden_terms_match_the_term_loop():
                 mw = long_meridian_words(knot)
                 seqs = [(), (2 * m + 1,), (2 * m - 1,), (1,), (5,)]
                 for pattern in sign_patterns(2):
-                    cs = alternating_cs_from_runs(knot, pattern, mw)
+                    cs = alternating_cs_from_runs(pattern, mw)
                     i = rng.randrange(len(cs))
                     seqs += [cs, cs[:i] + (rng.randint(0, 2 * m + 2),) + cs[i + 1:]]
                 seqs += [tuple(rng.randint(0, 2 * m + 2) for _ in range(rng.randint(1, 6)))
@@ -352,9 +378,17 @@ def float_scan(knot, max_syllables, tol=1e-3):
     )
 
 
+def scan(knot, max_syllables, mw=None):
+    """no_relation_scan of knot, with its Riley polynomials and, unless
+    given, its long meridian words built here."""
+    if mw is None:
+        mw = long_meridian_words(knot)
+    return no_relation_scan(knot, max_syllables, mw, sl2_oracle.riley_polynomials(knot.fraction))
+
+
 def test_no_relation_scan_small():
     knot = GenusOneKnot(1, 1, 1)
-    report = no_relation_scan(knot, max_syllables=4)
+    report = scan(knot, 4)
     assert report.clean
     assert report.words_checked == report.words_nontrivial == 4 * (1 + 3 + 9 + 27)
     assert len(report.roots) == 1
@@ -366,7 +400,7 @@ def test_no_relation_scan_small():
 
 def test_no_relation_scan_negative_slope():
     knot = GenusOneKnot(2, 1, -1)
-    report = no_relation_scan(knot, max_syllables=4)
+    report = scan(knot, 4)
     assert report.clean and float_scan(knot, 4).min_distance > 1e-3
 
 
@@ -430,7 +464,7 @@ def test_scan_matches_stack_oracle(m, n, sign, max_syllables, tol):
         assert hits
     # the exact scan walks the same words once and proves each nontrivial,
     # the float oracle's hits included
-    report = no_relation_scan(knot, max_syllables)
+    report = scan(knot, max_syllables)
     assert report.words_checked == words
     assert report.clean and report.words_nontrivial == words
 
@@ -555,10 +589,10 @@ def test_class_walk_suspects_are_the_classes_of_the_word_walks(k, words, classes
 
 def test_scan_rejects_fewer_than_one_syllable():
     knot = GenusOneKnot(1, 1, 1)
-    assert no_relation_scan(knot, 1).words_checked == 4
+    assert scan(knot, 1).words_checked == 4
     for k in (0, -1):
         with pytest.raises(ValueError, match="max_syllables must be at least 1"):
-            no_relation_scan(knot, k)
+            scan(knot, k)
 
 
 def test_scan_rejects_more_syllables_than_the_cap(monkeypatch):
@@ -566,7 +600,7 @@ def test_scan_rejects_more_syllables_than_the_cap(monkeypatch):
     monkeypatch.setattr(freeness, "_class_walk", None)
     for k in (MAX_SYLLABLES + 1, 10 * MAX_SYLLABLES):
         with pytest.raises(ValueError, match=f"max_syllables must be at least 1 and at most 16, got {k}"):
-            no_relation_scan(GenusOneKnot(1, 1, 1), k)
+            scan(GenusOneKnot(1, 1, 1), k)
 
 
 @pytest.mark.parametrize("m,n,sign,walked", [
@@ -608,7 +642,7 @@ def test_exact_scan_settles_the_float_false_fails(m, n, sign):
     # 16/63 and 8/127: the float scan finds 16 words within 1e-3 of +-I at
     # a small real root; mod l none of the 13,120 words is +-I
     knot = GenusOneKnot(m, n, sign)
-    report = no_relation_scan(knot, 8)
+    report = scan(knot, 8)
     assert report.words_checked == report.words_nontrivial == 13_120
     assert report.classes_checked == 1_386
     assert report.clean and report.retried == []
@@ -679,7 +713,7 @@ def test_float_margins_agree_with_the_exact_images():
                     if dist > 1e-3:
                         image = sl2_oracle.modular_image(syllable_word(mw, word), rep)
                         assert not is_pm_identity(image), (knot, word)
-                assert no_relation_scan(knot, 5, mw).clean
+                assert scan(knot, 5, mw).clean
 
 
 def test_words_at_identity_are_retried_under_the_next_pair(monkeypatch):
@@ -696,7 +730,7 @@ def test_words_at_identity_are_retried_under_the_next_pair(monkeypatch):
     monkeypatch.setattr(sl2_oracle, "modular_rep", tiny_first)
     knot = GenusOneKnot(1, 1, -1)
     mw = long_meridian_words(knot)
-    report = no_relation_scan(knot, 5, mw)
+    report = scan(knot, 5, mw)
     (first,) = report.roots
     assert first.prime == first.modulus == 3
     assert len(report.retried) == 10 and report.clean
@@ -722,7 +756,7 @@ def test_first_pair_proves_every_word_on_the_8x8_grid():
             for sign in (1, -1):
                 knot = GenusOneKnot(m, n, sign)
                 mw = long_meridian_words(knot)
-                report = no_relation_scan(knot, 6, mw)
+                report = scan(knot, 6, mw)
                 assert report.words_checked == 2 * (3 ** 6 - 1)
                 assert report.retried == [], (m, n, sign)
                 (rep,) = report.roots
@@ -736,7 +770,7 @@ def test_words_at_identity_under_every_pair_are_hits():
     # those words are the hits, each with three pairs at distinct primes
     # as its witness, and together they cover exactly the balanced words
     mw = hand_built(parse_word("a"), parse_word("a"))
-    report = no_relation_scan(GenusOneKnot(1, 1, 1), 4, mw)
+    report = scan(GenusOneKnot(1, 1, 1), 4, mw)
     exponent = (1, -1, 1, -1)
     balanced = [w for w in reduced_words(4) if sum(exponent[i] for i in w) == 0]
     classes = {syllables(scan_class(w)) for w in balanced}

@@ -8,16 +8,18 @@ prefix that bytes.find finds at a second offset.  The earlier byte-key
 table, bytes_max_piece_table, is kept here as the reference for the
 packed base-4 keys, and dict_join_max_piece_table, which joins the
 digits letter by letter, as the reference for the translated digit rows.
-min_pieces_span is checked against a dynamic program over all piece
-lengths.
-
-reach_table follows the last cut of each level, which is right on
+reach_table follows the last cut of each level, and min_pieces_span
+walks the same last cuts from one offset.  Both are right on
 suffix-closed tables (piece_len[(i+1) % n] >= piece_len[i] - 1, true of
-every max_piece_table row) and refused on any other.  It is checked
-against the quadratic sweep over every cut, on grid rows, on random
-tables and on their suffix closures.
+every max_piece_table row) and refuse any other.  reach_table is checked
+against the quadratic sweep over every cut, min_pieces_span against a
+dynamic program over all piece lengths and against the frontier sweep
+it replaced, frontier_min_span, which tries every cut of each level and
+so is right on any table: on grid rows, on random tables and on their
+suffix closures.
 """
 
+import itertools
 import random
 
 import pytest
@@ -179,6 +181,30 @@ def brute_min_span(piece_len, start, length):
     return -1 if best[length] == INF else best[length]
 
 
+def frontier_min_span(piece_len, start, length):
+    """min_pieces_span as it was, kept as its reference: a shortest path
+    on the cut positions.  Pieces are prefix-closed, so the positions
+    reachable with k pieces form an interval and one frontier sweep per
+    k, over every cut in it, suffices on any nonnegative table."""
+    n = len(piece_len)
+    if length == 0:
+        return 0
+    k = 0
+    lo = hi = 0
+    while hi < length:
+        k += 1
+        best = hi
+        for pos in range(lo, hi + 1):
+            reach = pos + piece_len[(start + pos) % n]
+            if reach > best:
+                best = reach
+        if best == hi:
+            return -1
+        lo = hi + 1
+        hi = length if best >= length else best
+    return k
+
+
 def quadratic_reach_table(piece_len, kmax):
     """reach_table by trying every cut in [s, s + reach[k-1][s]]."""
     n = len(piece_len)
@@ -260,9 +286,9 @@ def test_pure_reach_consistent_with_spans():
             for k in range(1, 5):
                 r = reach[k][s]
                 if r:
-                    assert 0 < _kernel.min_pieces_span(P, s, min(r, n)) <= k
+                    assert 0 < frontier_min_span(P, s, min(r, n)) <= k
                 if r < n:
-                    beyond = _kernel.min_pieces_span(P, s, r + 1)
+                    beyond = frontier_min_span(P, s, r + 1)
                     assert beyond == -1 or beyond > k
 
 
@@ -353,24 +379,85 @@ def test_max_piece_table_marks_collisions():
     assert got == ([4, 4, 4, 4], [4, 4, 4, 4])
 
 
+class CountingRow(list):
+    """A piece row that counts the entries read by index and fails once
+    the reads outnumber its entries: the walk reads one per piece."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        if self.reads > len(self):
+            raise AssertionError("the walk reads on past a dead cut")
+        return super().__getitem__(i)
+
+
 def test_span_edge_cases():
     P = [2, 1, 0, 2]
     assert _kernel.min_pieces_span(P, 0, 0) == 0
-    assert _kernel.min_pieces_span(P, 2, 1) == -1  # dead position
+    assert _kernel.min_pieces_span(CountingRow(P), 2, 1) == -1  # dead position
+    assert _kernel.min_pieces_span(CountingRow(P), 0, 4) == -1  # a dead cut reached
+    assert _kernel.min_pieces_span(CountingRow(P), 3, 3) == 2 == brute_min_span(P, 3, 3)
     with pytest.raises(ValueError):
         _kernel.min_pieces_span(P, 0, 5)
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=20),
-    st.data(),
-)
+TABLES = st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=20)
+
+
+@given(TABLES, st.data())
 def test_span_greedy_matches_dp_on_arbitrary_tables(P, data):
-    # the frontier greedy must solve the jump-cover problem for any
+    # the frontier reference must solve the jump-cover problem for any
     # nonnegative jump table, not just realizable piece tables
     start = data.draw(st.integers(min_value=0, max_value=len(P) - 1))
     length = data.draw(st.integers(min_value=0, max_value=len(P)))
-    assert _kernel.min_pieces_span(P, start, length) == brute_min_span(P, start, length)
+    assert frontier_min_span(P, start, length) == brute_min_span(P, start, length)
+
+
+@given(TABLES, st.data())
+def test_span_walk_matches_dp_on_suffix_closures(P, data):
+    # the last-cut walk on the largest suffix-closed table below any table
+    Q = suffix_closure(P)
+    start = data.draw(st.integers(min_value=0, max_value=len(Q) - 1))
+    length = data.draw(st.integers(min_value=0, max_value=len(Q)))
+    assert _kernel.min_pieces_span(Q, start, length) == brute_min_span(Q, start, length)
+
+
+def test_span_walk_refuses_tables_not_suffix_closed():
+    # every table of length 1 to 5 over 0..4 that is not suffix-closed,
+    # at every span; every one that is gives the dynamic program's count
+    refused = 0
+    for n in range(1, 6):
+        for P in itertools.product(range(5), repeat=n):
+            P = list(P)
+            spans = [(s, L) for s in range(n) for L in range(n + 1)]
+            if is_suffix_closed(P):
+                for s, L in spans:
+                    assert _kernel.min_pieces_span(P, s, L) == brute_min_span(P, s, L), (P, s, L)
+                continue
+            refused += 1
+            for s, L in spans:
+                with pytest.raises(ValueError, match="not suffix-closed"):
+                    _kernel.min_pieces_span(P, s, L)
+    assert refused
+
+
+def test_span_walk_matches_frontier_on_grid_rows():
+    # every offset of both rows of the 8x8 grid, at the whole relator and
+    # at a random length; dead cuts included on the lowered rows
+    rng = random.Random(10)
+    dead = 0
+    for rows in grid_piece_rows(8):
+        for row in rows:
+            cut = suffix_closure([x if rng.random() < 0.9 else rng.randint(0, x) for x in row])
+            n = len(row)
+            for P in (row, cut):
+                for s in range(n):
+                    for L in (n, rng.randint(1, n)):
+                        got = _kernel.min_pieces_span(P, s, L)
+                        assert got == frontier_min_span(P, s, L), (P, s, L)
+                        dead += got == -1
+    assert dead
 
 
 def test_find_oracle_matches_brute_force():

@@ -108,7 +108,8 @@ def test_verify_meridian_forms_sweep():
     for m in range(1, 9):
         for n in range(1, 9):
             for sign in (1, -1):
-                assert verify_meridian_forms(GenusOneKnot(m, n, sign))
+                knot = GenusOneKnot(m, n, sign)
+                assert verify_meridian_forms(knot, long_meridian_words(knot))
 
 
 def power_loop_verdict(knot, mw, k_max=8):

@@ -1,6 +1,6 @@
 import pytest
 
-from bridgeforge.orbifold import standard_arcs_proper, subgroup_verdict
+from bridgeforge.orbifold import standard_arcs, subgroup_verdict
 from bridgeforge.slope import INFINITY, Frac
 
 
@@ -29,10 +29,17 @@ def test_subgroup_verdicts():
 
 
 def test_proper_subgroup_sweep():
-    assert standard_arcs_proper(2)
-    assert all(standard_arcs_proper(m) for m in range(2, 21))
+    # the arcs 1/(2m - 1) and 1/(2m + 1), each verdict as subgroup_verdict
+    # gives it alone: proper subgroups of orders 2m + 1 and 2m - 1
+    for m in range(2, 21):
+        r = Frac(2 * m, 4 * m * m - 1)
+        v1, v2 = standard_arcs(m)
+        assert v1 == subgroup_verdict(Frac(1, 2 * m - 1), r)
+        assert v2 == subgroup_verdict(Frac(1, 2 * m + 1), r)
+        assert (v1.proper, v1.order_in_homology) == (True, 2 * m + 1)
+        assert (v2.proper, v2.order_in_homology) == (True, 2 * m - 1)
     with pytest.raises(ValueError):
-        standard_arcs_proper(1)
+        standard_arcs(1)
 
 
 def test_verdict_orders_multiply_to_p():

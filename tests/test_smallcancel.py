@@ -23,7 +23,12 @@ from bridgeforge.smallcancel import (
 )
 from bridgeforge.words import cyclic_s_sequence, inverse, parse_word, rotations, s_sequence
 
-from test_kernel_parity import quadratic_reach_table, random_relator_like_words, suffix_closure
+from test_kernel_parity import (
+    frontier_min_span,
+    quadratic_reach_table,
+    random_relator_like_words,
+    suffix_closure,
+)
 
 
 def loop_find(R, v):
@@ -42,12 +47,13 @@ def loop_find(R, v):
 
 
 def span_check_C(R, p):
-    """check_C by the minimal piece count of every element in turn."""
+    """check_C by the minimal piece count of every element in turn, by
+    the frontier sweep over every cut (not the reach recurrence)."""
     n = R.n
     for d in (0, 1):
         row = R.piece_len[d]
         for s in range(n):
-            t = _kernel.min_pieces_span(row, s, n)
+            t = frontier_min_span(row, s, n)
             if 0 < t < p:
                 return False
     return True
@@ -330,8 +336,7 @@ def test_check_C_rows_agree_element_by_element():
             element = R.doubled[1][s:s + n]
             d, t = R.find(inverse(element))
             assert d == 0
-            assert (_kernel.min_pieces_span(R.piece_len[1], s, n)
-                    == _kernel.min_pieces_span(R.piece_len[0], t, n))
+            assert frontier_min_span(R.piece_len[1], s, n) == frontier_min_span(R.piece_len[0], t, n)
         for p in range(2, 7):
             verdict = check_C(R, p)
             assert verdict == row_check_C(R, p, 0) == row_check_C(R, p, 1) == span_check_C(R, p)
