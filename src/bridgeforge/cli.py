@@ -5,7 +5,8 @@ versioned "bridge-forge/1" schema.  Exit codes: 0 all checks pass, 1 any
 check failed or a check could not run (a RuntimeError, such as a matrix
 scan finding no simple root of the Riley polynomial mod any prime tried,
 or an AssertionError, a word the library built failing its own validation
-in presentation, meridians, freeness or farey; an "error:" line goes to
+in presentation, meridians, freeness or farey, such as a sign-pattern
+factor MeridianWords.junction_blocks refuses; an "error:" line goes to
 stderr; or stdout closed by its reader, with no line), 2 usage error
 (--t above MAX_T and --scan-syllables above freeness.MAX_SYLLABLES
 included), 3 resource truncation.  The freeness
@@ -46,7 +47,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 
-# freeness --t t checks sum(4^k, k <= t) sign patterns: 5,460 at t = 6
+# freeness --t t lists sum(4^k, k <= t) sign patterns: 5,460 at t = 6; the
+# junction blocks settle every t, the list stays as the benchmark counts it
 MAX_T = 6
 
 
@@ -135,7 +137,7 @@ def _cmd_meridians(args) -> int:
 
 def _cmd_pieces(args) -> int:
     knot = _knot_from_args(args)
-    ctx = CheckContext.for_knot(knot)
+    ctx = CheckContext(knot)
     R = ctx.R
     if args.word is not None:
         w = parse_word(args.word)
@@ -220,7 +222,7 @@ def _cmd_freeness(args) -> int:
     }
     if args.scan_syllables:
         data = sl2_oracle.riley_polynomials(knot.fraction)
-        report = freeness.no_relation_scan(knot, args.scan_syllables, mw, data)
+        report = freeness.no_relation_scan(args.scan_syllables, mw, data)
         (rep,) = report.roots
         # the float roots are margins only; the verdict rests on the exact scan
         reps = sl2_oracle.numeric_reps(data)
@@ -367,32 +369,25 @@ def _cmd_epi(args) -> int:
 
 @dataclass(frozen=True)
 class CheckContext:
-    """What a check reads: the knot, its relator and the relator's
-    symmetrized set (each built once per knot) and the matrix-scan depth
-    (0 for no scan)."""
+    """What a check reads: the knot, the matrix-scan depth (0 for no scan)
+    and, each built on first use and then shared by the checks that run
+    on this context, the knot's relator, its symmetrized set and its long
+    meridian words."""
 
     knot: GenusOneKnot
-    rel: presentation.Relator
-    R: smallcancel.SymmetrizedSet
-    scan_syllables: int
+    scan_syllables: int = 0
 
-    @classmethod
-    def for_knot(cls, knot: GenusOneKnot, scan_syllables: int = 0) -> CheckContext:
-        """The context of knot, with its one relator and set built here."""
-        rel = presentation.relator(knot.fraction)
-        return cls(knot, rel, smallcancel.SymmetrizedSet(rel.u), scan_syllables)
+    @functools.cached_property
+    def rel(self) -> presentation.Relator:
+        return presentation.relator(self.knot.fraction)
+
+    @functools.cached_property
+    def R(self) -> smallcancel.SymmetrizedSet:
+        return smallcancel.SymmetrizedSet(self.rel.u)
 
     @functools.cached_property
     def meridian_words(self) -> meridians.MeridianWords:
-        """The knot's long meridian words, built on first use and shared
-        by the checks that run on this context."""
         return meridians.long_meridian_words(self.knot)
-
-    @functools.cached_property
-    def alternating_cs(self) -> dict:
-        """alternating_cs_from_runs per sign pattern with t <= 2, for both rows."""
-        return {pattern: freeness.alternating_cs_from_runs(pattern, self.meridian_words)
-                for pattern in _sign_patterns(2)}
 
 
 @dataclass(frozen=True)
@@ -418,19 +413,21 @@ CHECKS = (
     Check("three_piece", lambda ctx: smallcancel.verify_three_piece_property(ctx.knot, ctx.rel)),
     Check("C4", lambda ctx: smallcancel.check_C(ctx.R, 4)),
     Check("T4", lambda ctx: smallcancel.check_T(ctx.R)),
+    # a sign pattern's cyclic S-sequence is its junction blocks end to
+    # end, so the knot's eight blocks settle every pattern of every t
     Check(
         "alternating_cs",
         lambda ctx: all(
-            cs == freeness.alternating_cs_closed_form(ctx.knot, pattern)
-            for pattern, cs in ctx.alternating_cs.items()
+            block == freeness.closed_form_block(ctx.knot, 1 if f > 0 else -1)
+            for (_, f), block in ctx.meridian_words.junction_blocks.items()
         ),
         # the torus knot [2,-2] has no closed form
         applies=lambda knot: knot.is_hyperbolic,
     ),
     Check(
         "alternating_bounds",
-        lambda ctx: all(freeness.forbidden_terms_ok(ctx.knot, cs)
-                        for cs in ctx.alternating_cs.values()),
+        lambda ctx: all(freeness.forbidden_terms_ok(ctx.knot, block)
+                        for block in ctx.meridian_words.junction_blocks.values()),
     ),
     Check(
         "dihedral_orders",
@@ -443,8 +440,7 @@ CHECKS = (
     Check(
         "matrix_scan",
         lambda ctx: freeness.no_relation_scan(
-            ctx.knot, ctx.scan_syllables, ctx.meridian_words,
-            sl2_oracle.riley_polynomials(ctx.knot.fraction),
+            ctx.scan_syllables, ctx.meridian_words, sl2_oracle.riley_polynomials(ctx.knot.fraction),
         ).clean,
     ),
 )
@@ -455,7 +451,7 @@ _PIECE_CHECKS = ("piece_prop", "three_piece", "C4", "T4")
 def _verify_cell(cell) -> dict:
     m, n, sign, scan_syllables = cell
     knot = GenusOneKnot(m, n, sign)
-    ctx = CheckContext.for_knot(knot, scan_syllables)
+    ctx = CheckContext(knot, scan_syllables)
     checks = []
     for check in CHECKS:
         if check.name == "matrix_scan" and not scan_syllables:

@@ -9,12 +9,12 @@ no-relation scan proves every short word in the long meridian pair
 nontrivial by the image of its cyclic core's rotation class in
 SL2(Z/l^k) under an exact parabolic representation.
 
-The checks compose that S-sequence from the runs of the four factors
-x_l^+-1, y_l^+-1 (x_l and y_l validated once, their inverses' runs
-derived from theirs), and check only the junctions between factors
-(alternating_cs_from_runs); alternating_relation_word
-builds the whole word letter by letter and is the reference it is
-tested against.  The closed form is written at the composition's rotation.
+The checks never build the word: its cyclic S-sequence is the pattern's
+junction blocks laid end to end (MeridianWords.junction_blocks), and
+each block has its own closed form (closed_form_block), so the eight
+blocks of a knot settle every pattern of every length t at once.
+alternating_relation_word builds the whole word letter by letter and is
+the reference the blocks are tested against.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def _checked_signs(sign_pairs) -> list[tuple[int, int]]:
 def alternating_relation_word(sign_pairs, mw: MeridianWords) -> Word:
     """The cyclically alternating word x_l^e1x y_l^e1y ... for signs +-1,
     in the long meridian words mw.  This is the letter-by-letter
-    reference for alternating_cs_from_runs.
+    reference for MeridianWords.junction_blocks.
     """
     signs = _checked_signs(sign_pairs)
     parts = []
@@ -82,72 +82,35 @@ def alternating_relation_word(sign_pairs, mw: MeridianWords) -> Word:
     return w
 
 
-def alternating_cs_from_runs(sign_pairs, mw: MeridianWords) -> tuple[int, ...]:
-    """cyclic_s_sequence(alternating_relation_word(sign_pairs, mw)),
-    composed from the factors' runs without building the word.
-
-    x_l and y_l are checked and their S-sequences taken once per
-    MeridianWords, and those of x_l^-1, y_l^-1 derived from them
-    (MeridianWords.factor_runs).  A pattern then checks
-    only its junctions, the cyclic one from the last factor to the first
-    included: the word is cyclically alternating, and so cyclically
-    reduced, exactly when its factors are and no junction joins two
-    letters of one generator.  The factors' runs are concatenated, the
-    two runs at a junction merge when its letters have one sign, and the
-    first and last runs merge as in cyclic_s_sequence.  The cost is
-    O(runs), not O(letters), per pattern.
+def closed_form_block(knot: GenusOneKnot, e: int) -> tuple[int, ...]:
+    """Exact closed form of a junction block into a factor x_l^e or y_l^e
+    (MeridianWords.junction_blocks): n 2m-blocks, an oriented pair and
+    n - 1 more 2m-blocks, where the end runs m, m of the two factors have
+    merged.  The pair is (m, m+1) for positive slope sign, (m, m-1) for
+    negative sign with m >= 2, reversed when e differs from (-1)^n.  The
+    m = 1 negative family has blocks of 2's around a 3, shifted by one
+    for the other e, and no closed form at all for (m, n) = (1, 1).
     """
-    signs = _checked_signs(sign_pairs)
-    x_runs, y_runs = mw.factor_runs
-    factors = [f for ex, ey in signs for f in (x_runs[ex], y_runs[ey])]
-    runs: list[int] = []
-    prev = factors[-1][1]  # the last letter before the first factor, cyclically
-    for first, last, seq, ok in factors:
-        if not ok or abs(prev) == abs(first):
-            raise AssertionError("sign-pattern word failed to be alternating")
-        if runs and (prev > 0) == (first > 0):
-            runs[-1] += seq[0]
-            runs += seq[1:]
-        else:
-            runs += seq
-        prev = last
-    if len(runs) >= 2 and (factors[0][0] > 0) == (prev > 0):
-        runs[0] += runs.pop()
-    return tuple(runs)
+    m, n = knot.m, knot.n
+    flip = e != (-1) ** n
+    if knot.sign > 0 or m >= 2:
+        pair = (m, m + 1) if knot.sign > 0 else (m, m - 1)
+        return (2 * m,) * n + (pair[::-1] if flip else pair) + (2 * m,) * (n - 1)
+    if n >= 2:
+        return (2,) * (n - flip) + (3,) + (2,) * (n - 2 + flip)
+    raise UnsupportedCaseError(
+        "no closed form for the (1, 1, -) slope; terms lie in {2, 3, 4}"
+    )
 
 
 def alternating_cs_closed_form(knot: GenusOneKnot, sign_pairs) -> tuple[int, ...]:
-    """Exact closed form of the cyclic S-sequence of the sign-pattern word.
-
-    Per factor (in order x_1, y_1, x_2, y_2, ...) the contribution is n
-    2m-blocks, an oriented pair and n - 1 more 2m-blocks: the rotation
-    alternating_cs_from_runs composes, where the end runs m, m of x_l^+-1
-    merge at each junction.  The pair is (m, m+1) for positive slope sign,
-    (m, m-1) for negative sign with m >= 2, reversed when the factor
-    exponent differs from (-1)^n.  The m = 1 negative family contributes
-    asymmetric blocks of 2's around a 3 and has no closed form at all for
-    (m, n) = (1, 1).
-    """
-    m, n = knot.m, knot.n
-    eps = 1 if n % 2 == 0 else -1
+    """Exact closed form of the cyclic S-sequence of the sign-pattern word:
+    the closed-form blocks of its factors x_1, y_1, x_2, y_2, ... in
+    order, the rotation its junction blocks give, the cyclic one first."""
     flat = [e for pair in sign_pairs for e in pair]
     if not flat:
         raise ValueError("empty sign pattern")
-    out: list[int] = []
-    if knot.sign > 0 or m >= 2:
-        pair_eps = [m, m + 1] if knot.sign > 0 else [m, m - 1]
-        for e in flat:
-            out += [2 * m] * n + (pair_eps if e == eps else pair_eps[::-1]) + [2 * m] * (n - 1)
-    elif n >= 2:
-        for e in flat:
-            left = n - 1 if e == eps else n - 2
-            right = n - 2 if e == eps else n - 1
-            out += [2] * (1 + left) + [3] + [2] * right
-    else:
-        raise UnsupportedCaseError(
-            "no closed form for the (1, 1, -) slope; terms lie in {2, 3, 4}"
-        )
-    return tuple(out)
+    return tuple(term for e in flat for term in closed_form_block(knot, e))
 
 
 def forbidden_terms_ok(knot: GenusOneKnot, cs) -> bool:
@@ -165,15 +128,24 @@ def forbidden_terms_ok(knot: GenusOneKnot, cs) -> bool:
 
 
 def verify_alternating_cs(knot: GenusOneKnot, sign_pairs, mw: MeridianWords) -> bool:
-    """Computed cyclic S-sequence (alternating_cs_from_runs with mw) vs
-    closed form, literally, plus forbidden terms.
+    """The sign-pattern word's cyclic S-sequence vs its closed form,
+    literally, plus forbidden terms, block by block: each of the
+    pattern's 2t junction blocks (mw.junction_blocks, the cyclic junction
+    first) against closed_form_block of the factor it leads into.
 
     For the (1, 1, -) slope only the membership bound {2, 3, 4} applies.
     """
-    cs = alternating_cs_from_runs(sign_pairs, mw)
-    if knot.is_hyperbolic and cs != alternating_cs_closed_form(knot, sign_pairs):
-        return False
-    return forbidden_terms_ok(knot, cs)
+    signs = _checked_signs(sign_pairs)
+    blocks = mw.junction_blocks
+    factors = [(g * e, e) for ex, ey in signs for g, e in ((1, ex), (2, ey))]
+    closed = {e: closed_form_block(knot, e) for e in (1, -1)} if knot.is_hyperbolic else None
+    prev = factors[-1][0]
+    for f, e in factors:
+        block = blocks[prev, f]
+        if closed and block != closed[e] or not forbidden_terms_ok(knot, block):
+            return False
+        prev = f
+    return True
 
 
 @dataclass
@@ -189,7 +161,6 @@ class RetriedWord:
 
 @dataclass
 class ScanReport:
-    knot: GenusOneKnot
     max_syllables: int
     # the one pair the walk ran at: alpha, a root of the Riley polynomial
     # mod l^k, the largest power of the least suitable odd prime l at
@@ -292,9 +263,7 @@ def _is_pm_identity(word, gens, modulus: int) -> bool:
     return not b and not c and a == d
 
 
-def no_relation_scan(
-    knot: GenusOneKnot, max_syllables: int, mw: MeridianWords, data: sl2_oracle.RileyData
-) -> ScanReport:
+def no_relation_scan(max_syllables: int, mw: MeridianWords, data: sl2_oracle.RileyData) -> ScanReport:
     """Exact scan over words in the long meridian pair.
 
     Covers every freely reduced nonempty word in x_l^+-1, y_l^+-1 with at
@@ -307,8 +276,8 @@ def no_relation_scan(
     not +-I is proven nontrivial in the group.  A class at +-I is
     evaluated again under the pair of the next prime above, up to _PAIRS
     pairs, and is a hit when it stays at +-I under every one; its witness
-    is its representative and the pairs.  mw is long_meridian_words(knot)
-    and data is riley_polynomials(knot.fraction).  The classes are walked
+    is its representative and the pairs.  mw is the knot's
+    long_meridian_words and data its riley_polynomials.  The classes are walked
     in pre-order on one explicit stack (_class_walk), a node one 2x2
     product mod l^k.
     """
@@ -319,7 +288,7 @@ def no_relation_scan(
     pairs = [sl2_oracle.modular_rep(data)]
     images = [_images(mw, pairs[0])]
     classes, suspects = _class_walk(images[0], pairs[0].modulus, max_syllables)
-    report = ScanReport(knot, max_syllables, pairs[:1], 2 * (3 ** max_syllables - 1), classes)
+    report = ScanReport(max_syllables, pairs[:1], 2 * (3 ** max_syllables - 1), classes)
     for path in suspects:
         tried, nontrivial = 1, False
         while tried < _PAIRS and not nontrivial:

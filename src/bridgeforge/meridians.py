@@ -6,7 +6,9 @@ meridian pair (x_l, y_l) arises by conjugating a^1 resp. b^-1 with
 explicit alternating words w_x, w_y.  This module constructs both sides
 of that story independently: the raw conjugate words coming from the
 Wirtinger relations, and the closed forms assembled from initial letters
-plus S-sequences.  verify_meridian_forms checks that they agree.
+plus S-sequences.  verify_meridian_forms checks that they agree, and
+MeridianWords.junction_blocks cuts every sign-pattern word in x_l^+-1,
+y_l^+-1 into the eight blocks the freeness checks compare.
 """
 
 from __future__ import annotations
@@ -94,20 +96,35 @@ class MeridianWords:
         return d0_d1(self.knot)
 
     @functools.cached_property
-    def factor_runs(self) -> tuple[dict, dict]:
-        """The factors x_l^e and y_l^e (e = +-1) of a sign-pattern word,
-        summarised once: x_runs[e] and y_runs[e] are (first letter, last
-        letter, S-sequence, nonempty reduced and alternating).  Only x_l
-        and y_l are walked: inversion keeps a word nonempty, reduced and
-        alternating, reverses its runs and turns its ends (f, l) into
+    def junction_blocks(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The runs of every sign-pattern word x_l^e1 y_l^f1 ... in eight
+        blocks.  The factors are named as letters: 1, -1, 2, -2 for x_l,
+        x_l^-1, y_l, y_l^-1.  Block (g, f), for g and f of different
+        generators, is the junction's runs followed by the inner runs of f:
+        the last run of g and the first run of f, one run when their
+        letters share a sign.  x_l and y_l must be nonempty and alternating
+        (so reduced), with at least two runs, and every junction must join
+        letters of different generators; then no run spans two junctions,
+        and the cyclic S-sequence of any pattern is its blocks laid end to
+        end, the cyclic junction first.  Only x_l and y_l are walked:
+        inversion reverses a word's runs and turns its ends (f, l) into
         (-l, -f)."""
-        def summary(w):
-            if not (w and is_reduced(w) and is_alternating(w)):
-                return {1: (0, 0, (), False), -1: (0, 0, (), False)}
-            seq = s_sequence(w)
-            return {1: (w[0], w[-1], seq, True), -1: (-w[-1], -w[0], seq[::-1], True)}
-
-        return summary(self.x_l), summary(self.y_l)
+        ends = {}
+        for g, w in ((1, self.x_l), (2, self.y_l)):
+            if not (w and is_alternating(w)) or len(runs := s_sequence(w)) < 2:
+                raise AssertionError("sign-pattern word failed to be alternating")
+            ends[g], ends[-g] = (w[0], w[-1], runs), (-w[-1], -w[0], runs[::-1])
+        blocks = {}
+        for g, (_, last, g_runs) in ends.items():
+            for f, (first, _, f_runs) in ends.items():
+                if abs(g) == abs(f):
+                    continue
+                if abs(last) == abs(first):
+                    raise AssertionError("sign-pattern word failed to be alternating")
+                merged = (last > 0) == (first > 0)
+                junction = (g_runs[-1] + f_runs[0],) if merged else (g_runs[-1], f_runs[0])
+                blocks[g, f] = junction + f_runs[1:-1]
+        return blocks
 
 
 def _conjugator_runs(knot: GenusOneKnot) -> tuple[int, ...]:

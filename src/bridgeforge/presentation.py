@@ -45,7 +45,6 @@ def epsilon_sequence(p: int, q: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Relator:
-    fraction: Frac
     epsilons: tuple[int, ...]
     u_hat: Word
     u: Word
@@ -58,10 +57,10 @@ def relator(f: Frac) -> Relator:
     q, p = f.num, f.den
     if p % 2 == 0:
         raise ValueError("even denominator is a two-bridge link, not a knot")
+    eps = epsilon_sequence(p, q)  # refuses q outside (0, p) before the rule below
     if q % 2:
         raise ValueError(f"{f} has an odd numerator, which the relator recipe does not "
                          f"take, but K({f}) is K({p - q}/{p}) up to mirror image: use {p - q}/{p}")
-    eps = epsilon_sequence(p, q)
     # uhat alternates b, a, b, a, ... with the epsilon signs
     u_hat = tuple(map(mul, eps, (2, 1) * (p // 2)))
     u = concat((1,), u_hat, (2,), inverse(u_hat))
@@ -71,7 +70,7 @@ def relator(f: Frac) -> Relator:
         raise AssertionError("relator is not cyclically alternating of length 2p")
     if not u[0] > 0 > u[-1]:
         raise AssertionError("a run of the relator crosses its period seam")
-    return Relator(f, eps, u_hat, u, s_sequence(u))
+    return Relator(eps, u_hat, u, s_sequence(u))
 
 
 class CanonicalDecomposition(NamedTuple):

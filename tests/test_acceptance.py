@@ -8,7 +8,7 @@ import random
 import time
 
 from bridgeforge import _kernel
-from bridgeforge.cli import _PIECE_CHECKS, CHECKS, CheckContext, _sign_patterns
+from bridgeforge.cli import _PIECE_CHECKS, CHECKS, CheckContext
 from bridgeforge.farey import orbit_contains, reflection_generators
 from bridgeforge.freeness import alternating_relation_word, no_relation_scan
 from bridgeforge.meridians import long_meridian_words
@@ -25,7 +25,7 @@ from bridgeforge.words import (
     word_str,
 )
 
-from test_freeness import float_scan
+from test_freeness import composed_cs, float_scan, sign_patterns
 
 LETTERS = (1, -1, 2, -2)
 
@@ -56,7 +56,7 @@ def test_criterion_1_relator_closed_forms():
     ok = True
     (check,) = battery(("relator_cs",))
     for knot in grid(10, 10):
-        ctx = CheckContext.for_knot(knot)
+        ctx = CheckContext(knot)
         ok &= len(ctx.rel.u) == 2 * knot.p
         ok &= check.applies(knot) and check.run(ctx)
     _report(1, "relator length and CS closed form, grid 10x10", ok,
@@ -68,7 +68,7 @@ def test_criterion_2_meridian_identities():
     ok = True
     (check,) = battery(("meridian_forms",))
     for knot in grid(10, 10):
-        ok &= check.applies(knot) and check.run(CheckContext.for_knot(knot))
+        ok &= check.applies(knot) and check.run(CheckContext(knot))
     # the exceptional degenerate case keeps its closed form
     mw = long_meridian_words(GenusOneKnot(1, 1, -1))
     ok &= word_str(mw.w_x) == "b" and word_str(mw.w_y) == "A"
@@ -81,7 +81,7 @@ def test_criterion_3_small_cancellation():
     ok = True
     checks = battery(_PIECE_CHECKS)
     for knot in grid(4, 4):
-        ctx = CheckContext.for_knot(knot)
+        ctx = CheckContext(knot)
         ok &= all(c.applies(knot) and c.run(ctx) for c in checks)
     _report(3, f"piece battery with {_kernel.IMPL} kernel, grid 4x4", ok,
             time.perf_counter() - t0, 120.0)
@@ -92,15 +92,16 @@ def test_criterion_4_alternating_cs_closed_forms():
     ok = True
     checks = battery(("alternating_cs", "alternating_bounds"))
     for knot in grid(4, 4):
-        ctx = CheckContext.for_knot(knot)
+        ctx = CheckContext(knot)
         # the torus knot (1, 1, -) alone has no closed form
         ok &= all(c.run(ctx) for c in checks if c.applies(knot))
         ok &= all(c.applies(knot) for c in checks) != ((knot.m, knot.n, knot.sign) == (1, 1, -1))
-        # the letter-by-letter reference for the composed sequences
-        for pattern in _sign_patterns(2):
+        # every pattern's sequence is its junction blocks end to end: the
+        # letter-by-letter reference for the blocks, up to t = 3
+        for pattern in sign_patterns(3):
             cs = cyclic_s_sequence(alternating_relation_word(pattern, ctx.meridian_words))
-            ok &= cs == ctx.alternating_cs[pattern]
-    _report(4, "alternating-word CS closed forms and forbidden terms, t <= 2", ok,
+            ok &= cs == composed_cs(pattern, ctx.meridian_words)
+    _report(4, "alternating-word CS closed forms and forbidden terms, every t from 8 blocks", ok,
             time.perf_counter() - t0, 60.0)
 
 
@@ -109,10 +110,12 @@ def test_criterion_5_dihedral_orders():
     check = next(c for c in CHECKS if c.name == "dihedral_orders")
     ok = True
     for m in range(2, 21):
-        # the check reads only the knot: a full context would build a
-        # symmetrized set of (8m^2 - 2)-letter words it never reads
+        # the check reads only the knot, so the context builds no relator
+        # and no symmetrized set of (8m^2 - 2)-letter words
         knot = GenusOneKnot(m, m, -1)
-        ok &= check.applies(knot) and check.run(CheckContext(knot, None, None, 0))
+        ctx = CheckContext(knot)
+        ok &= check.applies(knot) and check.run(ctx)
+        ok &= not {"rel", "R", "meridian_words"} & vars(ctx).keys()
     _report(5, "dihedral image orders 2m+1 / 2m-1, m = 2..20", ok,
             time.perf_counter() - t0, 1.0)
 
@@ -122,7 +125,7 @@ def test_criterion_6_matrix_scan():
     ok = True
     for params in ((1, 1, 1), (2, 1, 1), (1, 2, -1), (2, 2, -1)):
         knot = GenusOneKnot(*params)
-        report = no_relation_scan(knot, 6, long_meridian_words(knot), riley_polynomials(knot.fraction))
+        report = no_relation_scan(6, long_meridian_words(knot), riley_polynomials(knot.fraction))
         ok &= report.clean and report.words_nontrivial == report.words_checked
         ok &= report.words_checked == 4 * (3**6 - 1) // 2
         # the float margins, from the test oracle

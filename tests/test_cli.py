@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import functools
 import json
 import os
 import random
@@ -353,6 +354,16 @@ def test_relator_odd_numerator_names_the_mirror_slope(capsys, json_flag):
                             "take, but K(1/3) is K(2/3) up to mirror image: use 2/3\n")
 
 
+@pytest.mark.parametrize("p,q", [(3, 5), (1, 1), (3, -1), (5, 7)])
+def test_relator_odd_numerator_outside_the_range_is_refused(capsys, p, q):
+    # outside 0 < q < p there is no mirror slope to name: 5/3 would name
+    # -2/3 and 1/1 would name 0/1, both of which relator refuses too
+    assert cli.main(["relator", "--p", str(p), "--q", str(q), "--json"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need coprime 0 < q < p\n"
+
+
 @pytest.mark.parametrize("command", ["relator", "reps"])
 def test_non_coprime_slope_rejected(capsys, command):
     # 3/9 must not be silently reduced to 1/3
@@ -572,11 +583,16 @@ def _failed_validation(*args, **kwargs):
     ("presentation", "relator", ["pieces", "--m", "1", "--n", "1", "--sign", "+"]),
     ("meridians", "long_meridian_words", ["meridians", "--m", "1", "--n", "1", "--sign", "+"]),
     ("meridians", "long_meridian_words", ["freeness", "--m", "1", "--n", "2", "--sign", "-"]),
-    ("freeness", "alternating_cs_from_runs", ["verify-all", "--m-max", "1", "--n-max", "1"]),
-    ("freeness", "alternating_cs_from_runs", ["freeness", "--m", "2", "--n", "1", "--sign", "+"]),
+    ("meridians.MeridianWords", "junction_blocks", ["verify-all", "--m-max", "1", "--n-max", "1"]),
+    ("meridians.MeridianWords", "junction_blocks", ["freeness", "--m", "2", "--n", "1", "--sign", "+"]),
 ])
 def test_library_assertion_exits_fail(capsys, monkeypatch, module, name, command):
-    monkeypatch.setattr(getattr(cli, module), name, _failed_validation)
+    owner = cli
+    for attr in module.split("."):
+        owner = getattr(owner, attr)
+    # on a class the failure is a property, as junction_blocks is read
+    monkeypatch.setattr(owner, name, property(_failed_validation) if isinstance(owner, type)
+                        else _failed_validation)
     assert cli.main([*command, "--json"]) == cli.EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -618,11 +634,12 @@ def test_library_has_no_bare_asserts():
 # reference for Relator.runs, which presentation.relator takes from
 # s_sequence (no run of a relator crosses its period seam).  letter_power
 # is reached only from relation_word, and is_infinity only from
-# reflection_generators.
+# reflection_generators.  alternating_cs_closed_form is a whole pattern's
+# closed form, the tests' oracle for the blocks src checks one by one.
 TEST_ONLY_API = {
     "rotations", "least_rotation", "relation_word", "alternating_relation_word",
     "reflection_generators", "cyclic_seq_eq", "cyclic_s_sequence", "letter_power",
-    "is_infinity",
+    "is_infinity", "alternating_cs_closed_form",
 }
 
 
@@ -918,34 +935,35 @@ def test_text_lines_are_built_only_without_json(capsys, monkeypatch, argv):
     assert built == [False]
 
 
-def test_verify_all_builds_the_sign_pattern_sequences_once(capsys, monkeypatch):
-    # alternating_cs and alternating_bounds read one set of the 20
-    # sequences per knot
+def test_verify_all_builds_the_junction_blocks_once(capsys, monkeypatch):
+    # alternating_cs and alternating_bounds read one set of the eight
+    # blocks per knot
     built = []
-    real = cli.freeness.alternating_cs_from_runs
+    real = meridians.MeridianWords.junction_blocks.func
 
-    def counted(pattern, mw):
+    def counted(mw):
         built.append(mw.knot)
-        return real(pattern, mw)
+        return real(mw)
 
-    monkeypatch.setattr(cli.freeness, "alternating_cs_from_runs", counted)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(meridians.MeridianWords, "junction_blocks")
+    monkeypatch.setattr(meridians.MeridianWords, "junction_blocks", prop)
     code, payload = run_json(capsys, "verify-all", "--m-max", "2", "--n-max", "2")
     assert code == cli.EXIT_PASS and len(payload["reports"]) == 8
-    assert len(built) == 20 * 8
-    assert {knot: built.count(knot) for knot in built} == {knot: 20 for knot in set(built)}
+    assert built == [cli.GenusOneKnot(m, n, sign) for m in (1, 2) for n in (1, 2) for sign in (1, -1)]
 
 
 def test_verify_all_builds_each_closed_form_once(capsys, monkeypatch):
-    # only alternating_cs compares with the closed forms, and only on the
-    # hyperbolic knots; alternating_bounds tests the forbidden terms
-    calls = _count_calls(monkeypatch, cli.freeness, "alternating_cs_closed_form")
+    # only alternating_cs compares with the closed forms, one block's
+    # closed form per junction block, and only on the hyperbolic knots;
+    # alternating_bounds tests the forbidden terms
+    calls = _count_calls(monkeypatch, cli.freeness, "closed_form_block")
     code, payload = run_json(capsys, "verify-all", "--m-max", "2", "--n-max", "2")
     assert code == cli.EXIT_PASS and len(payload["reports"]) == 8
-    knots = [knot for knot, _pattern in calls]
-    assert {knot: knots.count(knot) for knot in knots} == {
-        cli.GenusOneKnot(m, n, sign): 20
+    assert sorted(calls, key=repr) == sorted((
+        (cli.GenusOneKnot(m, n, sign), e)
         for m in (1, 2) for n in (1, 2) for sign in (1, -1) if (m, n, sign) != (1, 1, -1)
-    }
+        for e in (1, -1) for _ in range(4)), key=repr)
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

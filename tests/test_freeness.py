@@ -11,7 +11,6 @@ from bridgeforge.freeness import (
     MAX_SYLLABLES,
     UnsupportedCaseError,
     alternating_cs_closed_form,
-    alternating_cs_from_runs,
     alternating_relation_word,
     no_relation_scan,
     relation_word,
@@ -21,6 +20,7 @@ from bridgeforge.meridians import MeridianWords, long_meridian_words
 from bridgeforge.presentation import relator
 from bridgeforge.slope import GenusOneKnot
 from bridgeforge.words import (
+    alt_word,
     concat,
     cyclic_s_sequence,
     cyclic_seq_eq,
@@ -28,7 +28,6 @@ from bridgeforge.words import (
     inverse,
     is_alternating,
     is_cyclically_alternating,
-    is_reduced,
     least_rotation,
     parse_word,
     s_sequence,
@@ -127,28 +126,35 @@ def test_closed_form_matches_computed_sweep():
                     assert verify_alternating_cs(knot, pattern, mw)
 
 
+def composed_cs(pattern, mw):
+    """The pattern's junction blocks laid end to end, the cyclic junction
+    first: the sequence the checks compare block by block."""
+    factors = [g * e for ex, ey in pattern for g, e in ((1, ex), (2, ey))]
+    blocks = mw.junction_blocks
+    return sum((blocks[g, f] for g, f in zip(factors[-1:] + factors[:-1], factors)), ())
+
+
+def random_patterns(rng, t_max, per_t):
+    return [[(rng.choice((1, -1)), rng.choice((1, -1))) for _ in range(t)]
+            for t in range(4, t_max + 1) for _ in range(per_t)]
+
+
 def test_runs_match_word_on_grid():
-    # the run composition against the letter-by-letter word, 10x10 grid:
-    # every pattern with t <= 3 and seeded random patterns with t <= 6
+    # the junction blocks against the letter-by-letter word, 12x12 grid:
+    # every pattern with t <= 3 and seeded random patterns with t <= 8
     rng = random.Random(11)
-    for m in range(1, 11):
-        for n in range(1, 11):
+    for m in range(1, 13):
+        for n in range(1, 13):
             for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                mw = long_meridian_words(knot)
-                patterns = sign_patterns(3) + [
-                    [(rng.choice((1, -1)), rng.choice((1, -1))) for _ in range(t)]
-                    for t in range(4, 7)
-                    for _ in range(4)
-                ]
-                for pattern in patterns:
+                mw = long_meridian_words(GenusOneKnot(m, n, sign))
+                for pattern in sign_patterns(3) + random_patterns(rng, 8, 2):
                     word = alternating_relation_word(pattern, mw)
-                    assert alternating_cs_from_runs(pattern, mw) == cyclic_s_sequence(word)
+                    assert composed_cs(pattern, mw) == cyclic_s_sequence(word), (m, n, sign, pattern)
 
 
 def test_literal_closed_form_matches_the_rotation_oracle():
-    # the closed form is written at the rotation the run composition
-    # fixes; the comparison modulo rotation is the oracle it replaced
+    # the closed form is written at the rotation the junction blocks
+    # fix; the comparison modulo rotation is the oracle it replaced
     # (12x12 grid, every pattern with t <= 3)
     for m in range(1, 13):
         for n in range(1, 13):
@@ -158,10 +164,29 @@ def test_literal_closed_form_matches_the_rotation_oracle():
                     continue
                 mw = long_meridian_words(knot)
                 for pattern in sign_patterns(3):
-                    cs = alternating_cs_from_runs(pattern, mw)
+                    cs = composed_cs(pattern, mw)
                     closed = alternating_cs_closed_form(knot, pattern)
                     assert cyclic_seq_eq(cs, closed)
                     assert cs == closed
+
+
+def test_closed_form_is_the_blocks_of_its_factors():
+    # block by block: the junction block into x_l^e or y_l^e is
+    # closed_form_block(knot, e) whatever factor precedes it, and the
+    # pattern's closed form is those blocks in order
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for sign in (1, -1):
+                knot = GenusOneKnot(m, n, sign)
+                if (m, n, sign) == (1, 1, -1):
+                    continue
+                blocks = long_meridian_words(knot).junction_blocks
+                assert len(blocks) == 8
+                for (g, f), block in blocks.items():
+                    assert block == freeness.closed_form_block(knot, 1 if f > 0 else -1)
+                for pattern in sign_patterns(2):
+                    assert alternating_cs_closed_form(knot, pattern) == sum(
+                        (freeness.closed_form_block(knot, e) for pair in pattern for e in pair), ())
 
 
 def hand_built(x_l, y_l):
@@ -175,70 +200,109 @@ def outcome(fn, mw, pattern):
         return str(exc)
 
 
+MESSAGE = "sign-pattern word failed to be alternating"
+
+
 def test_runs_raise_as_the_word_does():
-    # x_l = ab and y_l = bab leave a junction of two b-letters in every
-    # pattern; a factor aab is not alternating on its own
-    message = "sign-pattern word failed to be alternating"
-    for mw in (hand_built(parse_word("ab"), parse_word("bab")),
+    # x_l = aB and y_l = bAb, two runs or more each, leave a junction of
+    # two b-letters in every pattern; a factor aab is not alternating on
+    # its own.  The blocks refuse both at once, and so does every
+    # pattern's check
+    knot = GenusOneKnot(1, 1, 1)
+    for mw in (hand_built(parse_word("aB"), parse_word("bAb")),
                hand_built(parse_word("aab"), parse_word("ab"))):
+        with pytest.raises(AssertionError, match=MESSAGE):
+            mw.junction_blocks
         for pattern in sign_patterns(2):
-            with pytest.raises(AssertionError, match=message):
+            with pytest.raises(AssertionError, match=MESSAGE):
                 alternating_relation_word(pattern, mw)
-            with pytest.raises(AssertionError, match=message):
-                alternating_cs_from_runs(pattern, mw)
+            with pytest.raises(AssertionError, match=MESSAGE):
+                verify_alternating_cs(knot, pattern, mw)
+
+
+def test_blocks_refuse_factors_with_fewer_than_two_runs():
+    # the word of x_l = aba (one run) and y_l = bAb is cyclically
+    # alternating, but in it the run of x_l spans two junctions: y_l ends
+    # and starts with b, so b aba b is one run.  An empty factor leaves
+    # the other's junctions back to back.  The blocks refuse both
+    for mw in (hand_built(parse_word("aba"), parse_word("bAb")),
+               hand_built(parse_word("bAb"), parse_word("aba")),
+               hand_built((), parse_word("aB")),
+               hand_built(parse_word("aB"), ())):
+        assert is_cyclically_alternating(alternating_relation_word([(1, 1)], mw))
+        with pytest.raises(AssertionError, match=MESSAGE):
+            mw.junction_blocks
+
+
+def valid_factors(mw):
+    """The blocks' precondition, read off the words: x_l and y_l nonempty
+    and alternating with two runs or more, and every junction of two
+    generators, which the four patterns with t = 1 cover."""
+    if not all(w and is_alternating(w) and len(s_sequence(w)) >= 2 for w in (mw.x_l, mw.y_l)):
+        return False
+    return all(not isinstance(outcome(alternating_relation_word, mw, [pair]), str)
+               for pair in product((1, -1), repeat=2))
 
 
 def test_runs_match_word_on_hand_built_factors():
-    # arbitrary short factors over a, A, b, B: the two agree on the cyclic
-    # S-sequence or raise the same error, pattern by pattern
+    # arbitrary short factors over a, A, b, B: valid ones give the
+    # reference's cyclic S-sequence for every pattern, rotated by one when
+    # the cyclic junction keeps two runs, and invalid ones raise at once
     rng = random.Random(12)
     letters = (1, -1, 2, -2)
-    for _ in range(300):
+    kinds = set()
+    for _ in range(600):
         mw = hand_built(
-            [rng.choice(letters) for _ in range(rng.randint(1, 4))],
-            [rng.choice(letters) for _ in range(rng.randint(1, 4))],
+            [rng.choice(letters) for _ in range(rng.randint(0, 6))],
+            [rng.choice(letters) for _ in range(rng.randint(0, 6))],
         )
-        for pattern in rng.sample(sign_patterns(3), 10):
-            expected = outcome(alternating_relation_word, mw, pattern)
-            if not isinstance(expected, str):
-                expected = cyclic_s_sequence(expected)
-            assert outcome(alternating_cs_from_runs, mw, pattern) == expected
-
-
-def direct_summary(w):
-    """A factor's (first letter, last letter, S-sequence, nonempty reduced
-    and alternating), read off the word itself."""
-    if not (w and is_reduced(w) and is_alternating(w)):
-        return 0, 0, (), False
-    return w[0], w[-1], s_sequence(w), True
+        valid = valid_factors(mw)
+        if not valid:
+            with pytest.raises(AssertionError, match=MESSAGE):
+                mw.junction_blocks
+            kinds.add("invalid")
+            continue
+        for pattern in rng.sample(sign_patterns(3), 10) + random_patterns(rng, 8, 1):
+            word = alternating_relation_word(pattern, mw)
+            ref = cyclic_s_sequence(word)
+            merged = (word[0] > 0) == (word[-1] > 0)
+            assert composed_cs(pattern, mw) == (ref if merged else ref[-1:] + ref[:-1])
+            kinds.add(merged)
+    assert kinds == {"invalid", True, False}
 
 
 def test_inverse_runs_match_the_inverse_words():
-    # factor_runs walks x_l and y_l only and derives the summaries of their
-    # inverses; each must be the summary of the inverse word itself, on
-    # the 12x12 grid and on 300 hand-built factor pairs, among them valid
-    # factors whose runs are no palindrome and invalid ones
+    # junction_blocks walks x_l and y_l only and derives the runs of their
+    # inverses; each block (g, f) must be read off the word G F itself,
+    # inverses built letter by letter: the runs from G's last run to the
+    # one before F's last.  On the 12x12 grid and on the valid ones of
+    # 600 hand-built alternating factor pairs, whose runs may be palindromes
     rng = random.Random(14)
     letters = (1, -1, 2, -2)
     mws = [long_meridian_words(GenusOneKnot(m, n, sign))
            for m in range(1, 13) for n in range(1, 13) for sign in (1, -1)]
-    mws += [hand_built([rng.choice(letters) for _ in range(rng.randint(1, 4))],
-                       [rng.choice(letters) for _ in range(rng.randint(1, 4))])
-            for _ in range(300)]
-    kinds = set()
+
+    def factor():
+        return alt_word(rng.choice(letters), [rng.randint(1, 3) for _ in range(rng.randint(2, 4))])
+
+    hand = [hand_built(factor(), factor()) for _ in range(600)]
+    mws += [mw for mw in hand if valid_factors(mw)]
+    palindromes = set()
     for mw in mws:
-        for runs, w in zip(mw.factor_runs, (mw.x_l, mw.y_l)):
-            assert runs == {1: direct_summary(w), -1: direct_summary(inverse(w))}, w
-            seq = runs[1][2]
-            kinds.add((runs[1][3], seq != seq[::-1]))
-    assert kinds == {(True, True), (True, False), (False, False)}
+        words = {1: mw.x_l, -1: inverse(mw.x_l), 2: mw.y_l, -2: inverse(mw.y_l)}
+        for (g, f), block in mw.junction_blocks.items():
+            runs = s_sequence(concat(words[g], words[f]))
+            assert block == runs[len(s_sequence(words[g])) - 1:-1], (mw.x_l, mw.y_l, g, f)
+        palindromes.add(s_sequence(mw.x_l) == s_sequence(mw.x_l)[::-1])
+    assert palindromes == {True, False}
 
 
 def test_runs_reject_bad_signs():
-    mw = long_meridian_words(GenusOneKnot(1, 1, 1))
+    knot = GenusOneKnot(1, 1, 1)
+    mw = long_meridian_words(knot)
     for pattern in ([], [(1, 2)], [(0, 1)]):
         with pytest.raises(ValueError):
-            alternating_cs_from_runs(pattern, mw)
+            verify_alternating_cs(knot, pattern, mw)
 
 
 def test_forbidden_terms_by_case():
@@ -277,7 +341,7 @@ def test_forbidden_terms_match_the_term_loop():
                 mw = long_meridian_words(knot)
                 seqs = [(), (2 * m + 1,), (2 * m - 1,), (1,), (5,)]
                 for pattern in sign_patterns(2):
-                    cs = alternating_cs_from_runs(pattern, mw)
+                    cs = composed_cs(pattern, mw)
                     i = rng.randrange(len(cs))
                     seqs += [cs, cs[:i] + (rng.randint(0, 2 * m + 2),) + cs[i + 1:]]
                 seqs += [tuple(rng.randint(0, 2 * m + 2) for _ in range(rng.randint(1, 6)))
@@ -383,7 +447,7 @@ def scan(knot, max_syllables, mw=None):
     given, its long meridian words built here."""
     if mw is None:
         mw = long_meridian_words(knot)
-    return no_relation_scan(knot, max_syllables, mw, sl2_oracle.riley_polynomials(knot.fraction))
+    return no_relation_scan(max_syllables, mw, sl2_oracle.riley_polynomials(knot.fraction))
 
 
 def test_no_relation_scan_small():
@@ -561,7 +625,7 @@ def test_classes_cover_every_word(k):
     if k == 8:
         assert classes == 1_386
     hits = [freeness.RetriedWord(syllables(c), [], False) for c in suspects]
-    report = freeness.ScanReport(GenusOneKnot(1, 1, 1), k, [], words, classes, hits)
+    report = freeness.ScanReport(k, [], words, classes, hits)
     assert report.words_nontrivial == 0
     report.retried = hits[1:]
     assert report.words_nontrivial == covered(suspects[0], k)
