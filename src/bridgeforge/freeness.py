@@ -7,7 +7,9 @@ exact closed form.  The forbidden-term facts extracted from that closed
 form are what the small-cancellation contradiction consumes.  The
 no-relation scan proves every short word in the long meridian pair
 nontrivial by the image of its cyclic core's rotation class in
-SL2(Z/l^k) under an exact parabolic representation.
+SL2(Z/l^k) under an exact parabolic representation; the classes at +-I
+are found by meeting in the middle over words of half the length, and
+the classes are counted by Burnside's lemma, never walked.
 
 The checks never build the word: its cyclic S-sequence is the pattern's
 junction blocks laid end to end (MeridianWords.junction_blocks), and
@@ -20,6 +22,7 @@ the reference the blocks are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import sl2_oracle
 from .meridians import MeridianWords, long_meridian_words
@@ -162,7 +165,7 @@ class RetriedWord:
 @dataclass
 class ScanReport:
     max_syllables: int
-    # the one pair the walk ran at: alpha, a root of the Riley polynomial
+    # the one pair the search ran at: alpha, a root of the Riley polynomial
     # mod l^k, the largest power of the least suitable odd prime l at
     # most 2^30 (sl2_oracle.modular_rep)
     roots: list[sl2_oracle.ModularRep]
@@ -189,8 +192,9 @@ class ScanReport:
 
 
 _SYLLABLES = ("x", "X", "y", "Y")
-# 86,093,440 words in 4,181,926 classes, about 2.2 s in CPython 3.11 on a
-# shared AMD EPYC core; the cap also bounds the path _class_walk allocates
+# 86,093,440 words in 4,181,926 classes, 30-50 ms in CPython 3.11 on a
+# shared AMD EPYC core; the cap also bounds the half-length tables
+# _pm_identity_classes builds, 4 3^7 words of length 8 at K = 16
 MAX_SYLLABLES = 16
 # exact pairs a class is evaluated under before it counts as a hit
 _PAIRS = 3
@@ -206,51 +210,44 @@ def _images(mw: MeridianWords, rep: sl2_oracle.ModularRep):
     return out
 
 
-def _class_walk(gens, modulus: int, max_syllables: int):
-    """The least rotation of each cyclically reduced word of the scan over
-    Z/modulus, in pre-order: (classes walked, those at +-I as tuples of
-    syllable indices).  The prenecklace tree of Ruskey, Savage and Wang
-    (J. Algorithms 13, 1992) over x < X < y < Y without adjacent i, i^1:
-    a node of depth t with Lyndon prefix length p has the children
-    j >= path[t - p] (nxt[i][path[t - p]]), which keep p at that bound
-    and take p = t + 1 above it.  It is a class when p divides t and its
-    last syllable is not the inverse of its first.  b = c = 0 and a = d
-    is +-I: a^2 = 1 and the modulus is a power of an odd prime.  The
-    children at depth K are tested in place, b entry first, never stacked.
+def _pm_identity_classes(gens, modulus: int, max_syllables: int):
+    """The rotation classes of the scan at +-I over Z/modulus: (classes
+    of cyclically reduced words of at most K syllables, the least
+    rotations at +-I as tuples of syllable indices, x < X < y < Y).
+
+    Meet in the middle over the reduced words of h <= ceil(K/2)
+    syllables: a word L R of length 2l - 1 or 2l, |L| = l, is at +-I
+    exactly when the image of L is +-(the image of R)^-1, exact in SL2,
+    where -M differs from M since the modulus is odd.  The length-l words
+    sit in a dict by image, so two lookups per R find every such word; a
+    match is kept when it is reduced at the seam, cyclically reduced and
+    its own least rotation, and the matches are sorted in the pre-order
+    of the prenecklace tree with children in descending order.  The
+    classes are counted by Burnside's lemma: the cyclically reduced words
+    of length d number tr A^d = 3^d + 2 + (-1)^d, A the 4x4 matrix of
+    allowed adjacent syllables.
     """
-    nxt = [[[(j, j == lo, *gens[j]) for j in range(lo, 4) if j != i ^ 1] for lo in range(4)]
-           for i in range(4)]
-    leaves = [[row[::-1] for row in rows] for rows in nxt]  # in pop order
-    stack = [(i, 1, 1, *gens[i]) for i in range(4)]
-    pop, push = stack.pop, stack.append
-    path = [0] * max_syllables  # path[k]: the syllable at depth k + 1
+    half = [[((), (1, 0, 0, 1))]]
+    for _ in range((max_syllables + 1) // 2):
+        half.append([((*w, j), ((a * e + b * g) % modulus, (a * f + b * h) % modulus,
+                                (c * e + d * g) % modulus, (c * f + d * h) % modulus))
+                     for w, (a, b, c, d) in half[-1]
+                     for j, (e, f, g, h) in enumerate(gens) if not w or j != w[-1] ^ 1])
     suspects = []
-    classes = 0
-    while stack:
-        i, t, p, a, b, c, d = pop()
-        path[t - 1] = i
-        if not t % p and i ^ 1 != path[0]:
-            classes += 1
-            if not b and not c and a == d:
-                suspects.append(tuple(path[:t]))
-        if t == max_syllables:
-            continue
-        lo = path[t - p]
-        if t + 1 < max_syllables:
-            t += 1
-            for j, keep, e, f, g, h in nxt[i][lo]:
-                push((j, t, p if keep else t, (a * e + b * g) % modulus, (a * f + b * h) % modulus,
-                      (c * e + d * g) % modulus, (c * f + d * h) % modulus))
-            continue
-        whole, first_inv = not max_syllables % p, path[0] ^ 1
-        for j, keep, e, f, g, h in leaves[i][lo]:
-            if j == first_inv or keep and not whole:
-                continue
-            classes += 1
-            if (a * f + b * h) % modulus or (c * e + d * g) % modulus:
-                continue
-            if (a * e + b * g) % modulus == (c * f + d * h) % modulus:
-                suspects.append((*path[:t], j))
+    for size in range(1, len(half)):
+        left = {}
+        for v, image in half[size]:
+            left.setdefault(image, []).append(v)
+        for w, (a, b, c, d) in half[size - 1] + (half[size] if 2 * size <= max_syllables else []):
+            for key in ((d, -b % modulus, -c % modulus, a), (-d % modulus, b, c, -a % modulus)):
+                for v in left.get(key, ()):
+                    word = v + w
+                    if (not w or v[-1] != w[0] ^ 1) and word[-1] != word[0] ^ 1 and all(
+                            word <= word[k:] + word[:k] for k in range(1, len(word))):
+                        suspects.append(word)
+    suspects.sort(key=lambda word: [-s for s in word])
+    classes = sum(sum(3 ** d + 2 + (-1) ** d for d in (gcd(k, t) for k in range(1, t + 1))) // t
+                  for t in range(1, max_syllables + 1))
     return classes, suspects
 
 
@@ -277,9 +274,9 @@ def no_relation_scan(max_syllables: int, mw: MeridianWords, data: sl2_oracle.Ril
     evaluated again under the pair of the next prime above, up to _PAIRS
     pairs, and is a hit when it stays at +-I under every one; its witness
     is its representative and the pairs.  mw is the knot's
-    long_meridian_words and data its riley_polynomials.  The classes are walked
-    in pre-order on one explicit stack (_class_walk), a node one 2x2
-    product mod l^k.
+    long_meridian_words and data its riley_polynomials.  The classes at
+    +-I are found by meeting in the middle (_pm_identity_classes), one
+    2x2 product mod l^k per reduced word of at most ceil(K/2) syllables.
     """
     if not 1 <= max_syllables <= MAX_SYLLABLES:
         raise ValueError(
@@ -287,7 +284,7 @@ def no_relation_scan(max_syllables: int, mw: MeridianWords, data: sl2_oracle.Ril
         )
     pairs = [sl2_oracle.modular_rep(data)]
     images = [_images(mw, pairs[0])]
-    classes, suspects = _class_walk(images[0], pairs[0].modulus, max_syllables)
+    classes, suspects = _pm_identity_classes(images[0], pairs[0].modulus, max_syllables)
     report = ScanReport(max_syllables, pairs[:1], 2 * (3 ** max_syllables - 1), classes)
     for path in suspects:
         tried, nontrivial = 1, False

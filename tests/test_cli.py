@@ -219,6 +219,27 @@ def test_freeness_scan_is_exact_where_floats_failed(capsys, m, n):
     assert scan["classes_checked"] == 1_386
 
 
+@pytest.mark.parametrize("m,n,sign", [("1", "1", "+"), ("2", "1", "-")])
+def test_freeness_scan_at_the_cap(capsys, m, n, sign):
+    code, payload = run_json(
+        capsys, "freeness", "--m", m, "--n", n, "--sign", sign, "--scan-syllables", "16"
+    )
+    scan = payload["scan"]
+    assert code == 0 and scan["hits"] == []
+    assert scan["words_checked"] == 86_093_440
+    assert scan["classes_checked"] == 4_181_926
+
+
+def test_verify_all_scan_at_12_syllables(capsys):
+    code, payload = run_json(
+        capsys, "verify-all", "--m-max", "2", "--n-max", "2", "--scan-syllables", "12"
+    )
+    assert code == 0 and payload["failures"] == 0
+    for report in payload["reports"]:
+        by_name = {c["name"]: c["status"] for c in report["checks"]}
+        assert by_name["matrix_scan"] == "pass"
+
+
 def test_orbifold_command(capsys):
     code, payload = run_json(capsys, "orbifold", "--m", "2")
     assert code == 0
@@ -458,13 +479,13 @@ def test_negative_scan_syllables_rejected(capsys, command):
 ])
 @pytest.mark.parametrize("extra", [1, 1000])
 def test_scan_syllables_capped(capsys, monkeypatch, command, extra):
-    # the walk holds a path as deep as the scan, so a huge depth asked for
-    # gigabytes before any word was walked; above the cap it is a usage
+    # the search's tables grow as 3^(K/2), so a huge depth asked for
+    # gigabytes before any word was tested; above the cap it is a usage
     # error, rejected before any check or scan starts
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for module, name in ((cli.freeness, "no_relation_scan"), (cli.freeness, "_class_walk"),
+    for module, name in ((cli.freeness, "no_relation_scan"), (cli.freeness, "_pm_identity_classes"),
                          (cli.meridians, "long_meridian_words"), (cli, "_verify_cell")):
         monkeypatch.setattr(module, name, no_work)
     k = cli.freeness.MAX_SYLLABLES + extra

@@ -534,9 +534,10 @@ def test_scan_matches_stack_oracle(m, n, sign, max_syllables, tol):
 
 
 def word_walk(gens, modulus, max_syllables):
-    """The word walk the class walk replaced, kept as its oracle: every
-    word of the scan over Z/modulus, in pre-order, (words walked, the
-    words whose image is +-I, as tuples of syllable indices).
+    """The word walk the class walk replaced, kept as the oracle of both
+    the walk and the search: every word of the scan over Z/modulus, in
+    pre-order, (words walked, the words whose image is +-I, as tuples of
+    syllable indices).
 
     An image in SL2 with b = c = 0 and a = d is +-I, since then a^2 = 1
     and the modulus is a power of an odd prime (sl2_oracle.modular_rep).
@@ -571,6 +572,54 @@ def word_walk(gens, modulus, max_syllables):
             if (a * e + b * g) % modulus == (c * f + d * h) % modulus:
                 suspects.append((*path[:depth], j))
     return count, suspects
+
+
+def class_walk(gens, modulus, max_syllables):
+    """The prenecklace walk the meet-in-the-middle search replaced, kept
+    as its oracle: the least rotation of each cyclically reduced word of
+    the scan over Z/modulus, in pre-order, (classes walked, those at +-I
+    as tuples of syllable indices).  The prenecklace tree of Ruskey,
+    Savage and Wang (J. Algorithms 13, 1992) over x < X < y < Y without
+    adjacent i, i^1: a node of depth t with Lyndon prefix length p has
+    the children j >= path[t - p] (nxt[i][path[t - p]]), which keep p at
+    that bound and take p = t + 1 above it.  It is a class when p divides
+    t and its last syllable is not the inverse of its first.  The
+    children at depth K are tested in place, b entry first, never stacked.
+    """
+    nxt = [[[(j, j == lo, *gens[j]) for j in range(lo, 4) if j != i ^ 1] for lo in range(4)]
+           for i in range(4)]
+    leaves = [[row[::-1] for row in rows] for rows in nxt]  # in pop order
+    stack = [(i, 1, 1, *gens[i]) for i in range(4)]
+    pop, push = stack.pop, stack.append
+    path = [0] * max_syllables  # path[k]: the syllable at depth k + 1
+    suspects = []
+    classes = 0
+    while stack:
+        i, t, p, a, b, c, d = pop()
+        path[t - 1] = i
+        if not t % p and i ^ 1 != path[0]:
+            classes += 1
+            if not b and not c and a == d:
+                suspects.append(tuple(path[:t]))
+        if t == max_syllables:
+            continue
+        lo = path[t - p]
+        if t + 1 < max_syllables:
+            t += 1
+            for j, keep, e, f, g, h in nxt[i][lo]:
+                push((j, t, p if keep else t, (a * e + b * g) % modulus, (a * f + b * h) % modulus,
+                      (c * e + d * g) % modulus, (c * f + d * h) % modulus))
+            continue
+        whole, first_inv = not max_syllables % p, path[0] ^ 1
+        for j, keep, e, f, g, h in leaves[i][lo]:
+            if j == first_inv or keep and not whole:
+                continue
+            classes += 1
+            if (a * f + b * h) % modulus or (c * e + d * g) % modulus:
+                continue
+            if (a * e + b * g) % modulus == (c * f + d * h) % modulus:
+                suspects.append((*path[:t], j))
+    return classes, suspects
 
 
 def reduced_words(max_syllables):
@@ -609,7 +658,7 @@ def test_class_walk_tests_each_class_once(k):
     # with every image I, each class the walk tests is a suspect, so the
     # suspects are the classes: one per cyclic core up to rotation over
     # every reduced word, by brute force, each once
-    classes, suspects = freeness._class_walk(IDENTITY, 3, k)
+    classes, suspects = class_walk(IDENTITY, 3, k)
     assert len(set(suspects)) == len(suspects) == classes
     assert set(suspects) == {scan_class(w) for w in reduced_words(k)}
     assert all(scan_class(c) == c for c in suspects)
@@ -619,7 +668,7 @@ def test_class_walk_tests_each_class_once(k):
 def test_classes_cover_every_word(k):
     # a class c covers r 3^((K - |c|) // 2) words, and the classes cover
     # all 2(3^K - 1); words_nontrivial subtracts the same count per hit
-    classes, suspects = freeness._class_walk(IDENTITY, 3, k)
+    classes, suspects = freeness._pm_identity_classes(IDENTITY, 3, k)
     words = 2 * (3 ** k - 1)
     assert sum(covered(c, k) for c in suspects) == words
     if k == 8:
@@ -636,19 +685,72 @@ def at_its_prime(rep):
     return dataclasses.replace(rep, modulus=rep.prime, alpha=rep.alpha % rep.prime)
 
 
-@pytest.mark.parametrize("k,words,classes", [(5, 36, 10), (6, 124, 30), (8, 1_152, 134)])
-def test_class_walk_suspects_are_the_classes_of_the_word_walks(k, words, classes):
-    # the trefoil's pair cut down to its prime 3, where many words map to
-    # +-I by coincidence: the classes at +-I are those of the words at +-I
+def image(word, gens, modulus):
+    """The image over Z/modulus of a word of syllable indices."""
+    a, b, c, d = 1, 0, 0, 1
+    for i in word:
+        e, f, g, h = gens[i]
+        a, b, c, d = (a * e + b * g) % modulus, (a * f + b * h) % modulus, \
+            (c * e + d * g) % modulus, (c * f + d * h) % modulus
+    return a, b, c, d
+
+
+def exact_gens(knot):
+    """The scan's images at the knot's exact pair, and its modulus."""
+    rep = sl2_oracle.modular_rep(sl2_oracle.riley_polynomials(knot.fraction))
+    return freeness._images(long_meridian_words(knot), rep), rep.modulus
+
+
+def trefoil_gens_mod_3():
+    """The trefoil's pair cut down to its prime 3, where many words map
+    to +-I by coincidence."""
     knot = GenusOneKnot(1, 1, -1)
     rep = at_its_prime(sl2_oracle.modular_rep(sl2_oracle.riley_polynomials(knot.fraction)))
     assert rep.modulus == 3
-    gens = freeness._images(long_meridian_words(knot), rep)
+    return freeness._images(long_meridian_words(knot), rep)
+
+
+@pytest.mark.parametrize("k,words,classes", [(5, 36, 10), (6, 124, 30), (8, 1_152, 134)])
+def test_class_walk_suspects_are_the_classes_of_the_word_walks(k, words, classes):
+    # the classes at +-I are those of the words at +-I
+    gens = trefoil_gens_mod_3()
     walked, word_suspects = word_walk(gens, 3, k)
     assert walked == 2 * (3 ** k - 1) and len(word_suspects) == words
-    _, class_suspects = freeness._class_walk(gens, 3, k)
+    _, class_suspects = class_walk(gens, 3, k)
     assert len(class_suspects) == classes
     assert set(class_suspects) == {scan_class(w) for w in word_suspects}
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_search_matches_the_walk_at_identity_and_mod_3(k):
+    # every class at +-I (IDENTITY), and the trefoil's classes at +I and
+    # at -I mod 3 (782 at K = 10), in the walk's order
+    assert freeness._pm_identity_classes(IDENTITY, 3, k) == class_walk(IDENTITY, 3, k)
+    gens = trefoil_gens_mod_3()
+    classes, suspects = class_walk(gens, 3, k)
+    assert freeness._pm_identity_classes(gens, 3, k) == (classes, suspects)
+    at_minus_identity = sum(image(c, gens, 3) == (2, 0, 0, 2) for c in suspects)
+    assert (at_minus_identity > 0) == (k >= 4)
+    if k == 10:
+        assert (len(suspects), at_minus_identity) == (782, 384)
+
+
+@pytest.mark.parametrize("m,n,sign", [
+    (m, n, sign) for m in range(1, 5) for n in range(1, 5) for sign in (1, -1)
+])
+def test_search_matches_the_walk_at_the_exact_pair(m, n, sign):
+    gens, modulus = exact_gens(GenusOneKnot(m, n, sign))
+    for k in range(1, 11):
+        assert freeness._pm_identity_classes(gens, modulus, k) == class_walk(gens, modulus, k)
+
+
+def test_class_count_is_burnside():
+    # the count needs no walk: up to K = 12 it is the walk's, and at the
+    # cap it is the 4,181,926 classes the walk took about 3 s to count
+    gens, modulus = exact_gens(GenusOneKnot(2, 1, -1))
+    for k in range(1, 13):
+        assert freeness._pm_identity_classes(gens, modulus, k)[0] == class_walk(gens, modulus, k)[0]
+    assert freeness._pm_identity_classes(gens, modulus, MAX_SYLLABLES) == (4_181_926, [])
 
 
 def test_scan_rejects_fewer_than_one_syllable():
@@ -660,8 +762,8 @@ def test_scan_rejects_fewer_than_one_syllable():
 
 
 def test_scan_rejects_more_syllables_than_the_cap(monkeypatch):
-    # rejected before the walk, which holds a path as deep as the scan
-    monkeypatch.setattr(freeness, "_class_walk", None)
+    # rejected before the search, whose tables grow as 3^(K/2)
+    monkeypatch.setattr(freeness, "_pm_identity_classes", None)
     for k in (MAX_SYLLABLES + 1, 10 * MAX_SYLLABLES):
         with pytest.raises(ValueError, match=f"max_syllables must be at least 1 and at most 16, got {k}"):
             scan(GenusOneKnot(1, 1, 1), k)
