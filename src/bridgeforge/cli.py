@@ -10,8 +10,8 @@ factor MeridianWords.junction_blocks refuses; an "error:" line goes to
 stderr; or stdout closed by its reader, with no line), 2 usage error
 (--t above MAX_T and --scan-syllables above freeness.MAX_SYLLABLES
 included), 3 resource truncation.  The freeness
-scan block names its exact pair by prime, modulus (a power of prime) and
-alpha, and the pairs of a retried or hit class as [modulus, alpha].
+scan block names its one exact pair by prime, modulus (a power of prime)
+and alpha, and its hits by their class representatives under that pair.
 """
 
 from __future__ import annotations
@@ -188,11 +188,6 @@ def _dropped_payload(dropped) -> list:
     return [[str(z), r if math.isfinite(r) else None] for z, r in dropped]
 
 
-def _pairs_payload(pairs) -> list:
-    """[[modulus, alpha], ...] for the exact representations a word met."""
-    return [[rep.modulus, rep.alpha] for rep in pairs]
-
-
 def _check_scan_syllables(k: int) -> None:
     if not 0 <= k <= freeness.MAX_SYLLABLES:
         raise ValueError(
@@ -236,12 +231,8 @@ def _cmd_freeness(args) -> int:
                 "modulus": rep.modulus,
                 "alpha": rep.alpha,
                 "words_nontrivial": report.words_nontrivial,
-                "retried": [
-                    {"word": r.word, "pairs": _pairs_payload(r.pairs), "nontrivial": r.nontrivial}
-                    for r in report.retried
-                ],
             },
-            "hits": [[h.word, _pairs_payload(h.pairs)] for h in report.hits],
+            "hits": report.hits,
             "roots": [str(r.omega) for r in reps],
             "dropped_roots": _dropped_payload(reps.dropped),
             "max_residual": max_residual,
@@ -258,8 +249,7 @@ def _cmd_freeness(args) -> int:
             out += [
                 f"  matrix scan: {report.words_checked} words in {report.classes_checked} classes "
                 f"at w = {rep.alpha} mod {rep.modulus}, "
-                f"{report.words_nontrivial} proven nontrivial ({len(report.retried)} retried), "
-                f"hits: {len(report.hits)}",
+                f"{report.words_nontrivial} proven nontrivial, hits: {len(report.hits)}",
                 f"  float margins: {len(reps)} roots, max relator residual "
                 + ("none" if max_residual is None else f"{max_residual:.3e}"),
             ]

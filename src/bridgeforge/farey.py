@@ -71,7 +71,7 @@ def reflection_generators(r: Frac, neighbor_bound: int) -> list[Reflection]:
     over the Farey neighbors s_j = (q0 + j q)/(p0 + j p) of r for
     |j| <= neighbor_bound, from the left parent q0/p0 of r.
     """
-    if r.is_infinity:
+    if r.den == 0:
         raise ValueError("r must be rational")
     gens = [
         reflection_in_edge(INFINITY, Frac(k, 1))

@@ -7,9 +7,10 @@ exact closed form.  The forbidden-term facts extracted from that closed
 form are what the small-cancellation contradiction consumes.  The
 no-relation scan proves every short word in the long meridian pair
 nontrivial by the image of its cyclic core's rotation class in
-SL2(Z/l^k) under an exact parabolic representation; the classes at +-I
-are found by meeting in the middle over words of half the length, and
-the classes are counted by Burnside's lemma, never walked.
+SL2(Z/l^k) under the knot's one exact parabolic representation; a class
+at +-I under it is a hit.  The classes at +-I are found by meeting in
+the middle over words of half the length, and the classes are counted
+by Burnside's lemma, never walked.
 
 The checks never build the word: its cyclic S-sequence is the pattern's
 junction blocks laid end to end (MeridianWords.junction_blocks), and
@@ -21,7 +22,7 @@ the reference the blocks are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from . import sl2_oracle
@@ -152,39 +153,23 @@ def verify_alternating_cs(knot: GenusOneKnot, sign_pairs, mw: MeridianWords) -> 
 
 
 @dataclass
-class RetriedWord:
-    """A class representative at +-I under the scan's pair, with every pair
-    it was evaluated under (the scan's first) and whether the last one
-    proves it nontrivial.  One that is not is a hit, the pairs its witness."""
-
-    word: str
-    pairs: list[sl2_oracle.ModularRep]
-    nontrivial: bool
-
-
-@dataclass
 class ScanReport:
     max_syllables: int
     # the one pair the search ran at: alpha, a root of the Riley polynomial
     # mod l^k, the largest power of the least suitable odd prime l at
-    # most 2^30 (sl2_oracle.modular_rep)
+    # most 2^30 (sl2_oracle.modular_rep); a class at +-I under it is a
+    # hit, its witness the class representative under that pair
     roots: list[sl2_oracle.ModularRep]
     words_checked: int
     classes_checked: int
-    retried: list[RetriedWord] = field(default_factory=list)
-
-    @property
-    def hits(self) -> list[RetriedWord]:
-        """The class representatives that map to +-I under every pair tried."""
-        return [r for r in self.retried if not r.nontrivial]
+    hits: list[str]
 
     @property
     def words_nontrivial(self) -> int:
         """The words whose cyclic core is no rotation of a hit: a class c
         with r = (c + c).find(c, 1) rotations covers r 3^((K - |c|) // 2)."""
         return self.words_checked - sum(
-            (c + c).find(c, 1) * 3 ** ((self.max_syllables - len(c)) // 2)
-            for c in (hit.word for hit in self.hits))
+            (c + c).find(c, 1) * 3 ** ((self.max_syllables - len(c)) // 2) for c in self.hits)
 
     @property
     def clean(self) -> bool:
@@ -196,8 +181,6 @@ _SYLLABLES = ("x", "X", "y", "Y")
 # shared AMD EPYC core; the cap also bounds the half-length tables
 # _pm_identity_classes builds, 4 3^7 words of length 8 at K = 16
 MAX_SYLLABLES = 16
-# exact pairs a class is evaluated under before it counts as a hit
-_PAIRS = 3
 
 
 def _images(mw: MeridianWords, rep: sl2_oracle.ModularRep):
@@ -251,15 +234,6 @@ def _pm_identity_classes(gens, modulus: int, max_syllables: int):
     return classes, suspects
 
 
-def _is_pm_identity(word, gens, modulus: int) -> bool:
-    a, b, c, d = 1, 0, 0, 1
-    for i in word:
-        e, f, g, h = gens[i]
-        a, b, c, d = (a * e + b * g) % modulus, (a * f + b * h) % modulus, \
-            (c * e + d * g) % modulus, (c * f + d * h) % modulus
-    return not b and not c and a == d
-
-
 def no_relation_scan(max_syllables: int, mw: MeridianWords, data: sl2_oracle.RileyData) -> ScanReport:
     """Exact scan over words in the long meridian pair.
 
@@ -270,30 +244,18 @@ def no_relation_scan(max_syllables: int, mw: MeridianWords, data: sl2_oracle.Ril
     is mapped to SL2(Z/l^k) by w -> alpha, a root of the Riley polynomial
     mod a power of a small odd prime l (sl2_oracle.modular_rep).  That
     map is a homomorphism of the knot group, so a class whose image is
-    not +-I is proven nontrivial in the group.  A class at +-I is
-    evaluated again under the pair of the next prime above, up to _PAIRS
-    pairs, and is a hit when it stays at +-I under every one; its witness
-    is its representative and the pairs.  mw is the knot's
-    long_meridian_words and data its riley_polynomials.  The classes at
-    +-I are found by meeting in the middle (_pm_identity_classes), one
-    2x2 product mod l^k per reduced word of at most ceil(K/2) syllables.
+    not +-I is proven nontrivial in the group, and a class at +-I is a
+    hit, its witness its representative under that one pair.  mw is the
+    knot's long_meridian_words and data its riley_polynomials.  The
+    classes at +-I are found by meeting in the middle
+    (_pm_identity_classes), one 2x2 product mod l^k per reduced word of
+    at most ceil(K/2) syllables.
     """
     if not 1 <= max_syllables <= MAX_SYLLABLES:
         raise ValueError(
             f"max_syllables must be at least 1 and at most {MAX_SYLLABLES}, got {max_syllables}"
         )
-    pairs = [sl2_oracle.modular_rep(data)]
-    images = [_images(mw, pairs[0])]
-    classes, suspects = _pm_identity_classes(images[0], pairs[0].modulus, max_syllables)
-    report = ScanReport(max_syllables, pairs[:1], 2 * (3 ** max_syllables - 1), classes)
-    for path in suspects:
-        tried, nontrivial = 1, False
-        while tried < _PAIRS and not nontrivial:
-            if tried == len(pairs):
-                pairs.append(sl2_oracle.modular_rep(data, above=pairs[-1].prime))
-                images.append(_images(mw, pairs[-1]))
-            nontrivial = not _is_pm_identity(path, images[tried], pairs[tried].modulus)
-            tried += 1
-        word = "".join(_SYLLABLES[i] for i in path)
-        report.retried.append(RetriedWord(word, pairs[:tried], nontrivial))
-    return report
+    rep = sl2_oracle.modular_rep(data)
+    classes, suspects = _pm_identity_classes(_images(mw, rep), rep.modulus, max_syllables)
+    hits = ["".join(_SYLLABLES[i] for i in path) for path in suspects]
+    return ScanReport(max_syllables, [rep], 2 * (3 ** max_syllables - 1), classes, hits)

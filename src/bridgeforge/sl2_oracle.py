@@ -382,11 +382,10 @@ def modular_image(word, rep: ModularRep) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-def modular_rep(data: RileyData, above: int = 2) -> ModularRep:
+def modular_rep(data: RileyData) -> ModularRep:
     """The exact pair mod the largest power of a prime at most MODULUS_BOUND,
-    for the least prime above `above` (at least 2, so the prime is odd)
-    that spares the leading coefficient of data.poly and mod which it has
-    a simple root.
+    for the least odd prime that spares the leading coefficient of
+    data.poly and mod which it has a simple root.
 
     The Riley polynomial g divides every entry of rho(u) - I in Z[w], so
     w -> alpha is a homomorphism from the knot group to SL2(Z/modulus): a
@@ -395,7 +394,7 @@ def modular_rep(data: RileyData, above: int = 2) -> ModularRep:
     no simple root turns up in _PRIMES_TRIED primes, or when the check fails.
     """
     poly = data.poly
-    prime, tried = above, 0
+    prime, tried = 2, 0
     while tried < _PRIMES_TRIED:
         prime += 1
         if poly[-1] % prime == 0 or any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
@@ -412,4 +411,4 @@ def modular_rep(data: RileyData, above: int = 2) -> ModularRep:
             raise RuntimeError(f"relator of {data.fraction} is not I at w = {alpha} mod {modulus}")
         return rep
     raise RuntimeError(f"no simple root of the Riley polynomial of {data.fraction} "
-                       f"modulo {tried} primes above {above}")
+                       f"modulo {tried} primes above 2")

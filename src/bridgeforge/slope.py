@@ -35,10 +35,6 @@ class Frac:
     def __setattr__(self, name, value):
         raise AttributeError("Frac is immutable")
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.den == 0
-
     def __eq__(self, other):
         return (
             isinstance(other, Frac)

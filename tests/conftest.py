@@ -8,8 +8,9 @@ replay and shrink the example, hanging again with no timer left) takes
 it for an ordinary failure.  Code that never returns to the interpreter
 (a loop inside one C call) cannot see that signal, so faulthandler
 dumps every thread's traceback and ends the process at twice the limit.
-Both are cancelled after each test.  The slowest test takes about 5 s
-on a shared 2-CPU machine.
+Both are cancelled after each test.  The slowest test takes 14-19 s on
+a loaded, shared 2-CPU machine, where Tier-1 takes 105-131 s; every run
+lists its five slowest tests (--durations=5 in pyproject.toml).
 """
 
 import contextlib

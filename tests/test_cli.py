@@ -188,7 +188,7 @@ def test_freeness_scan_payload_counts_roots(capsys, monkeypatch):
     assert scan["words_checked"] == 2 * (3 ** 3 - 1) and scan["classes_checked"] == 24
     exact = scan["exact"]
     assert exact["words_nontrivial"] == scan["words_checked"]
-    assert exact["retried"] == [] and scan["hits"] == []
+    assert "retried" not in exact and scan["hits"] == []
     prime, modulus = exact["prime"], exact["modulus"]
     assert prime % 2 and modulus % prime == 0 and modulus <= 1 << 30 < modulus * prime
     assert 0 <= exact["alpha"] < modulus
@@ -198,7 +198,7 @@ def test_freeness_scan_payload_counts_roots(capsys, monkeypatch):
     assert not {"roots_scanned", "min_distance"} & set(scan)
     code, out = run_cli(capsys, *argv)
     assert (f"matrix scan: 52 words in 24 classes at w = {exact['alpha']} mod {modulus}, "
-            "52 proven nontrivial (0 retried), hits: 0") in out
+            "52 proven nontrivial, hits: 0") in out
     assert "float margins: 4 roots" in out
     _with_bad_iterates(monkeypatch)
     with pytest.warns(UserWarning, match="dropping root"):
@@ -238,6 +238,34 @@ def test_verify_all_scan_at_12_syllables(capsys):
     for report in payload["reports"]:
         by_name = {c["name"]: c["status"] for c in report["checks"]}
         assert by_name["matrix_scan"] == "pass"
+
+
+def test_scan_hits_fail_both_commands(capsys, monkeypatch):
+    # each knot's pair cut down to its prime, where short words of the
+    # trefoil map to +-I by coincidence: a class at +-I under the pair is
+    # a hit, so the freeness scan and the battery's matrix_scan both fail
+    real = cli.sl2_oracle.modular_rep
+
+    def at_its_prime(data):
+        rep = real(data)
+        return cli.sl2_oracle.ModularRep(rep.prime, rep.prime, rep.alpha % rep.prime)
+
+    monkeypatch.setattr(cli.sl2_oracle, "modular_rep", at_its_prime)
+    code, payload = run_json(
+        capsys, "freeness", "--m", "1", "--n", "1", "--sign", "-", "--t", "1", "--scan-syllables", "5"
+    )
+    scan = payload["scan"]
+    assert code == 1 and len(scan["hits"]) == 10
+    assert scan["exact"]["modulus"] == 3 and scan["exact"]["words_nontrivial"] == 448
+    assert all(isinstance(hit, str) for hit in scan["hits"])
+    code, payload = run_json(
+        capsys, "verify-all", "--m-max", "1", "--n-max", "1", "--scan-syllables", "5"
+    )
+    statuses = {
+        report["sign"]: {c["name"]: c["status"] for c in report["checks"]}["matrix_scan"]
+        for report in payload["reports"]
+    }
+    assert code == 1 and statuses == {-1: "fail", 1: "pass"}
 
 
 def test_orbifold_command(capsys):
@@ -649,18 +677,17 @@ def test_library_has_no_bare_asserts():
 
 
 # Defined in src for the tests alone.  perfbench/spans.py wraps each
-# function here but is_infinity by name, so they leave src with ROADMAP
-# items 1 and 8.  cyclic_seq_eq is the tests' rotation oracle for the
-# closed forms, which src compares literally; cyclic_s_sequence is their
-# reference for Relator.runs, which presentation.relator takes from
-# s_sequence (no run of a relator crosses its period seam).  letter_power
-# is reached only from relation_word, and is_infinity only from
-# reflection_generators.  alternating_cs_closed_form is a whole pattern's
+# function here by name, so they leave src with ROADMAP items 1 and 8.
+# cyclic_seq_eq is the tests' rotation oracle for the closed forms, which
+# src compares literally; cyclic_s_sequence is their reference for
+# Relator.runs, which presentation.relator takes from s_sequence (no run
+# of a relator crosses its period seam).  letter_power is reached only
+# from relation_word.  alternating_cs_closed_form is a whole pattern's
 # closed form, the tests' oracle for the blocks src checks one by one.
 TEST_ONLY_API = {
     "rotations", "least_rotation", "relation_word", "alternating_relation_word",
     "reflection_generators", "cyclic_seq_eq", "cyclic_s_sequence", "letter_power",
-    "is_infinity", "alternating_cs_closed_form",
+    "alternating_cs_closed_form",
 }
 
 

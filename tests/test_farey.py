@@ -68,7 +68,7 @@ def free_sides(r):
 
 
 def on_free_sides(x, r):
-    return not x.is_infinity and any(
+    return x != INFINITY and any(
         lo <= Fraction(x.num, x.den) <= hi for lo, hi in free_sides(r)
     )
 

@@ -673,10 +673,10 @@ def test_classes_cover_every_word(k):
     assert sum(covered(c, k) for c in suspects) == words
     if k == 8:
         assert classes == 1_386
-    hits = [freeness.RetriedWord(syllables(c), [], False) for c in suspects]
+    hits = [syllables(c) for c in suspects]
     report = freeness.ScanReport(k, [], words, classes, hits)
     assert report.words_nontrivial == 0
-    report.retried = hits[1:]
+    report.hits = hits[1:]
     assert report.words_nontrivial == covered(suspects[0], k)
 
 
@@ -811,7 +811,7 @@ def test_exact_scan_settles_the_float_false_fails(m, n, sign):
     report = scan(knot, 8)
     assert report.words_checked == report.words_nontrivial == 13_120
     assert report.classes_checked == 1_386
-    assert report.clean and report.retried == []
+    assert report.clean
     # the word walk, the oracle, finds no word at +-I either
     (rep,) = report.roots
     gens = freeness._images(long_meridian_words(knot), rep)
@@ -882,41 +882,32 @@ def test_float_margins_agree_with_the_exact_images():
                 assert scan(knot, 5, mw).clean
 
 
-def test_words_at_identity_are_retried_under_the_next_pair(monkeypatch):
-    # the first pair of the trefoil cut down to its prime 3, where 36 of
-    # the 484 words map to +-I by coincidence, in 10 classes; the next
-    # pair, at the next prime and its full modulus, proves each class
-    # nontrivial, and with it every word
+def test_words_at_identity_under_the_cut_pair_are_hits(monkeypatch):
+    # the trefoil's pair cut down to its prime 3, where 36 of the 484
+    # words map to +-I by coincidence, in 10 classes: the scan decides
+    # each class under that one pair, so each is a hit, its witness its
+    # representative, and the hits cover exactly those 36 words
     real = sl2_oracle.modular_rep
-
-    def tiny_first(data, above=2):
-        rep = real(data, above)
-        return at_its_prime(rep) if above == 2 else rep
-
-    monkeypatch.setattr(sl2_oracle, "modular_rep", tiny_first)
+    monkeypatch.setattr(sl2_oracle, "modular_rep", lambda data: at_its_prime(real(data)))
     knot = GenusOneKnot(1, 1, -1)
     mw = long_meridian_words(knot)
     report = scan(knot, 5, mw)
-    (first,) = report.roots
-    assert first.prime == first.modulus == 3
-    assert len(report.retried) == 10 and report.clean
-    assert report.words_nontrivial == report.words_checked == 2 * (3 ** 5 - 1)
-    second = real(sl2_oracle.riley_polynomials(knot.fraction), 3)
-    assert second.prime > 3 and second.modulus > 1 << 27
-    for retried in report.retried:
-        assert retried.nontrivial and retried.pairs == [first, second]
-        word = syllable_word(mw, retried.word)
-        assert is_pm_identity(sl2_oracle.modular_image(word, first))
-        assert not is_pm_identity(sl2_oracle.modular_image(word, second))
-    # the retried classes are those of the word walk's 36 words
-    _, words = word_walk(freeness._images(mw, first), 3, 5)
-    assert len(words) == 36
-    assert sorted(r.word for r in report.retried) == sorted({syllables(scan_class(w)) for w in words})
+    (rep,) = report.roots
+    assert rep.prime == rep.modulus == 3
+    assert len(report.hits) == 10 and not report.clean
+    assert report.words_checked == 2 * (3 ** 5 - 1) and report.words_nontrivial == 448
+    for hit in report.hits:
+        assert is_pm_identity(sl2_oracle.modular_image(syllable_word(mw, hit), rep))
+    # the hits are the classes of the word walk's 36 words
+    _, words = word_walk(freeness._images(mw, rep), 3, 5)
+    assert len(words) == 36 == report.words_checked - report.words_nontrivial
+    assert sorted(report.hits) == sorted({syllables(scan_class(w)) for w in words})
 
 
 def test_first_pair_proves_every_word_on_the_8x8_grid():
-    # every knot with m, n <= 8 at K = 6: no class is retried, and the
-    # word walk under the same pair finds no word at +-I
+    # every knot with m, n <= 8 at K = 6: no class is a hit, and the word
+    # walk under the same pair finds no word at +-I; at K = 12 the search
+    # finds no class at +-I either
     for m in range(1, 9):
         for n in range(1, 9):
             for sign in (1, -1):
@@ -924,29 +915,26 @@ def test_first_pair_proves_every_word_on_the_8x8_grid():
                 mw = long_meridian_words(knot)
                 report = scan(knot, 6, mw)
                 assert report.words_checked == 2 * (3 ** 6 - 1)
-                assert report.retried == [], (m, n, sign)
+                assert report.hits == [], (m, n, sign)
                 (rep,) = report.roots
                 gens = freeness._images(mw, rep)
                 assert word_walk(gens, rep.modulus, 6) == (report.words_checked, []), (m, n, sign)
+                assert freeness._pm_identity_classes(gens, rep.modulus, 12)[1] == [], (m, n, sign)
 
 
 def test_words_at_identity_under_every_pair_are_hits():
     # hand-built x_l = y_l = a: a word maps to a^k, k its exponent sum,
     # which is I exactly when k = 0, under every pair.  The classes of
-    # those words are the hits, each with three pairs at distinct primes
-    # as its witness, and together they cover exactly the balanced words
+    # those words are the hits, each with the scan's one pair as its
+    # witness, and together they cover exactly the balanced words
     mw = hand_built(parse_word("a"), parse_word("a"))
     report = scan(GenusOneKnot(1, 1, 1), 4, mw)
     exponent = (1, -1, 1, -1)
     balanced = [w for w in reduced_words(4) if sum(exponent[i] for i in w) == 0]
     classes = {syllables(scan_class(w)) for w in balanced}
-    assert sorted(h.word for h in report.hits) == sorted(classes)
+    assert sorted(report.hits) == sorted(classes)
     assert not report.clean
     assert report.words_nontrivial == report.words_checked - len(balanced)
-    retried = {r.word: r for r in report.retried}
-    assert sorted(retried) == sorted(classes)
+    (rep,) = report.roots
     for hit in report.hits:
-        assert len({rep.prime for rep in hit.pairs}) == 3
-        assert retried[hit.word].pairs == hit.pairs and not retried[hit.word].nontrivial
-        word = syllable_word(mw, hit.word)
-        assert all(sl2_oracle.modular_image(word, rep) == (1, 0, 0, 1) for rep in hit.pairs)
+        assert sl2_oracle.modular_image(syllable_word(mw, hit), rep) == (1, 0, 0, 1)

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import functools
+import itertools
 import math
 import random
 import warnings
@@ -690,7 +691,10 @@ def test_modular_rep_is_a_root_with_the_relator_at_identity():
         assert 0 <= rep.alpha < modulus and poly_eval(data.poly, rep.alpha) % modulus == 0
         assert sl2_oracle.modular_image(relator(f).u, rep) == (1, 0, 0, 1)
         assert sl2_oracle.modular_rep(data) == rep
-        assert sl2_oracle.modular_rep(data, prime).prime > prime
+        # the least odd prime that spares the leading coefficient with a simple root
+        for smaller in range(3, prime, 2):
+            if is_prime(smaller) and data.poly[-1] % smaller:
+                assert sl2_oracle._lifted_root(data.poly, smaller, smaller) is None, (f, smaller)
 
 
 def test_modular_image_matches_the_integer_matrices():
@@ -711,7 +715,12 @@ def test_modular_rep_skips_a_prime_dividing_the_leading_coefficient():
     first = sl2_oracle.modular_rep(data).prime
     scaled = dataclasses.replace(data, poly=tuple(c * first for c in data.poly))
     rep = sl2_oracle.modular_rep(scaled)
-    assert rep.prime > first and rep == sl2_oracle.modular_rep(data, first)
+    # the least prime above it with a simple root of g, lifted as for g
+    prime = next(p for p in itertools.count(first + 1)
+                 if is_prime(p) and data.poly[-1] % p
+                 and sl2_oracle._lifted_root(data.poly, p, p) is not None)
+    modulus = largest_power_at_most(prime, sl2_oracle.MODULUS_BOUND)
+    assert rep == sl2_oracle.ModularRep(prime, modulus, sl2_oracle._lifted_root(data.poly, prime, modulus))
 
 
 def test_modular_rep_raises_without_a_root(monkeypatch):

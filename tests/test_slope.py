@@ -63,7 +63,7 @@ def test_frac_normalization():
     assert Frac(-2, -5) == Frac(2, 5)
     assert Frac(2, -5) == Frac(-2, 5)
     assert Frac(0, 7) == Frac(0, 1)
-    assert Frac(-3, 0) == INFINITY and INFINITY.is_infinity
+    assert Frac(-3, 0) == INFINITY == Frac(1, 0)
     assert str(INFINITY) == "1/0"
     with pytest.raises(ZeroDivisionError):
         Frac(0, 0)
