@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import (
     _kernel,
@@ -357,15 +357,15 @@ def _cmd_epi(args) -> int:
     return EXIT_PASS
 
 
-@dataclass(frozen=True)
 class CheckContext:
     """What a check reads: the knot, the matrix-scan depth (0 for no scan)
     and, each built on first use and then shared by the checks that run
     on this context, the knot's relator, its symmetrized set and its long
     meridian words."""
 
-    knot: GenusOneKnot
-    scan_syllables: int = 0
+    def __init__(self, knot: GenusOneKnot, scan_syllables: int = 0):
+        self.knot = knot
+        self.scan_syllables = scan_syllables
 
     @functools.cached_property
     def rel(self) -> presentation.Relator:
@@ -380,8 +380,7 @@ class CheckContext:
         return meridians.long_meridian_words(self.knot)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One battery check: run(ctx) is True when it passes.  On a knot
     where applies(knot) is False it does not run and reports unsupported."""
 
@@ -576,11 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("orbifold", "dihedral quotient subgroup orders", _cmd_orbifold)
     sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--slope", help="arc slope u/v (default: both standard arcs)")
+    sub.add_argument("--slope", help="arc slope u/v, -u/v allowed (default: both standard arcs)")
 
     sub = command("epi", "exact epimorphism test by Farey orbit descent", _cmd_epi)
-    sub.add_argument("--source", required=True, help="source slope q/p")
-    sub.add_argument("--target", required=True, help="target slope q/p")
+    sub.add_argument("--source", required=True, help="source slope q/p, -q/p allowed")
+    sub.add_argument("--target", required=True, help="target slope q/p, -q/p allowed")
 
     sub = command("verify-all", "full battery over an (m, n) grid", _cmd_verify_all, scan_flag)
     sub.add_argument("--m-max", type=int, required=True)
@@ -591,8 +590,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a word that starts with "-" as an option unless it is a
+# plain number, so it would refuse "--source -2/5" for want of a value
+_SLOPE_FLAGS = ("--source", "--target", "--slope")
+
+
+def _join_negative_slopes(argv: list[str]) -> list[str]:
+    """argv with each slope flag and a following negative value, such as
+    --source -2/5, joined into one word, --source=-2/5."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SLOPE_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_slopes(sys.argv[1:] if argv is None else argv))
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

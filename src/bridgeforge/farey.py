@@ -12,7 +12,7 @@ that domain: "yes" with a witness chain of reflections, or "no".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .slope import INFINITY, Frac, GenusOneKnot, r_prime
 
@@ -24,8 +24,7 @@ def is_farey_edge(s: Frac, t: Frac) -> bool:
     return abs(s.num * t.den - t.num * s.den) == 1
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(NamedTuple):
     """Reflection in a Farey edge, as an integer matrix of determinant -1
     acting by x -> (a x + b) / (c x + d)."""
 
@@ -88,8 +87,7 @@ def reflection_generators(r: Frac, neighbor_bound: int) -> list[Reflection]:
     return gens
 
 
-@dataclass
-class OrbitSearch:
+class OrbitSearch(NamedTuple):
     """Outcome of one descent: ``found`` when the target lies in the orbit
     of {r, infinity} under Gamma_r.  ``visited`` counts the reflections
     applied, ``landing`` is where the descent stopped (r or infinity on a
@@ -102,7 +100,7 @@ class OrbitSearch:
     target: Frac
     visited: int
     landing: Frac
-    witness: list[dict] = field(default_factory=list)
+    witness: list[dict]
 
     @property
     def verdict(self) -> str:
@@ -183,8 +181,7 @@ EPI_BASIS = (
 )
 
 
-@dataclass
-class EpiResult:
+class EpiResult(NamedTuple):
     source: Frac
     target: Frac
     verdict: str

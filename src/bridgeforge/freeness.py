@@ -22,8 +22,8 @@ the reference the blocks are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from . import sl2_oracle
 from .meridians import MeridianWords, long_meridian_words
@@ -152,8 +152,7 @@ def verify_alternating_cs(knot: GenusOneKnot, sign_pairs, mw: MeridianWords) -> 
     return True
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     max_syllables: int
     # the one pair the search ran at: alpha, a root of the Riley polynomial
     # mod l^k, the largest power of the least suitable odd prime l at

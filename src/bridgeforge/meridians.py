@@ -14,7 +14,6 @@ y_l^+-1 into the eight blocks the freeness checks compare.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .slope import GenusOneKnot
 from .words import (
@@ -81,13 +80,16 @@ def long_meridian_raw(knot: GenusOneKnot, d0: Word, d1: Word) -> Word:
     return concat(core, _BI, inverse(core))
 
 
-@dataclass(frozen=True)
 class MeridianWords:
-    knot: GenusOneKnot
-    w_x: Word
-    w_y: Word
-    x_l: Word
-    y_l: Word
+    """The long meridian pair (x_l, y_l) of a knot and its conjugators
+    (w_x, w_y), with the words derived from them built on first read."""
+
+    def __init__(self, knot: GenusOneKnot, w_x: Word, w_y: Word, x_l: Word, y_l: Word):
+        self.knot = knot
+        self.w_x = w_x
+        self.w_y = w_y
+        self.x_l = x_l
+        self.y_l = y_l
 
     @functools.cached_property
     def d0_d1(self) -> tuple[Word, Word]:

@@ -12,14 +12,13 @@ consequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .slope import Frac
 
 
-@dataclass(frozen=True)
-class SubgroupVerdict:
+class SubgroupVerdict(NamedTuple):
     slope: Frac
     order_in_homology: int
     dihedral_image_order: int

@@ -21,7 +21,6 @@ closed forms checked by verify_cs_closed_form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -43,8 +42,7 @@ def epsilon_sequence(p: int, q: int) -> tuple[int, ...]:
     return tuple([-1 if (i * q // p) % 2 else 1 for i in range(1, p)])
 
 
-@dataclass(frozen=True)
-class Relator:
+class Relator(NamedTuple):
     epsilons: tuple[int, ...]
     u_hat: Word
     u: Word

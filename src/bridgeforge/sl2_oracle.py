@@ -35,7 +35,7 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .presentation import Relator, relator
 from .slope import Frac
@@ -50,8 +50,7 @@ def _trim(coeffs) -> Poly:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class RileyData:
+class RileyData(NamedTuple):
     fraction: Frac             # even-numerator representative actually used
     poly: Poly                 # Riley polynomial, positive leading coefficient
     relator: Relator           # relator of fraction, built once for every reader
@@ -99,8 +98,7 @@ def riley_polynomials(f: Frac) -> RileyData:
     return RileyData(f, poly, rel)
 
 
-@dataclass(frozen=True)
-class NumericRep:
+class NumericRep(NamedTuple):
     omega: complex
     residual: float     # largest entry of |rho(u) - I| at omega
 
@@ -165,6 +163,10 @@ _MAX_ITER = 200
 # a correction below a few ulps of max(|z|, 1): near w = 0 the product's
 # rounding error is absolute, as the polynomial's constant term is +-1
 _STOP = 4 * sys.float_info.epsilon
+# a correction below this that is no smaller than the one before it is
+# rounding noise: from here a converging Aberth step (cubic) falls below
+# _STOP at once
+_NOISE = math.sqrt(_STOP)
 
 
 def _spread(poly: Poly) -> float:
@@ -206,11 +208,14 @@ def _all_roots(u_hat, poly: Poly) -> list[complex]:
     lie along thin curves (at 24/577 near [-4, 0], at 66/67 all real), so
     a circle of radius r puts most starts far from any root.  The angular
     offset keeps every start off the real axis.  Each sweep updates the
-    roots in turn (Gauss-Seidel); a root whose correction falls below
-    _STOP is frozen, and the sweeps stop when every root is frozen or
-    after max(_MAX_ITER, n) sweeps.  Every slope with p <= 151 needs at
-    most 27 but 144/151, where the iterate at one real root keeps moving
-    by about 4.4 ulp, the rounding noise of g there, until the cap.  At
+    roots in turn (Gauss-Seidel); a root is frozen when its correction
+    falls below _STOP, or when it is below _NOISE and no smaller than the
+    root's correction in the sweep before, and the sweeps stop when every
+    root is frozen or after max(_MAX_ITER, n) sweeps.  The second rule
+    stops an iterate that jitters in the rounding noise of g above _STOP:
+    at 144/151 the iterate at one real root swings between two floats 5
+    ulp apart, and under _STOP alone it would run to the cap of 200
+    sweeps, where every other slope with p <= 151 stops by sweep 27.  At
     32/1025 (n = 512) one iterate never converges, where the float walk
     overflows; numeric_reps still keeps all 512 roots, as the conjugates
     of the kept ones include the one that no iterate reached.
@@ -227,6 +232,7 @@ def _all_roots(u_hat, poly: Poly) -> list[complex]:
     angles = [2 * math.pi * k / n + 0.4 for k in range(n)]
     zs = [centre + complex(a * math.cos(t), b * math.sin(t)) for t in angles]
     active = range(n)
+    last = [math.inf] * n  # each root's correction in the sweep before
     for _ in range(max(_MAX_ITER, n)):
         moving = []
         for k in active:
@@ -246,8 +252,10 @@ def _all_roots(u_hat, poly: Poly) -> list[complex]:
                 moving.append(k)
                 continue
             zs[k] = z_new
-            if not abs(z_new - z) <= _STOP * max(abs(z_new), 1.0):
+            step, scale = abs(z_new - z), max(abs(z_new), 1.0)
+            if not (step <= _STOP * scale or last[k] <= step <= _NOISE * scale):
                 moving.append(k)
+            last[k] = step
         if not moving:
             break
         active = moving
@@ -356,8 +364,7 @@ def _lifted_root(poly: Poly, prime: int, modulus: int) -> int | None:
         alpha = (alpha - g * pow(dg, -1, modulus)) % modulus
 
 
-@dataclass(frozen=True)
-class ModularRep:
+class ModularRep(NamedTuple):
     """a -> [[1, 1], [0, 1]], b -> [[1, 0], [alpha, 1]] over Z/modulus, modulus
     a power of the odd prime and alpha a root of the Riley polynomial."""
 

@@ -8,8 +8,8 @@ integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
 class Frac:
@@ -69,19 +69,25 @@ def parse_fraction(text: str) -> Frac:
     return Frac(int(text), 1)
 
 
-@dataclass(frozen=True)
-class GenusOneKnot:
-    """Double-twist knot parameters: slope [2m, sign*2n] = 2n/(4mn + sign)."""
-
+class _KnotParams(NamedTuple):
     m: int
     n: int
     sign: int
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+
+class GenusOneKnot(_KnotParams):
+    """Double-twist knot parameters: slope [2m, sign*2n] = 2n/(4mn + sign).
+
+    An immutable (m, n, sign) tuple whose constructor checks the ranges."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int, sign: int) -> "GenusOneKnot":
+        if m < 1 or n < 1:
             raise ValueError("m and n must be positive integers")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        return super().__new__(cls, m, n, sign)
 
     @property
     def p(self) -> int:

@@ -341,6 +341,21 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert out.strip() == "False"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # every front-door call starts a fresh interpreter, so whatever the
+    # import pulls in is paid on each call; dataclasses brings inspect,
+    # ast, dis and tokenize, none of which the records need
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import bridgeforge.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_module_runs_as_script():
     # python -m bridgeforge, from the source tree without an install
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -459,6 +474,29 @@ def test_orbifold_slope_in_lowest_terms_accepted(capsys, slope, arc, code):
     got, payload = run_json(capsys, "orbifold", "--m", "2", f"--slope={slope}")
     assert got == code
     assert payload["verdicts"][0]["arc_slope"] == arc
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["epi", "--source", "-2/5", "--target", "2/5"], cli.EXIT_PASS),
+    (["epi", "--source", "3/5", "--target", "-2/5"], cli.EXIT_USAGE),  # no genus-one slope
+    (["orbifold", "--m", "2", "--slope", "-1/3"], cli.EXIT_PASS),
+    (["orbifold", "--m", "2", "--slope", "-3"], cli.EXIT_FAIL),
+])
+def test_slope_flags_take_a_negative_value_after_a_space(capsys, argv, code):
+    # argparse alone reads -2/5 as an option and exits 2 with "expected
+    # one argument"; the answer must be that of --flag=-q/p
+    flag, value = argv[-2:]
+    assert cli.main([*argv, "--json"]) == code
+    spaced = capsys.readouterr()
+    assert cli.main([*argv[:-2], f"{flag}={value}", "--json"]) == code
+    assert capsys.readouterr() == spaced
+
+
+def test_join_negative_slopes():
+    assert cli._join_negative_slopes(["epi", "--source", "-2/5", "--target", "-1"]) == [
+        "epi", "--source=-2/5", "--target=-1"]
+    # a missing value is left for argparse to refuse
+    assert cli._join_negative_slopes(["epi", "--source", "--json"]) == ["epi", "--source", "--json"]
 
 
 @pytest.mark.parametrize("m", ["0", "-1"])

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import functools
 import itertools
 import math
@@ -421,6 +420,31 @@ def test_starts_share_the_roots_first_two_moments(monkeypatch, f):
         assert z.imag
 
 
+def test_jittering_iterate_is_frozen_far_below_the_cap(monkeypatch):
+    # at 144/151 the iterate at the real root w ~ 1.136915 swings between
+    # two floats 5 ulp apart, each correction just above _STOP; it is
+    # frozen once its correction stops shrinking, where under _STOP alone
+    # (_NOISE = 0) it is evaluated in every sweep up to the cap of 200
+    data = riley_polynomials(Frac(144, 151))
+    value = sl2_oracle._riley_value
+    points = []
+
+    def recorded(u_hat, w):
+        points.append(w)
+        return value(u_hat, w)
+
+    monkeypatch.setattr(sl2_oracle, "_riley_value", recorded)
+    frozen = sl2_oracle._all_roots(data.relator.u_hat, data.poly)
+    at_root = [w for w in points if abs(w - 1.136915322) < 1e-9]
+    points.clear()
+    monkeypatch.setattr(sl2_oracle, "_NOISE", 0.0)
+    capped = sl2_oracle._all_roots(data.relator.u_hat, data.poly)
+    assert len(at_root) <= 4
+    assert sum(abs(w - 1.136915322) < 1e-9 for w in points) > 180
+    assert len(frozen) == len(capped) == 75
+    assert all(abs(a - b) <= 1e-12 for a, b in zip(frozen, capped))
+
+
 def test_numeric_reps_never_keeps_nan_residual(monkeypatch):
     found = sl2_oracle._all_roots
     nan, inf = float("nan"), float("inf")
@@ -713,7 +737,7 @@ def test_modular_rep_skips_a_prime_dividing_the_leading_coefficient():
     f = Frac(2, 5)
     data = riley_polynomials(f)
     first = sl2_oracle.modular_rep(data).prime
-    scaled = dataclasses.replace(data, poly=tuple(c * first for c in data.poly))
+    scaled = data._replace(poly=tuple(c * first for c in data.poly))
     rep = sl2_oracle.modular_rep(scaled)
     # the least prime above it with a simple root of g, lifted as for g
     prime = next(p for p in itertools.count(first + 1)

@@ -128,8 +128,20 @@ def test_knot_validation():
         GenusOneKnot(0, 1, 1)
     with pytest.raises(ValueError):
         GenusOneKnot(1, 1, 2)
+    # keywords go through the same checks as positions
+    with pytest.raises(ValueError):
+        GenusOneKnot(m=1, n=0, sign=1)
+    with pytest.raises(ValueError):
+        GenusOneKnot(m=1, n=1, sign=0)
     assert not GenusOneKnot(1, 1, -1).is_hyperbolic
     assert GenusOneKnot(1, 1, 1).is_hyperbolic
+    # an immutable tuple of (m, n, sign)
+    knot = GenusOneKnot(m=2, n=3, sign=-1)
+    assert knot == GenusOneKnot(2, 3, -1) == (2, 3, -1)
+    assert {knot: 1}[GenusOneKnot(2, 3, -1)] == 1
+    assert repr(knot) == "GenusOneKnot(m=2, n=3, sign=-1)"
+    with pytest.raises(AttributeError):
+        knot.m = 1
 
 
 def test_cf_identity_check():
