@@ -4,19 +4,23 @@ The symmetrized set of a cyclic word u of length n consists of the n
 rotations of u and the n rotations of u^-1.  A piece is a common prefix
 of two distinct elements of that set, so the longest piece starting at a
 given rotation offset is the longest prefix that offset shares with any
-other offset.
+other offset.  The inverse of a piece is a piece, so the pieces at the
+rotations of u decide those at the rotations of u^-1, and the kernels
+keep u's row only.
 
 max_piece_table finds those maxima from the sorted order of the 2n
 rotations: the longest common prefix (LCP) a rotation shares with any
 other is the larger of its LCPs with its two sorted neighbours (the
-suffix-array idea of Kasai et al., CPM 2001).  With -2, -1, 1, 2 as the
-base-4 digits 0..3, in order, a doubled row is one int and rotation s
-is its n digits at s, (row >> 2(n - s)) & (4^n - 1): the keys sort as
-the words do.  bytes.translate turns the encoded letters into the
-digits, and each d into 3 - d for the reversed row of u^-1.  Two keys
-first differ in the digit where the rotations do: the XOR of sorted
-neighbours has (n - LCP) significant digits, so one XOR and one
-bit_length give each LCP, in C.
+suffix-array idea of Kasai et al., CPM 2001).  The rotations of u^-1
+are sorted too, since a piece of u may be shared with one of them.
+With -2, -1, 1, 2 as the base-4 digits 0..3, in order, the doubled
+words u u and u^-1 u^-1 are one int each and rotation s is its n digits
+at s, (row >> 2(n - s)) & (4^n - 1): the keys sort as the words do.
+bytes.translate turns the encoded letters into the digits, and each d
+into 3 - d for the reversed word u^-1.  Two keys first differ in the
+digit where the rotations do: the XOR of sorted neighbours has
+(n - LCP) significant digits, so one XOR and one bit_length give each
+LCP, in C.
 
 reach_table gives, for every offset s and every k up to kmax, how far
 from s at most k pieces reach.  Pieces are prefix-closed, so the spans k
@@ -47,24 +51,19 @@ def encode(word):
     return bytes(map((2).__add__, word))
 
 
-def doubled_rows(letters):
-    """The encoded words u u and u^-1 u^-1, searched by find.  Rotation s
-    of u (of u^-1) is the length-n slice at s of the first (second) row."""
-    return encode(letters) * 2, bytes(2 - x for x in reversed(letters)) * 2
-
-
 def max_piece_table(letters):
-    """Longest-piece lengths per rotation offset, for u and for u^-1.
+    """Longest-piece lengths per rotation offset of u.
 
-    Returns (fwd, bwd): fwd[s] is the largest L such that the length-L
-    cyclic subword of u starting at offset s is a piece; bwd[s] the same
-    for u^-1.  Entries are 0 where even the single letter is unique, and
-    n where two of the 2n rotations are the same word.  A letter other
-    than -2, -1, 1, 2 raises ValueError.
+    Entry s is the largest L such that the length-L cyclic subword of u
+    starting at offset s is a piece.  Entries are 0 where even the single
+    letter is unique, and n where two of the 2n rotations are the same
+    word: two equal rotations of u^-1 are the inverses of two equal
+    rotations of u, and a rotation of u equal to one of u^-1 is itself
+    an entry.  A letter other than -2, -1, 1, 2 raises ValueError.
     """
     n = len(letters)
     if n == 0:
-        return [], []
+        return []
     try:
         digits = encode(letters).translate(_DIGITS)
         rows = int(digits * 2, 4), int(digits[::-1].translate(_FLIP) * 2, 4)
@@ -88,7 +87,7 @@ def max_piece_table(letters):
         if lcp > best[j]:
             best[j] = lcp
         i, ki = j, kj
-    return best[:n], best[n:]
+    return best[:n]
 
 
 def _require_suffix_closed(piece_len):

@@ -6,7 +6,7 @@ check failed or a check could not run (a RuntimeError, such as a matrix
 scan finding no simple root of the Riley polynomial mod any prime tried,
 or an AssertionError, a word the library built failing its own validation
 in presentation, meridians, freeness or farey, such as a sign-pattern
-factor MeridianWords.junction_blocks refuses; an "error:" line goes to
+factor MeridianWords refuses; an "error:" line goes to
 stderr; or stdout closed by its reader, with no line), 2 usage error
 (--t above MAX_T and --scan-syllables above freeness.MAX_SYLLABLES
 included), 3 resource truncation.  The freeness

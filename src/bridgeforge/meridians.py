@@ -82,9 +82,14 @@ def long_meridian_raw(knot: GenusOneKnot, d0: Word, d1: Word) -> Word:
 
 class MeridianWords:
     """The long meridian pair (x_l, y_l) of a knot and its conjugators
-    (w_x, w_y), with the words derived from them built on first read."""
+    (w_x, w_y), with the words derived from them built on first read.
+    x_l and y_l must be alternating (so reduced), of two runs or more, and
+    end in letters of different generators: junction_blocks relies on it."""
 
     def __init__(self, knot: GenusOneKnot, w_x: Word, w_y: Word, x_l: Word, y_l: Word):
+        if not all(w and is_alternating(w) and len(s_sequence(w)) >= 2 for w in (x_l, y_l)) \
+                or {abs(x_l[0]), abs(x_l[-1])} & {abs(y_l[0]), abs(y_l[-1])}:
+            raise AssertionError("sign-pattern word failed to be alternating")
         self.knot = knot
         self.w_x = w_x
         self.w_y = w_y
@@ -104,25 +109,21 @@ class MeridianWords:
         x_l^-1, y_l, y_l^-1.  Block (g, f), for g and f of different
         generators, is the junction's runs followed by the inner runs of f:
         the last run of g and the first run of f, one run when their
-        letters share a sign.  x_l and y_l must be nonempty and alternating
-        (so reduced), with at least two runs, and every junction must join
-        letters of different generators; then no run spans two junctions,
-        and the cyclic S-sequence of any pattern is its blocks laid end to
-        end, the cyclic junction first.  Only x_l and y_l are walked:
-        inversion reverses a word's runs and turns its ends (f, l) into
-        (-l, -f)."""
+        letters share a sign.  The constructor's checks make every junction
+        join letters of different generators, so no run spans two
+        junctions, and the cyclic S-sequence of any pattern is its blocks
+        laid end to end, the cyclic junction first.  Only x_l and y_l are
+        walked: inversion reverses a word's runs and turns its ends (f, l)
+        into (-l, -f)."""
         ends = {}
         for g, w in ((1, self.x_l), (2, self.y_l)):
-            if not (w and is_alternating(w)) or len(runs := s_sequence(w)) < 2:
-                raise AssertionError("sign-pattern word failed to be alternating")
+            runs = s_sequence(w)
             ends[g], ends[-g] = (w[0], w[-1], runs), (-w[-1], -w[0], runs[::-1])
         blocks = {}
         for g, (_, last, g_runs) in ends.items():
             for f, (first, _, f_runs) in ends.items():
                 if abs(g) == abs(f):
                     continue
-                if abs(last) == abs(first):
-                    raise AssertionError("sign-pattern word failed to be alternating")
                 merged = (last > 0) == (first > 0)
                 junction = (g_runs[-1] + f_runs[0],) if merged else (g_runs[-1], f_runs[0])
                 blocks[g, f] = junction + f_runs[1:-1]
@@ -166,8 +167,8 @@ def long_meridian_words(knot: GenusOneKnot) -> MeridianWords:
     slope) or a^-1 (negative sign slope) and the closed-form S-sequence;
     w_x is its image under the a -> b^-1, b -> a^-1 symmetry.  The long
     meridians are x_l = w_x a w_x^-1 and y_l = w_y b^-1 w_y^-1, which are
-    validated to be alternating, to swap under the symmetry, and to have
-    the tabulated S-sequences for the power x_l^((-1)^n).
+    validated to be alternating (by MeridianWords), to swap under the
+    symmetry, and to have the tabulated S-sequences for x_l^((-1)^n).
     """
     runs = _conjugator_runs(knot)
     wy_initial = 2 if knot.sign > 0 else -1
@@ -175,10 +176,6 @@ def long_meridian_words(knot: GenusOneKnot) -> MeridianWords:
     w_x = apply_f(w_y)
     x_l = concat(w_x, _A, inverse(w_x))
     y_l = concat(w_y, _BI, inverse(w_y))
-    if not (is_alternating(x_l) and is_reduced(x_l)):
-        raise AssertionError("x_l failed to be reduced alternating")
-    if not (is_alternating(y_l) and is_reduced(y_l)):
-        raise AssertionError("y_l failed to be reduced alternating")
     if apply_f(y_l) != x_l:
         raise AssertionError("meridian pair does not swap under the symmetry")
     eps = 1 if knot.n % 2 == 0 else -1

@@ -8,16 +8,17 @@ verifies the piece characterizations and the three-piece subword shape
 that the freeness argument consumes.
 
 Every check reads the longest-piece table of _kernel.max_piece_table,
-one entry per element, and is near-linear in the relator length n.
-C(p) reads the (p-1)-piece reach table of row 0, O(p n): the table is
-suffix-closed, so each level follows the reach of the one before.  T(4)
-collects the (first, last) letter classes of u in one zip, O(n), and
-derives those of u^-1.  The piece shapes are matched one sign run at a
-time against a trie of the listed shapes, O(n b) for shapes of at most
-b runs, skipping every offset whose longest piece is as long as the
-longest shape; only this walk reads the doubled rows.  The three-piece
-shape reads the 2- and 3-piece reach tables and sweeps the shape
-windows once.
+one entry per rotation of u, and is near-linear in the relator length
+n.  The inverse of a piece is a piece, so every question about u^-1 is
+answered on u's row by inverting the word or the shape.  C(p) reads the
+(p-1)-piece reach table, O(p n): the table is suffix-closed, so each
+level follows the reach of the one before.  T(4) collects the (first,
+last) letter classes of u in one zip, O(n), and derives those of u^-1.
+The piece shapes are matched one sign run at a time against a trie of
+the listed shapes and their reversals, O(n b) for shapes of at most b
+runs, skipping every offset whose longest piece is as long as the
+longest shape.  The three-piece shape reads the 2- and 3-piece reach
+tables and sweeps the shape windows once.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ _TRIANGLES = [((-l3, l1), (-l1, l2), (-l2, l3))
 
 
 class SymmetrizedSet:
-    """All rotations of a cyclic word and of its inverse, with piece tables.
+    """All rotations of a cyclic word and of its inverse, with the piece
+    table of the word's rotations.
 
     Construction requires all 2|u| rotations to be distinct words (true
     for every two-bridge relator; proper powers are rejected).
@@ -55,7 +57,7 @@ class SymmetrizedSet:
         n = len(u)
         piece_len = _kernel.max_piece_table(u)
         # a piece as long as the relator is a rotation shared by two elements
-        if n in piece_len[0] or n in piece_len[1]:
+        if n in piece_len:
             raise ValueError("rotations collide; need all 2|u| elements distinct")
         self.word = u
         self.n = n
@@ -65,50 +67,42 @@ class SymmetrizedSet:
         return 2 * self.n
 
     @cached_property
-    def doubled(self):
-        """The rows u u and u^-1 u^-1 as lists, built on first use."""
-        return list(self.word) * 2, list(inverse(self.word)) * 2
-
-    @cached_property
     def encoded(self):
-        """The doubled rows as bytes (_kernel.doubled_rows), built on the
-        first find."""
-        return _kernel.doubled_rows(self.word)
+        """u u as bytes (_kernel.encode), built on the first find."""
+        return _kernel.encode(self.word) * 2
 
     def find(self, v: Word):
-        """First (direction, offset) where v occurs as a subword, or None.
+        """The first offset of v in u u, else of v^-1, or None.
 
-        A bytes search of each encoded doubled row, limited to matches
-        that start at an offset below n.
+        A bytes search limited to matches that start below n.  v occurs
+        in an element exactly when the search finds v or v^-1, and either
+        is a piece, or a product of k pieces, exactly when the other is.
         """
         L = len(v)
         if L == 0 or L > self.n:
             return None
-        try:
-            pattern = _kernel.encode(v)
-        except ValueError:  # a letter outside -2..253, in no relator word
-            return None
-        for d, row in enumerate(self.encoded):
-            s = row.find(pattern, 0, self.n - 1 + L)
+        for w in (v, inverse(v)):
+            try:
+                pattern = _kernel.encode(w)
+            except ValueError:  # a letter that no byte encodes, in no relator word
+                return None
+            s = self.encoded.find(pattern, 0, self.n - 1 + L)
             if s >= 0:
-                return d, s
+                return s
         return None
 
 
 def is_piece(v: Word, R: SymmetrizedSet) -> bool:
     """True when at least two distinct elements of R begin with v.
 
-    The element at the first occurrence of v begins with v, and another
+    The rotation of u at R.find(v) begins with v or v^-1, and another
     element does too exactly when the longest piece at that offset is at
     least |v| long.
     """
     if not v:
         raise ValueError("the empty word is not a piece candidate")
-    loc = R.find(tuple(v))
-    if loc is None:
-        return False
-    d, s = loc
-    return R.piece_len[d][s] >= len(v)
+    s = R.find(tuple(v))
+    return s is not None and R.piece_len[s] >= len(v)
 
 
 def min_pieces(v: Word, R: SymmetrizedSet):
@@ -117,32 +111,31 @@ def min_pieces(v: Word, R: SymmetrizedSet):
     v must occur as a subword of some element of R.
     """
     v = tuple(v)
-    loc = R.find(v)
-    if loc is None:
+    s = R.find(v)
+    if s is None:
         raise ValueError("word is not a subword of any element of the set")
-    d, s = loc
-    t = _kernel.min_pieces_span(R.piece_len[d], s, len(v))
+    t = _kernel.min_pieces_span(R.piece_len, s, len(v))
     return UNREPRESENTABLE if t < 0 else t
 
 
 def check_C(R: SymmetrizedSet, p: int) -> bool:
     """C(p): no element of R is a product of fewer than p pieces.
 
-    Element (d, s) is a product of at most p - 1 pieces exactly when p - 1
-    pieces reach across all n letters from offset s of row d, so the
-    (p-1)-piece reach table of a row decides for its elements.  C(1)
-    holds vacuously.
+    Rotation s of u is a product of at most p - 1 pieces exactly when
+    p - 1 pieces reach across all n letters from offset s, so the
+    (p-1)-piece reach table decides.  C(1) holds vacuously.
 
-    Row 0 alone decides.  The inverse of a piece v is a piece: v is a
-    common prefix of distinct elements r1, r2, so v^-1 is a common suffix
-    of r1^-1 = x v^-1 and r2^-1 = y v^-1 with x != y, and a common prefix
-    of their rotations v^-1 x != v^-1 y, which lie in R.  A row-1 element
-    r = v1 ... vk is the inverse of the row-0 element vk^-1 ... v1^-1,
-    so it is a product of k pieces exactly when that element is.
+    The rotations of u decide for those of u^-1.  The inverse of a piece
+    v is a piece: v is a common prefix of distinct elements r1, r2, so
+    v^-1 is a common suffix of r1^-1 = x v^-1 and r2^-1 = y v^-1 with
+    x != y, and a common prefix of their rotations v^-1 x != v^-1 y,
+    which lie in R.  A rotation r = v1 ... vk of u^-1 is the inverse of
+    the rotation vk^-1 ... v1^-1 of u, so it is a product of k pieces
+    exactly when that rotation is.
     """
     if p < 2:
         return True
-    return R.n not in _kernel.reach_table(R.piece_len[0], p - 1)[p - 1]
+    return R.n not in _kernel.reach_table(R.piece_len, p - 1)[p - 1]
 
 
 def check_T(R: SymmetrizedSet) -> bool:
@@ -247,39 +240,43 @@ def shapes_are_pieces(R: SymmetrizedSet, pats) -> bool:
 
     Pieces are prefix-closed, so per offset only the longest matching
     subword needs a look: it is a piece exactly when the longest piece
-    there is at least as long.  The walk finds it one sign run at a time:
-    every run but the last must be a full run of the subword and match a
-    trie edge, and the last may be cut short.  An offset costs one step
-    per run walked, at most the longest shape's run count.  No matched
-    subword is longer than the longest shape: offsets and rows whose
-    longest piece reaches that length are skipped."""
-    trie = _pattern_trie(pats)
+    there is at least as long.  A subword of a rotation of u^-1 is the
+    inverse of one of a rotation of u, with its S-sequence reversed, and
+    is a piece exactly when that one is; so one walk over the rotations
+    of u, with the shapes and their reversals, decides.  The walk finds
+    the longest matching subword one sign run at a time: every run but
+    the last must be a full run of the subword and match a trie edge, and
+    the last may be cut short.  An offset costs one step per run walked,
+    at most the longest shape's run count.  No matched subword is longer
+    than the longest shape: offsets whose longest piece reaches that
+    length are skipped."""
     longest_shape = max(map(sum, pats), default=0)
+    piece_len = R.piece_len
+    if min(piece_len) >= longest_shape:
+        return True
+    trie = _pattern_trie({*pats, *(pat[::-1] for pat in pats)})
     n = R.n
-    for row, piece_len in zip(R.doubled, R.piece_len):
-        if min(piece_len) >= longest_shape:
+    run_end = _run_ends(R.word * 2)
+    for s in range(n):
+        if piece_len[s] >= longest_shape:
             continue
-        run_end = _run_ends(row)
-        for s in range(n):
-            if piece_len[s] >= longest_shape:
-                continue
-            stop = s + n  # the subwords at s lie in row[s:stop]
-            i, node, longest = s, trie, 0
-            while node is not None:
-                children, ends = node
-                e = run_end[i]
-                if e > stop:
-                    e = stop
-                full = e - i
-                k = bisect_right(ends, full)
-                if k:
-                    longest = i - s + ends[k - 1]
-                if e == stop:
-                    break
-                node = children.get(full)
-                i = e
-            if longest > piece_len[s]:
-                return False
+        stop = s + n  # the subwords at s lie in (u u)[s:stop]
+        i, node, longest = s, trie, 0
+        while node is not None:
+            children, ends = node
+            e = run_end[i]
+            if e > stop:
+                e = stop
+            full = e - i
+            k = bisect_right(ends, full)
+            if k:
+                longest = i - s + ends[k - 1]
+            if e == stop:
+                break
+            node = children.get(full)
+            i = e
+        if longest > piece_len[s]:
+            return False
     return True
 
 
@@ -349,7 +346,7 @@ def verify_three_piece_property(knot: GenusOneKnot, rel: Relator) -> bool:
     R = SymmetrizedSet(rel.u)
     s1, s2 = canonical_decomposition(knot)
     n = R.n
-    reach = _kernel.reach_table(R.piece_len[0], 3)
+    reach = _kernel.reach_table(R.piece_len, 3)
     r2, r3 = reach[2], reach[3]
     windows = _shape_windows(rel.runs, s1 + s2, s2 + s1)
 

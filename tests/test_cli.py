@@ -15,7 +15,7 @@ from bridgeforge import cli, meridians
 from bridgeforge.presentation import relator
 from bridgeforge.slope import GenusOneKnot
 from bridgeforge.smallcancel import UNREPRESENTABLE, SymmetrizedSet, is_piece, min_pieces
-from bridgeforge.words import word_str
+from bridgeforge.words import inverse, word_str
 
 
 def run_cli(capsys, *argv):
@@ -78,9 +78,10 @@ def test_pieces_word_matches_is_piece_and_min_pieces_on_grid(capsys):
                 knot = GenusOneKnot(m, n, sign)
                 R = SymmetrizedSet(relator(knot.fraction).u)
                 words = ["aA", "aa", word_str(R.word), word_str(R.word) + "a"]
+                rows = (R.word * 2, inverse(R.word) * 2)
                 for _ in range(8):
                     d, s = rng.randrange(2), rng.randrange(R.n)
-                    words.append(word_str(R.doubled[d][s:s + rng.randint(1, min(R.n, 12))]))
+                    words.append(word_str(rows[d][s:s + rng.randint(1, min(R.n, 12))]))
                 for word in words:
                     code, payload = run_json(capsys, "pieces", "--m", str(m), "--n", str(n),
                                              "--sign", "+" if sign > 0 else "-", "--word", word)

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -192,6 +193,12 @@ def hand_built(x_l, y_l):
     return MeridianWords(None, (), (), tuple(x_l), tuple(y_l))
 
 
+def stand_in(x_l, y_l):
+    """The factors alone, for alternating_relation_word, which reads x_l
+    and y_l only: MeridianWords refuses bad factors at construction."""
+    return SimpleNamespace(x_l=tuple(x_l), y_l=tuple(y_l))
+
+
 def outcome(fn, mw, pattern):
     try:
         return fn(pattern, mw)
@@ -205,62 +212,60 @@ MESSAGE = "sign-pattern word failed to be alternating"
 def test_runs_raise_as_the_word_does():
     # x_l = aB and y_l = bAb, two runs or more each, leave a junction of
     # two b-letters in every pattern; a factor aab is not alternating on
-    # its own.  The blocks refuse both at once, and so does every
-    # pattern's check
-    knot = GenusOneKnot(1, 1, 1)
-    for mw in (hand_built(parse_word("aB"), parse_word("bAb")),
-               hand_built(parse_word("aab"), parse_word("ab"))):
+    # its own.  MeridianWords refuses both at construction, so no block
+    # or pattern check sees them, and every pattern's word refuses them
+    for x_l, y_l in ((parse_word("aB"), parse_word("bAb")),
+                     (parse_word("aab"), parse_word("ab"))):
         with pytest.raises(AssertionError, match=MESSAGE):
-            mw.junction_blocks
+            hand_built(x_l, y_l)
         for pattern in sign_patterns(2):
             with pytest.raises(AssertionError, match=MESSAGE):
-                alternating_relation_word(pattern, mw)
-            with pytest.raises(AssertionError, match=MESSAGE):
-                verify_alternating_cs(knot, pattern, mw)
+                alternating_relation_word(pattern, stand_in(x_l, y_l))
 
 
 def test_blocks_refuse_factors_with_fewer_than_two_runs():
     # the word of x_l = aba (one run) and y_l = bAb is cyclically
     # alternating, but in it the run of x_l spans two junctions: y_l ends
     # and starts with b, so b aba b is one run.  An empty factor leaves
-    # the other's junctions back to back.  The blocks refuse both
-    for mw in (hand_built(parse_word("aba"), parse_word("bAb")),
-               hand_built(parse_word("bAb"), parse_word("aba")),
-               hand_built((), parse_word("aB")),
-               hand_built(parse_word("aB"), ())):
-        assert is_cyclically_alternating(alternating_relation_word([(1, 1)], mw))
+    # the other's junctions back to back.  MeridianWords refuses both
+    for x_l, y_l in ((parse_word("aba"), parse_word("bAb")),
+                     (parse_word("bAb"), parse_word("aba")),
+                     ((), parse_word("aB")),
+                     (parse_word("aB"), ())):
+        assert is_cyclically_alternating(alternating_relation_word([(1, 1)], stand_in(x_l, y_l)))
         with pytest.raises(AssertionError, match=MESSAGE):
-            mw.junction_blocks
+            hand_built(x_l, y_l)
 
 
-def valid_factors(mw):
+def valid_factors(x_l, y_l):
     """The blocks' precondition, read off the words: x_l and y_l nonempty
     and alternating with two runs or more, and every junction of two
     generators, which the four patterns with t = 1 cover."""
-    if not all(w and is_alternating(w) and len(s_sequence(w)) >= 2 for w in (mw.x_l, mw.y_l)):
+    if not all(w and is_alternating(w) and len(s_sequence(w)) >= 2 for w in (x_l, y_l)):
         return False
-    return all(not isinstance(outcome(alternating_relation_word, mw, [pair]), str)
+    return all(not isinstance(outcome(alternating_relation_word, stand_in(x_l, y_l), [pair]), str)
                for pair in product((1, -1), repeat=2))
 
 
 def test_runs_match_word_on_hand_built_factors():
     # arbitrary short factors over a, A, b, B: valid ones give the
     # reference's cyclic S-sequence for every pattern, rotated by one when
-    # the cyclic junction keeps two runs, and invalid ones raise at once
+    # the cyclic junction keeps two runs, and invalid ones are refused at
+    # construction
     rng = random.Random(12)
     letters = (1, -1, 2, -2)
     kinds = set()
     for _ in range(600):
-        mw = hand_built(
-            [rng.choice(letters) for _ in range(rng.randint(0, 6))],
-            [rng.choice(letters) for _ in range(rng.randint(0, 6))],
+        factors = (
+            tuple(rng.choice(letters) for _ in range(rng.randint(0, 6))),
+            tuple(rng.choice(letters) for _ in range(rng.randint(0, 6))),
         )
-        valid = valid_factors(mw)
-        if not valid:
+        if not valid_factors(*factors):
             with pytest.raises(AssertionError, match=MESSAGE):
-                mw.junction_blocks
+                hand_built(*factors)
             kinds.add("invalid")
             continue
+        mw = hand_built(*factors)
         for pattern in rng.sample(sign_patterns(3), 10) + random_patterns(rng, 8, 1):
             word = alternating_relation_word(pattern, mw)
             ref = cyclic_s_sequence(word)
@@ -284,8 +289,8 @@ def test_inverse_runs_match_the_inverse_words():
     def factor():
         return alt_word(rng.choice(letters), [rng.randint(1, 3) for _ in range(rng.randint(2, 4))])
 
-    hand = [hand_built(factor(), factor()) for _ in range(600)]
-    mws += [mw for mw in hand if valid_factors(mw)]
+    hand = [(factor(), factor()) for _ in range(600)]
+    mws += [hand_built(*factors) for factors in hand if valid_factors(*factors)]
     palindromes = set()
     for mw in mws:
         words = {1: mw.x_l, -1: inverse(mw.x_l), 2: mw.y_l, -2: inverse(mw.y_l)}
@@ -921,11 +926,12 @@ def test_first_pair_proves_every_word_on_the_8x8_grid():
 
 
 def test_words_at_identity_under_every_pair_are_hits():
-    # hand-built x_l = y_l = a: a word maps to a^k, k its exponent sum,
+    # x_l = y_l = a, a stand-in that MeridianWords would refuse (the scan
+    # reads x_l and y_l only): a word maps to a^k, k its exponent sum,
     # which is I exactly when k = 0, under every pair.  The classes of
     # those words are the hits, each with the scan's one pair as its
     # witness, and together they cover exactly the balanced words
-    mw = hand_built(parse_word("a"), parse_word("a"))
+    mw = stand_in(parse_word("a"), parse_word("a"))
     report = scan(GenusOneKnot(1, 1, 1), 4, mw)
     exponent = (1, -1, 1, -1)
     balanced = [w for w in reduced_words(4) if sum(exponent[i] for i in w) == 0]

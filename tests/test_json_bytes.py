@@ -10,15 +10,31 @@ commit 8841f51 with
 
 reps is left out: its payload holds float roots, and cmath rounds them
 differently from platform to platform.
+
+WORD_DIGEST pins the word path of pieces the same way: pieces --word on
+every 6x6 knot, with each call's exit code and stderr as well as its
+--json stdout.  The words are seeded subwords of u and of u^-1, words
+that no element holds (aa, aA, abab, the relator plus one letter, the
+relator twice), the relator itself, the empty word and a bad letter.  It
+was computed on the tree of commit 06ba6fc, before the symmetrized set
+kept one piece row, with
+
+    PYTHONPATH=<checkout of 06ba6fc>/src python tests/test_json_bytes.py --word
 """
 
 import contextlib
 import hashlib
 import io
+import random
+import sys
 
 from bridgeforge import cli
+from bridgeforge.presentation import relator
+from bridgeforge.slope import GenusOneKnot
+from bridgeforge.words import inverse, word_str
 
 DIGEST = "8e0b5d0820ea37fb5bfbf65eeb8e1789c0b2b9c057950002f6af15454057b2db"
+WORD_DIGEST = "194408a1f9ea168c57a712b4bcb3525835cf6546a94b83456dbd285c6633038d"
 
 
 def battery_argvs(size=6):
@@ -46,9 +62,44 @@ def json_digest() -> str:
     return digest.hexdigest()
 
 
+def word_argvs(size=6):
+    rng = random.Random(30)
+    for m in range(1, size + 1):
+        for n in range(1, size + 1):
+            for sign in (1, -1):
+                knot = ["--m", str(m), "--n", str(n), "--sign", "+" if sign > 0 else "-"]
+                u = relator(GenusOneKnot(m, n, sign).fraction).u
+                words = ["aa", "aA", "abab", word_str(u), word_str(u) + "a", word_str(u) * 2,
+                         "", "abx"]
+                for row in (u * 2, inverse(u) * 2):
+                    for _ in range(6):
+                        s = rng.randrange(len(u))
+                        words.append(word_str(row[s:s + rng.randint(1, len(u))]))
+                for word in words:
+                    yield ["pieces", *knot, "--word", word]
+
+
+def word_digest() -> str:
+    """sha256 over each pieces --word call's argv, exit code, --json
+    stdout and stderr, in order."""
+    digest = hashlib.sha256()
+    for argv in word_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--json"])
+        digest.update(f"{' '.join(argv)} -> {code}\n".encode())
+        digest.update(out.getvalue().encode())
+        digest.update(err.getvalue().encode())
+    return digest.hexdigest()
+
+
 def test_battery_json_bytes_are_unchanged():
     assert json_digest() == DIGEST
 
 
+def test_pieces_word_json_bytes_are_unchanged():
+    assert word_digest() == WORD_DIGEST
+
+
 if __name__ == "__main__":
-    print(json_digest())
+    print(word_digest() if sys.argv[1:] == ["--word"] else json_digest())

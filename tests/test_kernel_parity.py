@@ -17,10 +17,15 @@ dynamic program over all piece lengths and against the frontier sweep
 it replaced, frontier_min_span, which tries every cut of each level and
 so is right on any table: on grid rows, on random tables and on their
 suffix closures.
+
+max_piece_table returns the row of u only.  The oracles still build both
+rows, and the row of u^-1 they find must be inverse_row of the kernel's
+row: the inverse of a piece is a piece, so the row of u decides it.
 """
 
 import itertools
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given
@@ -48,6 +53,25 @@ def random_relator_like_words(count, rng):
         elems = rotations(w) + rotations(inverse(w))
         if len(set(elems)) == 2 * len(w):
             out.append(w)
+    return out
+
+
+def inverse_row(P0):
+    """The piece table of the rotations of u^-1 that the suffix-closed
+    table P0 of the rotations of u implies.
+
+    The length-L prefix of rotation s of u^-1 is the inverse of the
+    length-L subword of u u ending at e = 2n - 1 - s, and the inverse of
+    a piece is a piece, so its longest piece is as long as the longest
+    piece of u ending at e.  The cuts t with t + P0[t] > e form a suffix,
+    since t + P0[t] never decreases, and bisection finds the first.
+    """
+    n = len(P0)
+    a = [t + x for t, x in enumerate(P0 * 2)]
+    out = []
+    for s in range(n):
+        e = 2 * n - 1 - s  # u[n-1-s] in the doubled row
+        out.append(e + 1 - bisect_left(a, e + 1, e - n + 1, e + 1))
     return out
 
 
@@ -109,19 +133,17 @@ def find_max_piece(word):
 
 
 def bytes_max_piece_table(letters):
-    """Longest-piece lengths per rotation offset, for u and for u^-1.
-
-    Returns (fwd, bwd): fwd[s] is the largest L such that the length-L
-    cyclic subword of u starting at offset s is a piece; bwd[s] the same
-    for u^-1.  Entries are 0 where even the single letter is unique, and
-    n where two of the 2n rotations are the same word.
+    """Longest-piece lengths per rotation offset of u: entry s is the
+    largest L such that the length-L cyclic subword of u starting at
+    offset s is a piece.  Entries are 0 where even the single letter is
+    unique, and n where two of the 2n rotations are the same word.
     """
-    # the kernel before base-4 packing: each rotation an n-byte slice of
-    # the encoded doubled rows, keyed by int.from_bytes
+    # the kernel before base-4 packing: each rotation of u and of u^-1 an
+    # n-byte slice of the encoded doubled words, keyed by int.from_bytes
     n = len(letters)
     if n == 0:
-        return [], []
-    fwd_row, bwd_row = _kernel.doubled_rows(letters)
+        return []
+    fwd_row, bwd_row = (_kernel.encode(w) * 2 for w in (letters, inverse(letters)))
     key = int.from_bytes
     keys = [key(fwd_row[s:s + n], "big") for s in range(n)]
     keys += [key(bwd_row[s:s + n], "big") for s in range(n)]
@@ -138,7 +160,7 @@ def bytes_max_piece_table(letters):
         if lcp > best[j]:
             best[j] = lcp
         i, ki = j, kj
-    return best[:n], best[n:]
+    return best[:n]
 
 
 def dict_join_max_piece_table(letters):
@@ -148,7 +170,7 @@ def dict_join_max_piece_table(letters):
     digit = {-2: "0", -1: "1", 1: "2", 2: "3"}
     n = len(letters)
     if n == 0:
-        return [], []
+        return []
     try:
         digits = "".join([digit[x] for x in letters])
     except KeyError as exc:
@@ -164,7 +186,7 @@ def dict_join_max_piece_table(letters):
         lcp = n - ((keys[i] ^ keys[j]).bit_length() + 1) // 2
         best[i] = max(best[i], lcp)
         best[j] = max(best[j], lcp)
-    return best[:n], best[n:]
+    return best[:n]
 
 
 def brute_min_span(piece_len, start, length):
@@ -256,6 +278,7 @@ def random_words_and_powers(count, rng):
 
 
 def grid_piece_rows(size):
+    """The max_piece_table row of every knot of the size x size grid."""
     for m in range(1, size + 1):
         for n in range(1, size + 1):
             for sign in (1, -1):
@@ -267,9 +290,8 @@ def test_pure_against_brute_force():
     rng = random.Random(5)
     for w in random_relator_like_words(12, rng):
         expected = brute_max_piece(w)
-        got = _kernel.max_piece_table(list(w))
-        assert (list(expected[0]), list(expected[1])) == (got[0], got[1])
-        P = got[0]
+        P = _kernel.max_piece_table(list(w))
+        assert (expected[0], expected[1]) == (P, inverse_row(P))
         for _ in range(30):
             s = rng.randrange(len(w))
             L = rng.randint(1, len(w))
@@ -279,7 +301,7 @@ def test_pure_against_brute_force():
 def test_pure_reach_consistent_with_spans():
     rng = random.Random(6)
     for w in random_relator_like_words(8, rng):
-        P = _kernel.max_piece_table(list(w))[0]
+        P = _kernel.max_piece_table(list(w))
         reach = _kernel.reach_table(P, 4)
         n = len(w)
         for s in range(n):
@@ -318,17 +340,18 @@ def test_reach_table_matches_quadratic_on_random_tables():
 
 def test_reach_table_matches_quadratic_on_grid_relators():
     # the 3-piece tables that three_piece reads, on the 8x8 grid; check_C
-    # reads the same tables of both rows, and its test covers 10x10
-    for fwd, _ in grid_piece_rows(8):
+    # reads the same tables, and its test covers 10x10
+    for fwd in grid_piece_rows(8):
         assert _kernel.reach_table(fwd, 3) == quadratic_reach_table(fwd, 3)
 
 
 def test_reach_table_matches_quadratic_on_lowered_rows():
-    # grid rows with about one entry in ten lowered, some of them to 0,
-    # and the entries before them lowered until the row is suffix-closed
+    # grid rows of u and of u^-1 with about one entry in ten lowered,
+    # some of them to 0, and the entries before them lowered until the
+    # row is suffix-closed
     rng = random.Random(8)
-    for rows in grid_piece_rows(6):
-        for row in rows:
+    for fwd in grid_piece_rows(6):
+        for row in (fwd, inverse_row(fwd)):
             cut = suffix_closure([x if rng.random() < 0.9 else rng.randint(0, x) for x in row])
             assert _kernel.reach_table(cut, 4) == quadratic_reach_table(cut, 4)
 
@@ -339,32 +362,39 @@ def test_max_piece_table_on_grid_relators():
             for sign in (1, -1):
                 u = relator(GenusOneKnot(m, n, sign).fraction).u
                 expected = brute_max_piece(u)
-                assert _kernel.max_piece_table(list(u)) == (expected[0], expected[1])
+                got = _kernel.max_piece_table(list(u))
+                assert (got, inverse_row(got)) == (expected[0], expected[1])
 
 
 def test_max_piece_table_on_random_words():
     # any words over +-1, +-2 (reduced or not), n = 1 and 2 included, and
-    # proper powers, whose rotations collide so that every entry is n
+    # proper powers, whose rotations collide so that every entry is n; the
+    # brute-force row of u^-1 is the one the kernel's row implies
     rng = random.Random(9)
     for w, power in random_words_and_powers(400, rng):
         expected = brute_max_piece(w)
-        assert _kernel.max_piece_table(list(w)) == (expected[0], expected[1]), w
+        got = _kernel.max_piece_table(list(w))
+        assert (got, inverse_row(got)) == (expected[0], expected[1]), w
         n = len(power)
-        assert _kernel.max_piece_table(list(power)) == ([n] * n, [n] * n), power
+        got = _kernel.max_piece_table(list(power))
+        assert got == inverse_row(got) == [n] * n, power
     for w in ((1,), (2,), (-1, -1), (1, 2), (1, -1), (2, -1)):
         expected = brute_max_piece(w)
-        assert _kernel.max_piece_table(list(w)) == (expected[0], expected[1]), w
+        got = _kernel.max_piece_table(list(w))
+        assert (got, inverse_row(got)) == (expected[0], expected[1]), w
 
 
 def test_max_piece_rows_are_suffix_closed():
     # dropping the first letter of a piece leaves a piece (the two
-    # elements sharing it, rotated by one, are distinct), so every row
-    # satisfies the contract of reach_table: the 12x12 grid, and the
-    # random words and proper powers above
-    rows = [row for rows in grid_piece_rows(12) for row in rows]
+    # elements sharing it, rotated by one, are distinct), so every row,
+    # of u and the one of u^-1 it implies, satisfies the contract of
+    # reach_table: the 12x12 grid, and the random words and proper powers
+    # above
+    rows = [row for fwd in grid_piece_rows(12) for row in (fwd, inverse_row(fwd))]
     for pair in random_words_and_powers(400, random.Random(9)):
         for w in pair:
-            rows.extend(_kernel.max_piece_table(list(w)))
+            fwd = _kernel.max_piece_table(list(w))
+            rows.extend((fwd, inverse_row(fwd)))
     assert len(rows) == 2 * 288 + 2 * 800
     for row in rows:
         assert is_suffix_closed(row), row
@@ -375,8 +405,8 @@ def test_max_piece_table_marks_collisions():
     # shared; the symmetrized set rejects exactly this
     w = parse_word("abab")
     got = _kernel.max_piece_table(list(w))
-    assert got == (brute_max_piece(w)[0], brute_max_piece(w)[1])
-    assert got == ([4, 4, 4, 4], [4, 4, 4, 4])
+    assert (got, inverse_row(got)) == (brute_max_piece(w)[0], brute_max_piece(w)[1])
+    assert got == [4, 4, 4, 4]
 
 
 class CountingRow(list):
@@ -443,12 +473,13 @@ def test_span_walk_refuses_tables_not_suffix_closed():
 
 
 def test_span_walk_matches_frontier_on_grid_rows():
-    # every offset of both rows of the 8x8 grid, at the whole relator and
-    # at a random length; dead cuts included on the lowered rows
+    # every offset of the rows of u and of u^-1 of the 8x8 grid, at the
+    # whole relator and at a random length; dead cuts included on the
+    # lowered rows
     rng = random.Random(10)
     dead = 0
-    for rows in grid_piece_rows(8):
-        for row in rows:
+    for fwd in grid_piece_rows(8):
+        for row in (fwd, inverse_row(fwd)):
             cut = suffix_closure([x if rng.random() < 0.9 else rng.randint(0, x) for x in row])
             n = len(row)
             for P in (row, cut):
@@ -480,14 +511,18 @@ def test_packed_table_matches_byte_keys_and_brute_force_on_grid():
             for sign in (1, -1):
                 u = list(relator(GenusOneKnot(m, n, sign).fraction).u)
                 got = _kernel.max_piece_table(u)
-                assert got == bytes_max_piece_table(u) == tuple(find_max_piece(u)), (m, n, sign)
+                fwd, bwd = find_max_piece(u)
+                assert got == bytes_max_piece_table(u) == fwd, (m, n, sign)
+                assert inverse_row(got) == bwd, (m, n, sign)
 
 
 def test_packed_table_matches_byte_keys_and_brute_force_on_random_words():
     # the words and proper powers of test_max_piece_table_on_random_words
     for w, power in random_words_and_powers(400, random.Random(9)):
         w = list(w)
-        assert _kernel.max_piece_table(w) == bytes_max_piece_table(w) == tuple(brute_max_piece(w)), w
+        got = _kernel.max_piece_table(w)
+        fwd, bwd = brute_max_piece(w)
+        assert got == bytes_max_piece_table(w) == fwd and inverse_row(got) == bwd, w
         power = list(power)
         assert _kernel.max_piece_table(power) == bytes_max_piece_table(power), power
 

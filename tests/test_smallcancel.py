@@ -1,7 +1,6 @@
 import math
 import operator
 import random
-from bisect import bisect_left
 from functools import lru_cache
 
 import pytest
@@ -25,18 +24,31 @@ from bridgeforge.words import cyclic_s_sequence, inverse, parse_word, rotations,
 
 from test_kernel_parity import (
     frontier_min_span,
+    inverse_row,
     quadratic_reach_table,
     random_relator_like_words,
     suffix_closure,
 )
 
 
+def two_rows(R):
+    """The doubled words u u and u^-1 u^-1 of R, as lists."""
+    return list(R.word) * 2, list(inverse(R.word)) * 2
+
+
+def two_tables(R):
+    """R's piece table, of the rotations of u, and the one of the
+    rotations of u^-1 that it implies (inverse_row)."""
+    return R.piece_len, inverse_row(R.piece_len)
+
+
 def loop_find(R, v):
-    """SymmetrizedSet.find by comparing v letter by letter at every offset."""
+    """The first (row, offset) of v in u u (row 0) or u^-1 u^-1 (row 1),
+    by comparing v letter by letter at every offset below n."""
     L = len(v)
     if L == 0 or L > R.n:
         return None
-    for d, row in enumerate(R.doubled):
+    for d, row in enumerate(two_rows(R)):
         for s in range(R.n):
             for i in range(L):
                 if row[s + i] != v[i]:
@@ -46,12 +58,25 @@ def loop_find(R, v):
     return None
 
 
+def one_row_find(R, v):
+    """SymmetrizedSet.find by loop_find: the offset of v in u u, else
+    that of v^-1, which is in u u whenever v is in u^-1 u^-1."""
+    loc = loop_find(R, v)
+    if loc is None:
+        return None
+    d, s = loc
+    if d == 1:
+        d, s = loop_find(R, inverse(v))
+        assert d == 0
+    return s
+
+
 def span_check_C(R, p):
-    """check_C by the minimal piece count of every element in turn, by
-    the frontier sweep over every cut (not the reach recurrence)."""
+    """check_C by the minimal piece count of every element of both rows
+    in turn, by the frontier sweep over every cut (not the reach
+    recurrence)."""
     n = R.n
-    for d in (0, 1):
-        row = R.piece_len[d]
+    for row in two_tables(R):
         for s in range(n):
             t = frontier_min_span(row, s, n)
             if 0 < t < p:
@@ -60,13 +85,12 @@ def span_check_C(R, p):
 
 
 def letter_shapes_are_pieces(R, pats):
-    """shapes_are_pieces by growing the subword at each offset one letter
-    at a time and testing each length's run shape against pats."""
+    """shapes_are_pieces by growing the subword at each offset of both
+    rows one letter at a time and testing each length's run shape
+    against pats."""
     max_blocks = max(len(p) for p in pats)
     n = R.n
-    for d in (0, 1):
-        row = R.doubled[d]
-        piece_len = R.piece_len[d]
+    for row, piece_len in zip(two_rows(R), two_tables(R)):
         for s in range(n):
             runs: list[int] = []
             last_sign = 0
@@ -92,31 +116,12 @@ def grid_sets(size):
                 yield knot, SymmetrizedSet(relator(knot.fraction).u)
 
 
-def inverse_row(P0):
-    """The row-1 piece table that a suffix-closed row 0 implies.
-
-    The length-L prefix of element s of row 1 is the inverse of the
-    length-L subword of row 0 ending at e = n - 1 - s, and the inverse of
-    a piece is a piece, so its longest piece is as long as the longest
-    piece of row 0 ending at e.  The cuts t with t + P0[t] > e form a suffix,
-    since t + P0[t] never decreases, and bisection finds the first.
-    """
-    n = len(P0)
-    a = [t + x for t, x in enumerate(P0 * 2)]
-    out = []
-    for s in range(n):
-        e = 2 * n - 1 - s  # u[n-1-s] in the doubled row
-        out.append(e + 1 - bisect_left(a, e + 1, e - n + 1, e + 1))
-    return out
-
-
 def lowered(R, rng, rate):
-    """R with about a fraction rate of its row-0 piece-table entries
-    lowered, the entries before them lowered until the row is
-    suffix-closed, as every piece table is, and row 1 rebuilt from it, so
-    that the inverse of a piece is still a piece."""
-    P0 = suffix_closure([x if rng.random() >= rate else rng.randint(0, x) for x in R.piece_len[0]])
-    R.piece_len = (P0, inverse_row(P0))
+    """R with about a fraction rate of its piece-table entries lowered,
+    and the entries before them lowered until the row is suffix-closed,
+    as every piece table is; the oracles' row of u^-1 follows from it
+    (inverse_row), so that the inverse of a piece is still a piece."""
+    R.piece_len = suffix_closure([x if rng.random() >= rate else rng.randint(0, x) for x in R.piece_len])
     return R
 
 
@@ -183,23 +188,29 @@ def test_find_matches_letter_loop():
     rng = random.Random(9)
     words = [relator(f).u for f in (Frac(2, 5), Frac(2, 3), Frac(4, 17), Frac(6, 25))]
     words += random_relator_like_words(10, rng)
-    found = missing = 0
+    found = missing = inverted = 0
     for u in words:
         R = SymmetrizedSet(u)
-        for dbl in R.doubled:
+        rows = two_rows(R)
+        for dbl in rows:
             for _ in range(30):  # subwords of both rows, up to the whole word
                 s = rng.randrange(R.n)
                 v = tuple(dbl[s : s + rng.randint(1, R.n)])
-                assert R.find(v) == loop_find(R, v) is not None
+                got = R.find(v)
+                assert got == one_row_find(R, v) is not None
+                # v itself at the offset in u u, or else its inverse
+                at = tuple(rows[0][got : got + len(v)])
+                assert at in (v, inverse(v))
+                inverted += at != v
         for _ in range(200):
             v = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, R.n + 2)))
             got = R.find(v)
-            assert got == loop_find(R, v), v
+            assert got == one_row_find(R, v), v
             found += got is not None
             missing += got is None
-        for v in ((0,), (3,), (-3,), (1, 300), ()):  # letters in no relator
-            assert R.find(v) is None is loop_find(R, v)
-    assert found and missing
+        for v in ((0,), (3,), (-3,), (1, 300), (300,), (-300,), (2, 253), ()):
+            assert R.find(v) is None is loop_find(R, v)  # letters in no relator
+    assert found and missing and inverted
 
 
 def test_min_pieces_against_brute_force():
@@ -237,16 +248,16 @@ def test_piece_report_consistency():
 
 def test_prefix_of_piece_is_piece():
     R = SymmetrizedSet(relator(Frac(4, 17)).u)
-    dbl = R.doubled[0]
+    dbl = list(R.word) * 2
     for s in range(R.n):
-        longest = R.piece_len[0][s]
+        longest = R.piece_len[s]
         for L in range(1, longest + 1):
             assert is_piece(tuple(dbl[s : s + L]), R)
 
 
 def test_piece_closed_under_inversion():
     R = SymmetrizedSet(relator(Frac(2, 7)).u)
-    dbl = R.doubled[0]
+    dbl = list(R.word) * 2
     for s in range(R.n):
         for L in range(1, R.n + 1):
             w = tuple(dbl[s : s + L])
@@ -255,7 +266,7 @@ def test_piece_closed_under_inversion():
 
 def test_min_pieces_monotone_under_subwords():
     R = SymmetrizedSet(relator(Frac(2, 7)).u)
-    dbl = R.doubled[0]
+    dbl = list(R.word) * 2
     for s in range(R.n):
         for L in range(2, R.n + 1):
             whole = min_pieces(tuple(dbl[s : s + L]), R)
@@ -313,33 +324,35 @@ def test_check_C_matches_span_oracle_on_lowered_rows():
     assert verdicts == {True, False}
 
 
-def row_check_C(R, p, d):
-    """C(p) for the elements of row d alone, by its own reach table."""
-    return R.n not in _kernel.reach_table(R.piece_len[d], p - 1)[p - 1]
+def row_check_C(piece_len, p):
+    """C(p) for the elements of one row alone, by its own reach table."""
+    return len(piece_len) not in _kernel.reach_table(piece_len, p - 1)[p - 1]
 
 
 def test_check_C_rows_agree_element_by_element():
-    # check_C reads row 0 only: a row-1 element is a product of k pieces
-    # exactly when its inverse, a row-0 element, is.  On the 6x6 grid and
-    # on random relator-like words, each element's minimal piece count
-    # equals its inverse's, row 1's piece table is the one row 0 implies,
-    # and both rows give the verdict of check_C and of span_check_C for
-    # p = 2..6
+    # check_C reads the row of u only: a rotation of u^-1 is a product of
+    # k pieces exactly when its inverse, a rotation of u, is.  On the 6x6
+    # grid and on random relator-like words, each rotation of u^-1 has
+    # the minimal piece count on the row of u^-1 (inverse_row, which
+    # tests/test_kernel_parity.py checks against brute force) that its
+    # inverse has on R's row, and both rows give the verdict of check_C
+    # and of span_check_C for p = 2..6
     rng = random.Random(13)
     sets = [R for _, R in grid_sets(6)]
     sets += [SymmetrizedSet(u) for u in random_relator_like_words(300, rng)]
     verdicts = set()
     for R in sets:
         n = R.n
-        assert inverse_row(R.piece_len[0]) == R.piece_len[1]
+        fwd, bwd = two_tables(R)
+        fwd_row, bwd_row = two_rows(R)
         for s in range(n):
-            element = R.doubled[1][s:s + n]
-            d, t = R.find(inverse(element))
-            assert d == 0
-            assert frontier_min_span(R.piece_len[1], s, n) == frontier_min_span(R.piece_len[0], t, n)
+            element = bwd_row[s:s + n]
+            t = R.find(inverse(element))
+            assert tuple(fwd_row[t:t + n]) == inverse(element)
+            assert frontier_min_span(bwd, s, n) == frontier_min_span(fwd, t, n)
         for p in range(2, 7):
             verdict = check_C(R, p)
-            assert verdict == row_check_C(R, p, 0) == row_check_C(R, p, 1) == span_check_C(R, p)
+            assert verdict == row_check_C(fwd, p) == row_check_C(bwd, p) == span_check_C(R, p)
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -411,15 +424,16 @@ def test_shapes_match_letter_scan_on_lowered_rows():
 
 
 def test_shapes_match_letter_scan_on_random_tables():
-    # random words, random shape sets and random piece tables with
-    # entries up to n, so the longest matching subword can be the whole
-    # word and the first run can be cut by the window
+    # random words, random shape sets and the suffix closures of random
+    # piece tables with entries up to n, so the longest matching subword
+    # can be the whole word and the first run can be cut by the window;
+    # the oracle's row of u^-1 follows from a suffix-closed row only
     rng = random.Random(12)
     verdicts = []
     for u in random_relator_like_words(150, rng):
         R = SymmetrizedSet(u)
         n = R.n
-        R.piece_len = tuple([rng.randint(n // 2, n) for _ in range(n)] for _ in range(2))
+        R.piece_len = suffix_closure([rng.randint(n // 2, n) for _ in range(n)])
         pats = {
             tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
             for _ in range(rng.randint(1, 12))
@@ -432,26 +446,49 @@ def test_shapes_match_letter_scan_on_random_tables():
 
 def test_shapes_match_letter_scan_across_longest_shape():
     # piece tables with about a third of their entries capped a few
-    # letters either side of the longest shape's length: every row has
-    # offsets that the length bound skips and offsets that the trie walk
-    # must decide
+    # letters either side of the longest shape's length, one entry below
+    # it, and their suffix closures: the row of u, and the row of u^-1
+    # that the oracle reads, have offsets that the length bound skips and
+    # offsets that the trie walk must decide
     rng = random.Random(14)
     verdicts = set()
     for knot, R in grid_sets(6):
         pats = _piece_patterns(knot)
         longest = max(map(sum, pats))
-        rows = []
-        for row in R.piece_len:
-            row = [min(x, longest + rng.randint(-2, 2)) if rng.random() < 0.3 else x for x in row]
-            low, high = rng.sample(range(R.n), 2)
-            row[low], row[high] = min(row[low], longest - 1), max(row[high], longest)
-            assert min(row) < longest <= max(row)
-            rows.append(row)
-        R.piece_len = tuple(rows)
+        row = [min(x, longest + rng.randint(-2, 2)) if rng.random() < 0.3 else x for x in R.piece_len]
+        low = rng.randrange(R.n)
+        row[low] = min(row[low], longest - 1)
+        R.piece_len = suffix_closure(row)
+        for table in two_tables(R):
+            assert min(table) < longest <= max(table)
         verdict = shapes_are_pieces(R, pats)
         assert verdict == letter_shapes_are_pieces(R, pats), knot
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_shapes_reach_the_inverse_rotations_by_reversal():
+    # the shape (1, 2) alone is not closed under reversal.  Lower one
+    # entry of a grid table to 2 where u has a subword of shape (2, 1)
+    # and length 3: its inverse, of shape (1, 2), is a subword of a
+    # rotation of u^-1 and no longer a piece, while every subword of u of
+    # shape (1, 2) still is.  Only the reversed shape on u's row sees it
+    pats = {(1, 2)}
+    found = 0
+    for _, R in grid_sets(4):
+        n, uu, real = R.n, R.word * 2, R.piece_len
+        for t in range(n):
+            if s_sequence(uu[t:t + 3]) != (2, 1) or real[t] < 3:
+                continue
+            R.piece_len = suffix_closure(real[:t] + [2] + real[t + 1:])
+            # a subword of shape (1, 2) has 3 letters
+            if all(R.piece_len[s] >= 3 for s in range(n) if s_sequence(uu[s:s + 3]) == (1, 2)):
+                assert shapes_are_pieces(R, pats) is letter_shapes_are_pieces(R, pats) is False
+                assert shapes_are_pieces(R, {(2, 1)}) is False
+                found += 1
+        R.piece_len = real
+        assert shapes_are_pieces(R, pats) is letter_shapes_are_pieces(R, pats)
+    assert found
 
 
 def letter_count_cyclic_pattern(cs, pattern):
@@ -516,7 +553,7 @@ def walk_three_piece(knot, s1, s2):
     u = relator(knot.fraction).u
     R = SymmetrizedSet(u)
     n = R.n
-    reach = quadratic_reach_table(R.piece_len[0], 3)
+    reach = quadratic_reach_table(R.piece_len, 3)
     r2, r3 = reach[2], reach[3]
 
     letters4 = list(u) * 4
