@@ -109,11 +109,12 @@ class GenusOneKnot(_KnotParams):
     @classmethod
     def from_fraction(cls, f: Frac) -> "GenusOneKnot":
         """Recover (m, n, sign) from a slope 2n/(4mn +- 1), or raise.  When
-        K(f) is the knot of such a slope s/p, s one of p - q, q^-1 and
-        p - q^-1 mod p, the error names s/p instead."""
+        K(f) is the knot of such a slope s/p, s one of r, p - r, r^-1 and
+        p - r^-1 mod p for r = q mod p, the error names s/p instead."""
         q, p = f.num, f.den
-        inv = pow(q, -1, p) if 0 < q < p else 0
-        for s in (q, p - q, inv, p - inv):
+        r = q % p if p else q
+        inv = pow(r, -1, p) if 0 < r < p else 0
+        for s in (r, p - r, inv, p - inv):
             n = s // 2
             for sign in (1, -1):
                 if 0 < s < p and not s % 2 and not (p - sign) % (4 * n) and p - sign >= 4 * n:

@@ -25,6 +25,7 @@ from bridgeforge.words import (
     word_str,
 )
 
+from grids import knots
 from test_freeness import composed_cs, float_scan, sign_patterns
 
 LETTERS = (1, -1, 2, -2)
@@ -37,15 +38,6 @@ def _report(number, label, ok, elapsed, budget):
     assert elapsed < budget, f"criterion {number} exceeded budget: {elapsed:.2f}s"
 
 
-def grid(m_max, n_max):
-    return [
-        GenusOneKnot(m, n, sign)
-        for m in range(1, m_max + 1)
-        for n in range(1, n_max + 1)
-        for sign in (1, -1)
-    ]
-
-
 def battery(names):
     """The cli.CHECKS rows with these names, in report order."""
     return [c for c in CHECKS if c.name in names]
@@ -55,7 +47,7 @@ def test_criterion_1_relator_closed_forms():
     t0 = time.perf_counter()
     ok = True
     (check,) = battery(("relator_cs",))
-    for knot in grid(10, 10):
+    for knot in knots(10):
         ctx = CheckContext(knot)
         ok &= len(ctx.rel.u) == 2 * knot.p
         ok &= check.applies(knot) and check.run(ctx)
@@ -67,7 +59,7 @@ def test_criterion_2_meridian_identities():
     t0 = time.perf_counter()
     ok = True
     (check,) = battery(("meridian_forms",))
-    for knot in grid(10, 10):
+    for knot in knots(10):
         ok &= check.applies(knot) and check.run(CheckContext(knot))
     # the exceptional degenerate case keeps its closed form
     mw = long_meridian_words(GenusOneKnot(1, 1, -1))
@@ -80,7 +72,7 @@ def test_criterion_3_small_cancellation():
     t0 = time.perf_counter()
     ok = True
     checks = battery(_PIECE_CHECKS)
-    for knot in grid(4, 4):
+    for knot in knots(4):
         ctx = CheckContext(knot)
         ok &= all(c.applies(knot) and c.run(ctx) for c in checks)
     _report(3, f"piece battery with {_kernel.IMPL} kernel, grid 4x4", ok,
@@ -91,7 +83,7 @@ def test_criterion_4_alternating_cs_closed_forms():
     t0 = time.perf_counter()
     ok = True
     checks = battery(("alternating_cs", "alternating_bounds"))
-    for knot in grid(4, 4):
+    for knot in knots(4):
         ctx = CheckContext(knot)
         # the torus knot (1, 1, -) alone has no closed form
         ok &= all(c.run(ctx) for c in checks if c.applies(knot))

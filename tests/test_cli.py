@@ -1,6 +1,8 @@
 import ast
 import concurrent.futures
+import contextlib
 import functools
+import io
 import json
 import os
 import random
@@ -10,12 +12,15 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgeforge import cli, meridians
-from bridgeforge.presentation import relator
-from bridgeforge.slope import GenusOneKnot
 from bridgeforge.smallcancel import UNREPRESENTABLE, SymmetrizedSet, is_piece, min_pieces
 from bridgeforge.words import inverse, word_str
+
+from grids import knots, symmetrized_sets
+from test_json_bytes import knot_flags
 
 
 def run_cli(capsys, *argv):
@@ -72,29 +77,24 @@ def test_pieces_word_matches_is_piece_and_min_pieces_on_grid(capsys):
     # relator itself
     rng = random.Random(21)
     answers = set()
-    for m in range(1, 7):
-        for n in range(1, 7):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                R = SymmetrizedSet(relator(knot.fraction).u)
-                words = ["aA", "aa", word_str(R.word), word_str(R.word) + "a"]
-                rows = (R.word * 2, inverse(R.word) * 2)
-                for _ in range(8):
-                    d, s = rng.randrange(2), rng.randrange(R.n)
-                    words.append(word_str(rows[d][s:s + rng.randint(1, min(R.n, 12))]))
-                for word in words:
-                    code, payload = run_json(capsys, "pieces", "--m", str(m), "--n", str(n),
-                                             "--sign", "+" if sign > 0 else "-", "--word", word)
-                    v = cli.parse_word(word)
-                    assert code == cli.EXIT_PASS
-                    assert payload["is_piece"] is is_piece(v, R), (knot, word)
-                    if R.find(v) is None:
-                        assert payload["min_pieces"] is None and "note" in payload, (knot, word)
-                    else:
-                        t = min_pieces(v, R)
-                        assert payload["min_pieces"] == (None if t is UNREPRESENTABLE else t)
-                        assert "note" not in payload
-                    answers.add((payload["is_piece"], payload["min_pieces"]))
+    for knot, R in symmetrized_sets(6):
+        words = ["aA", "aa", word_str(R.word), word_str(R.word) + "a"]
+        rows = (R.word * 2, inverse(R.word) * 2)
+        for _ in range(8):
+            d, s = rng.randrange(2), rng.randrange(R.n)
+            words.append(word_str(rows[d][s:s + rng.randint(1, min(R.n, 12))]))
+        for word in words:
+            code, payload = run_json(capsys, "pieces", *knot_flags(knot), "--word", word)
+            v = cli.parse_word(word)
+            assert code == cli.EXIT_PASS
+            assert payload["is_piece"] is is_piece(v, R), (knot, word)
+            if R.find(v) is None:
+                assert payload["min_pieces"] is None and "note" in payload, (knot, word)
+            else:
+                t = min_pieces(v, R)
+                assert payload["min_pieces"] == (None if t is UNREPRESENTABLE else t)
+                assert "note" not in payload
+            answers.add((payload["is_piece"], payload["min_pieces"]))
     assert {(True, 1), (False, 2), (False, None)} <= answers
 
 
@@ -303,9 +303,17 @@ def test_epi_command(capsys):
 
 @pytest.mark.parametrize("target,message", [
     # K(3/5) is the figure-eight knot K(2/5); K(4/5) is the torus knot
-    # K(1/5), of genus two
+    # K(1/5), of genus two.  Outside 0 < q < p the slope is first taken
+    # mod p: K(7/5) = K(12/5) = K(2/5), K(-2/5) is the mirror image of
+    # K(2/5), and K(-7/9) = K(2/9)
     ("3/5", "error: 3/5 is not 2n/(4mn +- 1), but K(3/5) is K(2/5) up to mirror image: use 2/5\n"),
     ("4/5", "error: 4/5 is not a genus-one slope\n"),
+    ("7/5", "error: 7/5 is not 2n/(4mn +- 1), but K(7/5) is K(2/5) up to mirror image: use 2/5\n"),
+    ("-2/5", "error: -2/5 is not 2n/(4mn +- 1), but K(-2/5) is K(2/5) up to mirror image: use 2/5\n"),
+    ("12/5", "error: 12/5 is not 2n/(4mn +- 1), but K(12/5) is K(2/5) up to mirror image: use 2/5\n"),
+    ("-7/9", "error: -7/9 is not 2n/(4mn +- 1), but K(-7/9) is K(2/9) up to mirror image: use 2/9\n"),
+    ("1/0", "error: 1/0 is not a genus-one slope\n"),
+    ("3/1", "error: 3/1 is not a genus-one slope\n"),
 ])
 def test_epi_target_outside_the_family(capsys, target, message):
     assert cli.main(["epi", "--source", "1/3", "--target", target, "--json"]) == cli.EXIT_USAGE
@@ -755,6 +763,26 @@ def test_library_defines_nothing_it_does_not_use():
     assert defined - used == TEST_ONLY_API
 
 
+def test_tests_define_no_helper_they_do_not_use():
+    # every top-level function and class in tests/ that is not a test, a
+    # pytest hook or a fixture is loaded by name somewhere in tests/ or in
+    # perfbench/test_perfbench.py, outside its own definition
+    tests = Path(__file__).parent
+    paths = [*sorted(tests.glob("*.py")), tests.parent / "perfbench" / "test_perfbench.py"]
+    helpers, used = set(), set()
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            own = getattr(node, "name", None)
+            if path.parent == tests and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                fixture = any(ast.unparse(getattr(d, "func", d)) == "pytest.fixture"
+                              for d in node.decorator_list)
+                if not (fixture or own.startswith(("test", "Test", "pytest_"))):
+                    helpers.add(own)
+            used |= {n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id != own}
+    assert helpers and helpers <= used, sorted(helpers - used)
+
+
 @pytest.mark.parametrize("flag,message", [
     ("--max-seconds=-1", "--max-seconds must be a finite number of at least 0"),
     ("--max-seconds=nan", "--max-seconds must be a finite number of at least 0"),
@@ -1037,7 +1065,7 @@ def test_verify_all_builds_the_junction_blocks_once(capsys, monkeypatch):
     monkeypatch.setattr(meridians.MeridianWords, "junction_blocks", prop)
     code, payload = run_json(capsys, "verify-all", "--m-max", "2", "--n-max", "2")
     assert code == cli.EXIT_PASS and len(payload["reports"]) == 8
-    assert built == [cli.GenusOneKnot(m, n, sign) for m in (1, 2) for n in (1, 2) for sign in (1, -1)]
+    assert built == knots(2)
 
 
 def test_verify_all_builds_each_closed_form_once(capsys, monkeypatch):
@@ -1048,9 +1076,7 @@ def test_verify_all_builds_each_closed_form_once(capsys, monkeypatch):
     code, payload = run_json(capsys, "verify-all", "--m-max", "2", "--n-max", "2")
     assert code == cli.EXIT_PASS and len(payload["reports"]) == 8
     assert sorted(calls, key=repr) == sorted((
-        (cli.GenusOneKnot(m, n, sign), e)
-        for m in (1, 2) for n in (1, 2) for sign in (1, -1) if (m, n, sign) != (1, 1, -1)
-        for e in (1, -1) for _ in range(4)), key=repr)
+        (knot, e) for knot in knots(2) if knot.is_hyperbolic for e in (1, -1) for _ in range(4)), key=repr)
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
@@ -1090,3 +1116,66 @@ def test_payloads_are_deterministic(capsys, argv):
     first = run_cli(capsys, *argv, "--json")
     assert first[0] == cli.EXIT_PASS
     assert run_cli(capsys, *argv, "--json") == first
+
+
+# argv over all eight commands: each command's flags with values of the
+# right kind, small or negative ints, nan and inf, slopes and words, and
+# unknown flags and flags missing their value.  The sizes are bounded
+# (m, n <= 4, p <= 61, grids of at most 2x2, at most 6 scan syllables but
+# for the over-cap 17) and --jobs is 1, 0 or -1, so no process pool starts
+def _ints(lo, hi, *extra):
+    return st.sampled_from([str(x) for x in (*range(lo, hi + 1), *extra)])
+
+
+_SLOPES = st.sampled_from(["7/5", "-2/5", "1/0", "0/0", "4/6", "x", "2/5", "3/5", "1/3", "2/9", "-7/9"])
+_KNOT = {"--m": _ints(1, 4), "--n": _ints(1, 4), "--sign": st.sampled_from(["+", "-"])}
+_SCAN = {"--scan-syllables": _ints(-1, 6, 17)}
+_P_Q = {"--p": _ints(1, 61), "--q": _ints(-5, 61)}
+_FLAGS = {
+    "relator": _P_Q,
+    "meridians": _KNOT,
+    "pieces": {**_KNOT, "--word": st.text("aAbBx", max_size=8)},
+    "freeness": {**_KNOT, "--t": _ints(0, 2, 7), **_SCAN},
+    "reps": {**_P_Q, "--tol": st.sampled_from(["1e-9", "1e-3"])},
+    "orbifold": {"--m": _ints(1, 4), "--slope": _SLOPES},
+    "epi": {"--source": _SLOPES, "--target": _SLOPES},
+    "verify-all": {"--m-max": _ints(1, 2), "--n-max": _ints(1, 2), "--jobs": _ints(-1, 1),
+                   "--max-seconds": st.sampled_from(["0", "0.5"]), **_SCAN},
+}
+# small and negative ints, nan, inf, a slope and the empty word for any flag
+_ANY_VALUE = st.sampled_from(["nan", "inf", "-inf", "-1", "-3", "0", "x", "7/5", ""])
+_UNKNOWN = st.sampled_from(["--bogus", "--scan", "--depth", "-x"])
+
+
+@st.composite
+def _argvs(draw):
+    # each flag is left out, or takes a value of another kind, one time in
+    # ten; half the argvs ask for --json, one in ten has an unknown flag,
+    # and one in ten ends in a flag without its value
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    pairs = [[flag, draw(_ANY_VALUE if draw(st.integers(0, 9)) == 0 else values)]
+             for flag, values in flags.items() if draw(st.integers(0, 9))]
+    roll = draw(st.integers(0, 9))
+    if roll < 5:
+        pairs.append(["--json"])
+    elif roll == 9:
+        pairs.append([draw(_UNKNOWN), "1"])
+    argv = [command, *(word for pair in draw(st.permutations(pairs)) for word in pair)]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(sorted(flags))))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_argvs())
+def test_fuzzed_argv_exits_0_to_3_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

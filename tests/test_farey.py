@@ -16,7 +16,9 @@ from bridgeforge.farey import (
     reflection_generators,
     reflection_in_edge,
 )
-from bridgeforge.slope import INFINITY, Frac, GenusOneKnot, parse_fraction, r_prime
+from bridgeforge.slope import INFINITY, Frac, parse_fraction, r_prime
+
+from grids import genus_one_fractions
 
 
 def bfs_orbit(r, depth, neighbor_bound):
@@ -214,24 +216,13 @@ def test_orbit_monotone_in_depth_and_bound():
         assert orbit_contains(r, x).found
 
 
-def _genus_one_targets(p_max):
-    out = []
-    for m in range(1, p_max):
-        for n in range(1, p_max):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                if knot.p <= p_max and knot.is_hyperbolic:
-                    out.append(knot.fraction)
-    return sorted(set(out), key=lambda f: (f.den, f.num))
-
-
 def test_descent_against_bfs_on_grid():
     """Cross-check over every hyperbolic genus-one target with p <= 25 and
     every source q/p' with odd p' <= 61, each also shifted by 1: a
     depth-3, bound-3 BFS "yes" implies a descent "yes"; every descent
     "yes" replays and has a denominator divisible by p (Gamma_r lies in
     Gamma_0(p)); every "no" stops on the free sides."""
-    targets = _genus_one_targets(25)
+    targets = genus_one_fractions(25)
     assert len(targets) == 27
     sources = [Frac(q, pp) for pp in range(3, 62, 2) for q in range(1, pp) if gcd(q, pp) == 1]
     bfs_yes = descent_yes = 0

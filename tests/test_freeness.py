@@ -33,6 +33,7 @@ from bridgeforge.words import (
     s_sequence,
 )
 
+from grids import knots
 from test_sl2_oracle import dist_pm_identity, float_image, mat_inv, mat_mul
 
 SYLLABLES = ("x", "X", "y", "Y")
@@ -111,19 +112,16 @@ def test_closed_form_unsupported_case():
 
 
 def test_closed_form_matches_computed_sweep():
-    for m in range(1, 4):
-        for n in range(1, 4):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                mw = long_meridian_words(knot)
-                for pattern in sign_patterns(2):
-                    cs = cyclic_s_sequence(alternating_relation_word(pattern, mw))
-                    if (m, n, sign) == (1, 1, -1):
-                        assert all(t in (2, 3, 4) for t in cs)
-                    else:
-                        closed = alternating_cs_closed_form(knot, pattern)
-                        assert cyclic_seq_eq(cs, closed)
-                    assert verify_alternating_cs(knot, pattern, mw)
+    for knot in knots(3):
+        mw = long_meridian_words(knot)
+        for pattern in sign_patterns(2):
+            cs = cyclic_s_sequence(alternating_relation_word(pattern, mw))
+            if not knot.is_hyperbolic:
+                assert all(t in (2, 3, 4) for t in cs)
+            else:
+                closed = alternating_cs_closed_form(knot, pattern)
+                assert cyclic_seq_eq(cs, closed)
+            assert verify_alternating_cs(knot, pattern, mw)
 
 
 def composed_cs(pattern, mw):
@@ -143,50 +141,42 @@ def test_runs_match_word_on_grid():
     # the junction blocks against the letter-by-letter word, 12x12 grid:
     # every pattern with t <= 3 and seeded random patterns with t <= 8
     rng = random.Random(11)
-    for m in range(1, 13):
-        for n in range(1, 13):
-            for sign in (1, -1):
-                mw = long_meridian_words(GenusOneKnot(m, n, sign))
-                for pattern in sign_patterns(3) + random_patterns(rng, 8, 2):
-                    word = alternating_relation_word(pattern, mw)
-                    assert composed_cs(pattern, mw) == cyclic_s_sequence(word), (m, n, sign, pattern)
+    for knot in knots(12):
+        mw = long_meridian_words(knot)
+        for pattern in sign_patterns(3) + random_patterns(rng, 8, 2):
+            word = alternating_relation_word(pattern, mw)
+            assert composed_cs(pattern, mw) == cyclic_s_sequence(word), (knot, pattern)
 
 
 def test_literal_closed_form_matches_the_rotation_oracle():
     # the closed form is written at the rotation the junction blocks
     # fix; the comparison modulo rotation is the oracle it replaced
     # (12x12 grid, every pattern with t <= 3)
-    for m in range(1, 13):
-        for n in range(1, 13):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                if (m, n, sign) == (1, 1, -1):
-                    continue
-                mw = long_meridian_words(knot)
-                for pattern in sign_patterns(3):
-                    cs = composed_cs(pattern, mw)
-                    closed = alternating_cs_closed_form(knot, pattern)
-                    assert cyclic_seq_eq(cs, closed)
-                    assert cs == closed
+    for knot in knots(12):
+        if not knot.is_hyperbolic:
+            continue
+        mw = long_meridian_words(knot)
+        for pattern in sign_patterns(3):
+            cs = composed_cs(pattern, mw)
+            closed = alternating_cs_closed_form(knot, pattern)
+            assert cyclic_seq_eq(cs, closed)
+            assert cs == closed
 
 
 def test_closed_form_is_the_blocks_of_its_factors():
     # block by block: the junction block into x_l^e or y_l^e is
     # closed_form_block(knot, e) whatever factor precedes it, and the
     # pattern's closed form is those blocks in order
-    for m in range(1, 13):
-        for n in range(1, 13):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                if (m, n, sign) == (1, 1, -1):
-                    continue
-                blocks = long_meridian_words(knot).junction_blocks
-                assert len(blocks) == 8
-                for (g, f), block in blocks.items():
-                    assert block == freeness.closed_form_block(knot, 1 if f > 0 else -1)
-                for pattern in sign_patterns(2):
-                    assert alternating_cs_closed_form(knot, pattern) == sum(
-                        (freeness.closed_form_block(knot, e) for pair in pattern for e in pair), ())
+    for knot in knots(12):
+        if not knot.is_hyperbolic:
+            continue
+        blocks = long_meridian_words(knot).junction_blocks
+        assert len(blocks) == 8
+        for (g, f), block in blocks.items():
+            assert block == freeness.closed_form_block(knot, 1 if f > 0 else -1)
+        for pattern in sign_patterns(2):
+            assert alternating_cs_closed_form(knot, pattern) == sum(
+                (freeness.closed_form_block(knot, e) for pair in pattern for e in pair), ())
 
 
 def hand_built(x_l, y_l):
@@ -283,8 +273,7 @@ def test_inverse_runs_match_the_inverse_words():
     # 600 hand-built alternating factor pairs, whose runs may be palindromes
     rng = random.Random(14)
     letters = (1, -1, 2, -2)
-    mws = [long_meridian_words(GenusOneKnot(m, n, sign))
-           for m in range(1, 13) for n in range(1, 13) for sign in (1, -1)]
+    mws = [long_meridian_words(knot) for knot in knots(12)]
 
     def factor():
         return alt_word(rng.choice(letters), [rng.randint(1, 3) for _ in range(rng.randint(2, 4))])
@@ -338,23 +327,21 @@ def test_forbidden_terms_match_the_term_loop():
     # (empty ones too) over the terms each case forbids or allows
     rng = random.Random(41)
     verdicts = set()
-    for m in range(1, 13):
-        for n in range(1, 13):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                mw = long_meridian_words(knot)
-                seqs = [(), (2 * m + 1,), (2 * m - 1,), (1,), (5,)]
-                for pattern in sign_patterns(2):
-                    cs = composed_cs(pattern, mw)
-                    i = rng.randrange(len(cs))
-                    seqs += [cs, cs[:i] + (rng.randint(0, 2 * m + 2),) + cs[i + 1:]]
-                seqs += [tuple(rng.randint(0, 2 * m + 2) for _ in range(rng.randint(1, 6)))
-                         for _ in range(10)]
-                for cs in seqs:
-                    verdict = freeness.forbidden_terms_ok(knot, cs)
-                    assert verdict is letter_forbidden_terms_ok(knot, cs), (knot, cs)
-                    case = "+" if sign > 0 else "m" if m >= 2 else "n" if n >= 2 else "1, 1"
-                    verdicts.add((case, verdict))
+    for knot in knots(12):
+        m, n, sign = knot
+        mw = long_meridian_words(knot)
+        seqs = [(), (2 * m + 1,), (2 * m - 1,), (1,), (5,)]
+        for pattern in sign_patterns(2):
+            cs = composed_cs(pattern, mw)
+            i = rng.randrange(len(cs))
+            seqs += [cs, cs[:i] + (rng.randint(0, 2 * m + 2),) + cs[i + 1:]]
+        seqs += [tuple(rng.randint(0, 2 * m + 2) for _ in range(rng.randint(1, 6)))
+                 for _ in range(10)]
+        for cs in seqs:
+            verdict = freeness.forbidden_terms_ok(knot, cs)
+            assert verdict is letter_forbidden_terms_ok(knot, cs), (knot, cs)
+            case = "+" if sign > 0 else "m" if m >= 2 else "n" if n >= 2 else "1, 1"
+            verdicts.add((case, verdict))
     assert len(verdicts) == 8  # both verdicts in each of the four cases
 
 
@@ -738,9 +725,7 @@ def test_search_matches_the_walk_at_identity_and_mod_3(k):
         assert (len(suspects), at_minus_identity) == (782, 384)
 
 
-@pytest.mark.parametrize("m,n,sign", [
-    (m, n, sign) for m in range(1, 5) for n in range(1, 5) for sign in (1, -1)
-])
+@pytest.mark.parametrize("m,n,sign", knots(4))
 def test_search_matches_the_walk_at_the_exact_pair(m, n, sign):
     gens, modulus = exact_gens(GenusOneKnot(m, n, sign))
     for k in range(1, 11):
@@ -870,19 +855,16 @@ def float_word_distances(knot, mw, max_syllables):
 def test_float_margins_agree_with_the_exact_images():
     # m, n <= 4 at K = 5: every word the float oracle puts more than 1e-3
     # from +-I at every root is nontrivial mod l at the scan's pair
-    for m in range(1, 5):
-        for n in range(1, 5):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                mw = long_meridian_words(knot)
-                rep = sl2_oracle.modular_rep(sl2_oracle.riley_polynomials(knot.fraction))
-                distances = float_word_distances(knot, mw, 5)
-                assert len(distances) == 2 * (3 ** 5 - 1)
-                for word, dist in distances.items():
-                    if dist > 1e-3:
-                        image = sl2_oracle.modular_image(syllable_word(mw, word), rep)
-                        assert not is_pm_identity(image), (knot, word)
-                assert scan(knot, 5, mw).clean
+    for knot in knots(4):
+        mw = long_meridian_words(knot)
+        rep = sl2_oracle.modular_rep(sl2_oracle.riley_polynomials(knot.fraction))
+        distances = float_word_distances(knot, mw, 5)
+        assert len(distances) == 2 * (3 ** 5 - 1)
+        for word, dist in distances.items():
+            if dist > 1e-3:
+                image = sl2_oracle.modular_image(syllable_word(mw, word), rep)
+                assert not is_pm_identity(image), (knot, word)
+        assert scan(knot, 5, mw).clean
 
 
 def test_words_at_identity_under_the_cut_pair_are_hits(monkeypatch):
@@ -911,18 +893,15 @@ def test_first_pair_proves_every_word_on_the_8x8_grid():
     # every knot with m, n <= 8 at K = 6: no class is a hit, and the word
     # walk under the same pair finds no word at +-I; at K = 12 the search
     # finds no class at +-I either
-    for m in range(1, 9):
-        for n in range(1, 9):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                mw = long_meridian_words(knot)
-                report = scan(knot, 6, mw)
-                assert report.words_checked == 2 * (3 ** 6 - 1)
-                assert report.hits == [], (m, n, sign)
-                (rep,) = report.roots
-                gens = freeness._images(mw, rep)
-                assert word_walk(gens, rep.modulus, 6) == (report.words_checked, []), (m, n, sign)
-                assert freeness._pm_identity_classes(gens, rep.modulus, 12)[1] == [], (m, n, sign)
+    for knot in knots(8):
+        mw = long_meridian_words(knot)
+        report = scan(knot, 6, mw)
+        assert report.words_checked == 2 * (3 ** 6 - 1)
+        assert report.hits == [], knot
+        (rep,) = report.roots
+        gens = freeness._images(mw, rep)
+        assert word_walk(gens, rep.modulus, 6) == (report.words_checked, []), knot
+        assert freeness._pm_identity_classes(gens, rep.modulus, 12)[1] == [], knot
 
 
 def test_words_at_identity_under_every_pair_are_hits():

@@ -29,25 +29,28 @@ import random
 import sys
 
 from bridgeforge import cli
-from bridgeforge.presentation import relator
-from bridgeforge.slope import GenusOneKnot
 from bridgeforge.words import inverse, word_str
+
+from grids import knots, relator
 
 DIGEST = "8e0b5d0820ea37fb5bfbf65eeb8e1789c0b2b9c057950002f6af15454057b2db"
 WORD_DIGEST = "194408a1f9ea168c57a712b4bcb3525835cf6546a94b83456dbd285c6633038d"
 
 
+def knot_flags(knot):
+    m, n, sign = knot
+    return ["--m", str(m), "--n", str(n), "--sign", "+" if sign > 0 else "-"]
+
+
 def battery_argvs(size=6):
-    for m in range(1, size + 1):
-        for n in range(1, size + 1):
-            for sign in (1, -1):
-                knot = ["--m", str(m), "--n", str(n), "--sign", "+" if sign > 0 else "-"]
-                yield ["relator", "--p", str(4 * m * n + sign), "--q", str(2 * n)]
-                yield ["meridians", *knot]
-                yield ["pieces", *knot]
-                yield ["freeness", *knot, "--t", "2"]
-                if sign < 0 and m == n >= 2:
-                    yield ["orbifold", "--m", str(m)]
+    for knot in knots(size):
+        flags = knot_flags(knot)
+        yield ["relator", "--p", str(knot.p), "--q", str(knot.q)]
+        yield ["meridians", *flags]
+        yield ["pieces", *flags]
+        yield ["freeness", *flags, "--t", "2"]
+        if knot.sign < 0 and knot.m == knot.n >= 2:
+            yield ["orbifold", "--m", str(knot.m)]
 
 
 def json_digest() -> str:
@@ -64,19 +67,15 @@ def json_digest() -> str:
 
 def word_argvs(size=6):
     rng = random.Random(30)
-    for m in range(1, size + 1):
-        for n in range(1, size + 1):
-            for sign in (1, -1):
-                knot = ["--m", str(m), "--n", str(n), "--sign", "+" if sign > 0 else "-"]
-                u = relator(GenusOneKnot(m, n, sign).fraction).u
-                words = ["aa", "aA", "abab", word_str(u), word_str(u) + "a", word_str(u) * 2,
-                         "", "abx"]
-                for row in (u * 2, inverse(u) * 2):
-                    for _ in range(6):
-                        s = rng.randrange(len(u))
-                        words.append(word_str(row[s:s + rng.randint(1, len(u))]))
-                for word in words:
-                    yield ["pieces", *knot, "--word", word]
+    for knot in knots(size):
+        u = relator(knot.fraction).u
+        words = ["aa", "aA", "abab", word_str(u), word_str(u) + "a", word_str(u) * 2, "", "abx"]
+        for row in (u * 2, inverse(u) * 2):
+            for _ in range(6):
+                s = rng.randrange(len(u))
+                words.append(word_str(row[s:s + rng.randint(1, len(u))]))
+        for word in words:
+            yield ["pieces", *knot_flags(knot), "--word", word]
 
 
 def word_digest() -> str:

@@ -32,9 +32,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bridgeforge import _kernel
-from bridgeforge.presentation import relator
 from bridgeforge.slope import GenusOneKnot
 from bridgeforge.words import inverse, parse_word, rotations
+
+from grids import knots, relator
 
 
 def random_relator_like_words(count, rng):
@@ -277,15 +278,6 @@ def random_words_and_powers(count, rng):
         yield w, w * rng.randint(2, 3)
 
 
-def grid_piece_rows(size):
-    """The max_piece_table row of every knot of the size x size grid."""
-    for m in range(1, size + 1):
-        for n in range(1, size + 1):
-            for sign in (1, -1):
-                u = relator(GenusOneKnot(m, n, sign).fraction).u
-                yield _kernel.max_piece_table(list(u))
-
-
 def test_pure_against_brute_force():
     rng = random.Random(5)
     for w in random_relator_like_words(12, rng):
@@ -341,7 +333,8 @@ def test_reach_table_matches_quadratic_on_random_tables():
 def test_reach_table_matches_quadratic_on_grid_relators():
     # the 3-piece tables that three_piece reads, on the 8x8 grid; check_C
     # reads the same tables, and its test covers 10x10
-    for fwd in grid_piece_rows(8):
+    for knot in knots(8):
+        fwd = _kernel.max_piece_table(list(relator(knot.fraction).u))
         assert _kernel.reach_table(fwd, 3) == quadratic_reach_table(fwd, 3)
 
 
@@ -350,20 +343,19 @@ def test_reach_table_matches_quadratic_on_lowered_rows():
     # some of them to 0, and the entries before them lowered until the
     # row is suffix-closed
     rng = random.Random(8)
-    for fwd in grid_piece_rows(6):
+    for knot in knots(6):
+        fwd = _kernel.max_piece_table(list(relator(knot.fraction).u))
         for row in (fwd, inverse_row(fwd)):
             cut = suffix_closure([x if rng.random() < 0.9 else rng.randint(0, x) for x in row])
             assert _kernel.reach_table(cut, 4) == quadratic_reach_table(cut, 4)
 
 
 def test_max_piece_table_on_grid_relators():
-    for m in range(1, 7):
-        for n in range(1, 7):
-            for sign in (1, -1):
-                u = relator(GenusOneKnot(m, n, sign).fraction).u
-                expected = brute_max_piece(u)
-                got = _kernel.max_piece_table(list(u))
-                assert (got, inverse_row(got)) == (expected[0], expected[1])
+    for knot in knots(6):
+        u = relator(knot.fraction).u
+        expected = brute_max_piece(u)
+        got = _kernel.max_piece_table(list(u))
+        assert (got, inverse_row(got)) == (expected[0], expected[1])
 
 
 def test_max_piece_table_on_random_words():
@@ -390,7 +382,8 @@ def test_max_piece_rows_are_suffix_closed():
     # of u and the one of u^-1 it implies, satisfies the contract of
     # reach_table: the 12x12 grid, and the random words and proper powers
     # above
-    rows = [row for fwd in grid_piece_rows(12) for row in (fwd, inverse_row(fwd))]
+    fwds = [_kernel.max_piece_table(list(relator(knot.fraction).u)) for knot in knots(12)]
+    rows = [row for fwd in fwds for row in (fwd, inverse_row(fwd))]
     for pair in random_words_and_powers(400, random.Random(9)):
         for w in pair:
             fwd = _kernel.max_piece_table(list(w))
@@ -478,7 +471,8 @@ def test_span_walk_matches_frontier_on_grid_rows():
     # lowered rows
     rng = random.Random(10)
     dead = 0
-    for fwd in grid_piece_rows(8):
+    for knot in knots(8):
+        fwd = _kernel.max_piece_table(list(relator(knot.fraction).u))
         for row in (fwd, inverse_row(fwd)):
             cut = suffix_closure([x if rng.random() < 0.9 else rng.randint(0, x) for x in row])
             n = len(row)
@@ -494,8 +488,7 @@ def test_span_walk_matches_frontier_on_grid_rows():
 def test_find_oracle_matches_brute_force():
     # the two oracles agree on the 6x6 grid and on the random words and
     # proper powers, where every entry is n
-    words = [relator(GenusOneKnot(m, n, sign).fraction).u
-             for m in range(1, 7) for n in range(1, 7) for sign in (1, -1)]
+    words = [relator(knot.fraction).u for knot in knots(6)]
     for pair in random_words_and_powers(400, random.Random(9)):
         words.extend(pair)
     for w in words:
@@ -506,14 +499,12 @@ def test_packed_table_matches_byte_keys_and_brute_force_on_grid():
     # the definition-level oracle stands for brute_max_piece here: the
     # grid's pieces run to hundreds of letters, where extending each
     # prefix one letter at a time against every rotation takes 30 s
-    for m in range(1, 13):
-        for n in range(1, 13):
-            for sign in (1, -1):
-                u = list(relator(GenusOneKnot(m, n, sign).fraction).u)
-                got = _kernel.max_piece_table(u)
-                fwd, bwd = find_max_piece(u)
-                assert got == bytes_max_piece_table(u) == fwd, (m, n, sign)
-                assert inverse_row(got) == bwd, (m, n, sign)
+    for knot in knots(12):
+        u = list(relator(knot.fraction).u)
+        got = _kernel.max_piece_table(u)
+        fwd, bwd = find_max_piece(u)
+        assert got == bytes_max_piece_table(u) == fwd, knot
+        assert inverse_row(got) == bwd, knot
 
 
 def test_packed_table_matches_byte_keys_and_brute_force_on_random_words():
@@ -547,8 +538,7 @@ def test_translated_digits_match_the_dict_join():
     # the 12x12 grid (as tuples, as SymmetrizedSet passes them, and as
     # lists), the random words and proper powers, and words with letters
     # outside the alphabet, each raising ValueError for its first one
-    words = [relator(GenusOneKnot(m, n, sign).fraction).u
-             for m in range(1, 13) for n in range(1, 13) for sign in (1, -1)]
+    words = [relator(knot.fraction).u for knot in knots(12)]
     words += [list(w) for w in words[:24]]
     for pair in random_words_and_powers(400, random.Random(19)):
         words.extend(pair)

@@ -26,6 +26,8 @@ from bridgeforge.words import (
     word_str,
 )
 
+from grids import knots
+
 
 def test_c_word_examples():
     assert word_str(c_word(1, 1)) == "a"
@@ -86,13 +88,11 @@ def test_boundary_letters():
 
 
 def test_symmetry_and_shared_s_sequence():
-    for m in range(1, 7):
-        for n in range(1, 7):
-            for sign in (1, -1):
-                mw = long_meridian_words(GenusOneKnot(m, n, sign))
-                assert apply_f(mw.y_l) == mw.x_l
-                assert s_sequence(mw.w_x) == s_sequence(mw.w_y)
-                assert len(mw.x_l) == 2 * len(mw.w_x) + 1
+    for knot in knots(6):
+        mw = long_meridian_words(knot)
+        assert apply_f(mw.y_l) == mw.x_l
+        assert s_sequence(mw.w_x) == s_sequence(mw.w_y)
+        assert len(mw.x_l) == 2 * len(mw.w_x) + 1
 
 
 def test_power_cancellation():
@@ -105,11 +105,8 @@ def test_power_cancellation():
 
 
 def test_verify_meridian_forms_sweep():
-    for m in range(1, 9):
-        for n in range(1, 9):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                assert verify_meridian_forms(knot, long_meridian_words(knot))
+    for knot in knots(8):
+        assert verify_meridian_forms(knot, long_meridian_words(knot))
 
 
 def power_loop_verdict(knot, mw, k_max=8):
@@ -133,12 +130,9 @@ def power_loop_verdict(knot, mw, k_max=8):
 
 
 def test_unit_powers_match_the_power_loop_on_grid():
-    for m in range(1, 11):
-        for n in range(1, 11):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                mw = long_meridian_words(knot)
-                assert verify_meridian_forms(knot, mw) and power_loop_verdict(knot, mw)
+    for knot in knots(10):
+        mw = long_meridian_words(knot)
+        assert verify_meridian_forms(knot, mw) and power_loop_verdict(knot, mw)
 
 
 reduced_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8).map(

@@ -19,6 +19,8 @@ from bridgeforge.words import (
     word_str,
 )
 
+from grids import knots
+
 
 def oracle_epsilons(p, q):
     return tuple((-1) ** ((i * q) // p) for i in range(1, p))
@@ -186,13 +188,10 @@ def test_canonical_decomposition_examples():
 
 
 def test_decomposition_is_palindromic_and_sums_to_relator_length():
-    for m in range(1, 8):
-        for n in range(1, 8):
-            for sign in (1, -1):
-                k = GenusOneKnot(m, n, sign)
-                s1, s2 = canonical_decomposition(k)
-                assert s1 == s1[::-1] and s2 == s2[::-1]
-                assert 2 * (sum(s1) + sum(s2)) == 2 * k.p
+    for k in knots(7):
+        s1, s2 = canonical_decomposition(k)
+        assert s1 == s1[::-1] and s2 == s2[::-1]
+        assert 2 * (sum(s1) + sum(s2)) == 2 * k.p
 
 
 def test_cs_closed_form_examples():
@@ -203,21 +202,15 @@ def test_cs_closed_form_examples():
 
 
 def test_cs_closed_form_sweep():
-    for m in range(1, 11):
-        for n in range(1, 11):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                assert verify_cs_closed_form(knot, relator(knot.fraction))
+    for knot in knots(10):
+        assert verify_cs_closed_form(knot, relator(knot.fraction))
 
 
 def test_literal_closed_form_matches_the_rotation_oracle():
     # verify_cs_closed_form compares at the relator's own rotation; the
     # comparison modulo rotation is the oracle it replaced (12x12 grid)
-    for m in range(1, 13):
-        for n in range(1, 13):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                s1, s2 = canonical_decomposition(knot)
-                cs = cyclic_s_sequence(relator(knot.fraction).u)
-                assert cyclic_seq_eq(cs, s1 + s2 + s1 + s2)
-                assert verify_cs_closed_form(knot, relator(knot.fraction))
+    for knot in knots(12):
+        s1, s2 = canonical_decomposition(knot)
+        cs = cyclic_s_sequence(relator(knot.fraction).u)
+        assert cyclic_seq_eq(cs, s1 + s2 + s1 + s2)
+        assert verify_cs_closed_form(knot, relator(knot.fraction))

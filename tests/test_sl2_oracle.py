@@ -9,16 +9,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from bridgeforge import sl2_oracle
+from bridgeforge import presentation, sl2_oracle
 from bridgeforge.meridians import long_meridian_words
-from bridgeforge.presentation import relator
-from bridgeforge.sl2_oracle import (
-    even_slope_rep,
-    numeric_reps,
-    riley_polynomials,
-)
+from bridgeforge.sl2_oracle import even_slope_rep, numeric_reps
 from bridgeforge.slope import Frac, GenusOneKnot
 from bridgeforge.words import parse_word
+
+from grids import aberth_iterates, even_fractions, relator, riley_polynomials
 
 
 def dist_pm_identity(mat) -> float:
@@ -169,15 +166,6 @@ def relator_entries(f):
     return (poly_add(img[0], (-1,)), img[1], img[2], poly_add(img[3], (-1,)))
 
 
-def even_slopes(p_max):
-    return [
-        Frac(q, p)
-        for p in range(3, p_max + 1, 2)
-        for q in range(2, p, 2)
-        if math.gcd(q, p) == 1
-    ]
-
-
 def reps_of(f, tol=1e-9):
     return numeric_reps(riley_polynomials(f), tol=tol)
 
@@ -210,8 +198,8 @@ def test_riley_data_small_slopes():
 def test_riley_data_carries_its_relator(monkeypatch):
     # built once by riley_polynomials, for the mirror slope it used; the
     # float roots and the exact pair read it instead of rebuilding it
-    data = riley_polynomials(Frac(9, 13))
-    assert data.relator == relator(Frac(4, 13)) == relator(data.fraction)
+    data = sl2_oracle.riley_polynomials(Frac(9, 13))
+    assert data.relator == presentation.relator(Frac(4, 13)) == presentation.relator(data.fraction)
 
     def rebuilt(f):
         raise AssertionError(f"relator of {f} rebuilt")
@@ -256,7 +244,7 @@ def test_roots_annihilate_defining_polynomial():
 
 def test_riley_entry_is_gcd_of_relator_entries():
     # Riley's one-entry polynomial against the gcd oracle, every slope p < 60
-    slopes = even_slopes(59)
+    slopes = even_fractions(59)
     assert len(slopes) == 364
     for f in slopes:
         data = riley_polynomials(f)
@@ -309,7 +297,7 @@ def test_half_word_value_matches_the_full_word_walk():
     # g and g' from half of uhat against the walk over all of it, at three
     # random points per slope, on every even slope with p < 200
     rng = random.Random(22)
-    slopes = even_slopes(199)
+    slopes = even_fractions(199)
     assert len(slopes) == 4075
     for f in slopes:
         u_hat = relator(f).u_hat
@@ -325,12 +313,56 @@ def test_half_word_identity_is_exact():
     # uhat = v swap(v)^-1 makes y^2 - w xi^2 the Riley polynomial in Z[w],
     # up to the sign riley_polynomials normalises, on every even slope
     # with p < 150
-    slopes = even_slopes(149)
+    slopes = even_fractions(149)
     assert len(slopes) == 2275
     for f in slopes:
         data = riley_polynomials(f)
         half = half_word_poly(data.relator.u_hat)
         assert half in (data.poly, tuple(-c for c in data.poly)), f
+
+
+def poly_exact_quotient(f, g):
+    """f / g in Z[w], or None when g does not divide f there."""
+    rem = [Fraction(c) for c in f]
+    quot = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(rem) >= len(g):
+        shift = len(rem) - len(g)
+        quot[shift] = factor = rem[-1] / g[-1]
+        for i, c in enumerate(g):
+            rem[shift + i] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    if rem or any(c.denominator != 1 for c in quot):
+        return None
+    return sl2_oracle._trim(int(c) for c in quot)
+
+
+def test_riley_polynomials_follow_a_chebyshev_recurrence_in_n():
+    # g_n, the Riley polynomial of (m, n, sign), with g_0 = sign: for each
+    # m <= 8, z_m = (g_2 + sign)/g_1 is a polynomial, the same for both
+    # signs, and g_n = z_m g_(n-1) - g_(n-2) for 3 <= n <= 16.  For m <= 4,
+    # z_m - 2 = w^2 c_m^2 with the c_m below
+    c = {1: (1,), 2: (2, 1), 3: (3, 4, 1), 4: (4, 10, 6, 1)}
+    checked = 0
+    for m in range(1, 9):
+        zs = set()
+        for sign in (1, -1):
+            g = [(sign,)] + [riley_polynomials(GenusOneKnot(m, n, sign).fraction).poly
+                             for n in range(1, 17)]
+            z = poly_exact_quotient(poly_add(g[2], (sign,)), g[1])
+            assert z is not None, (m, sign)
+            zs.add(z)
+            for n in range(3, 17):
+                assert g[n] == poly_add(poly_mul(z, g[n - 1]), tuple(-x for x in g[n - 2])), (m, n, sign)
+                checked += 1
+        (z,) = zs
+        if m in c:
+            assert poly_add(z, (-2,)) == poly_mul(poly_mul(_W, _W), poly_mul(c[m], c[m])), m
+    assert checked == 224
+    # the quotient is exact or None
+    assert poly_exact_quotient((-1, 0, 1), (1, 1)) == (-1, 1)
+    assert poly_exact_quotient((1, 0, 1), (1, 1)) is None
+    assert poly_exact_quotient((1, 2), (2,)) is None
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,7 +375,7 @@ def _mpmath_roots(poly):
 
 
 @pytest.mark.parametrize(
-    "f", even_slopes(25) + [Frac(16, 65), Frac(34, 67)], ids=str
+    "f", even_fractions(25) + [Frac(16, 65), Frac(34, 67)], ids=str
 )
 def test_roots_match_mpmath_reference(f):
     reference = [complex(z) for z in _mpmath_roots(riley_polynomials(f).poly)]
@@ -362,7 +394,7 @@ def test_roots_match_mpmath_reference(f):
 
 
 @pytest.mark.parametrize(
-    "f", even_slopes(31) + [Frac(16, 65), Frac(34, 67)], ids=str
+    "f", even_fractions(31) + [Frac(16, 65), Frac(34, 67)], ids=str
 )
 def test_spread_is_the_roots_mean_square_deviation(f):
     # Newton's identities: the exact S is the mean of (w - mu)^2 over the
@@ -565,13 +597,12 @@ def test_fold_matches_the_pairing_rule(monkeypatch):
     # on the same iterates, every even slope with p <= 61, 80/269 and
     # 24/577, where the iteration once lost a conjugate, and 32/1025, where
     # it still loses one: the iterate stuck where the float walk overflows
-    found = sl2_oracle._all_roots
     iterates = []
     monkeypatch.setattr(sl2_oracle, "_all_roots", lambda u_hat, poly: list(iterates))
     lost = 0
-    for f in even_slopes(61) + [Frac(80, 269), Frac(24, 577), Frac(32, 1025)]:
+    for f in even_fractions(61) + [Frac(80, 269), Frac(24, 577), Frac(32, 1025)]:
         data = riley_polynomials(f)
-        iterates[:] = found(data.relator.u_hat, data.poly)
+        iterates[:] = aberth_iterates(f)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reps = numeric_reps(data)
@@ -602,7 +633,7 @@ def test_residual_matches_the_generic_product_bit_for_bit():
     # the column operations give the generic product's residual exactly,
     # on every kept root and every finite dropped one
     checked = 0
-    for f in even_slopes(41) + [Frac(80, 269), Frac(204, 239)]:
+    for f in even_fractions(41) + [Frac(80, 269), Frac(204, 239)]:
         u = riley_polynomials(f).relator.u
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -687,7 +718,7 @@ def test_root_mod_matches_brute_force():
     # every odd prime below 200 that spares the leading coefficient: the
     # search finds a simple root exactly when brute force over F_l does,
     # and it lifts the least one
-    for f in even_slopes(21):
+    for f in even_fractions(21):
         poly = riley_polynomials(f).poly
         dpoly = poly_derivative(poly)
         for prime in range(3, 200, 2):
@@ -706,7 +737,7 @@ def test_root_mod_matches_brute_force():
 
 
 def test_modular_rep_is_a_root_with_the_relator_at_identity():
-    for f in even_slopes(31) + [Frac(16, 63), Frac(8, 127)]:
+    for f in even_fractions(31) + [Frac(16, 63), Frac(8, 127)]:
         data = riley_polynomials(f)
         rep = sl2_oracle.modular_rep(data)
         prime, modulus = rep.prime, rep.modulus
@@ -793,36 +824,49 @@ def test_numeric_reps_restores_a_lost_conjugate(monkeypatch):
     assert cmath.isnan(dropped) and math.isnan(nan_residual)
 
 
-def keeps_every_root(f):
+def reps_at_found_iterates(monkeypatch, f):
+    """reps_of(f), its Aberth iterates read from aberth_iterates, which
+    test_fold_matches_the_pairing_rule computes too."""
+    data = riley_polynomials(f)
+
+    def found(u_hat, poly):
+        assert u_hat is data.relator.u_hat and poly is data.poly
+        return list(aberth_iterates(f))
+
+    monkeypatch.setattr(sl2_oracle, "_all_roots", found)
+    return reps_of(f)
+
+
+def keeps_every_root(monkeypatch, f):
     """numeric_reps of f with no warning: all (p - 1)/2 roots kept, none
     dropped, and each conjugate pair with one residual."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        reps = reps_of(f)
+        reps = reps_at_found_iterates(monkeypatch, f)
     assert len(reps) == (f.den - 1) // 2 and reps.dropped == []
     by_omega = {rep.omega: rep for rep in reps}
     assert all(by_omega[rep.omega.conjugate()].residual == rep.residual for rep in reps)
 
 
-def test_numeric_reps_keeps_every_root_at_80_269():
+def test_numeric_reps_keeps_every_root_at_80_269(monkeypatch):
     # started on a circle, the iteration left one iterate stuck where the
     # float walk overflows (residual nan) and reached one root only as the
     # conjugate of a kept one
-    keeps_every_root(Frac(80, 269))
+    keeps_every_root(monkeypatch, Frac(80, 269))
 
 
-def test_numeric_reps_keeps_every_root_at_24_577():
+def test_numeric_reps_keeps_every_root_at_24_577(monkeypatch):
     # started on a circle, two iterates were stuck where the float walk
     # overflows; the roots lie near [-4, 0] with |Im| <= 0.19
-    keeps_every_root(Frac(24, 577))
+    keeps_every_root(monkeypatch, Frac(24, 577))
 
 
-def test_numeric_reps_keeps_every_root_at_32_1025():
+def test_numeric_reps_keeps_every_root_at_32_1025(monkeypatch):
     # 512 roots: the sweep cap grows with the degree (a fixed 200 sweeps
     # kept 380); one iterate still fails, where the float walk overflows,
     # and its root comes back as the conjugate of a kept one
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reps = reps_of(Frac(32, 1025))
+        reps = reps_at_found_iterates(monkeypatch, Frac(32, 1025))
     assert len(reps) == 512
     assert all(rep.residual <= 1e-9 for rep in reps)

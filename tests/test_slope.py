@@ -10,6 +10,8 @@ from bridgeforge.slope import (
     r_prime,
 )
 
+from grids import knots
+
 
 class DegenerateValueError(ZeroDivisionError):
     """A continued fraction hit a zero denominator during evaluation."""
@@ -103,20 +105,14 @@ def test_genus_one_fraction():
 
 
 def test_genus_one_fraction_matches_cf_value():
-    for m in range(1, 13):
-        for n in range(1, 13):
-            for sign in (1, -1):
-                k = GenusOneKnot(m, n, sign)
-                assert k.fraction == cf_value(continued_fraction(k))
-                assert 0 < k.q < k.p
+    for k in knots(12):
+        assert k.fraction == cf_value(continued_fraction(k))
+        assert 0 < k.q < k.p
 
 
 def test_from_fraction_round_trip():
-    for m in range(1, 9):
-        for n in range(1, 9):
-            for sign in (1, -1):
-                k = GenusOneKnot(m, n, sign)
-                assert GenusOneKnot.from_fraction(k.fraction) == k
+    for k in knots(8):
+        assert GenusOneKnot.from_fraction(k.fraction) == k
     with pytest.raises(ValueError):
         GenusOneKnot.from_fraction(Frac(1, 3))
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 
 from bridgeforge import _kernel, smallcancel
-from bridgeforge.presentation import canonical_decomposition, relator
+from bridgeforge.presentation import canonical_decomposition
 from bridgeforge.slope import Frac, GenusOneKnot
 from bridgeforge.smallcancel import (
     UNREPRESENTABLE,
@@ -22,6 +22,7 @@ from bridgeforge.smallcancel import (
 )
 from bridgeforge.words import cyclic_s_sequence, inverse, parse_word, rotations, s_sequence
 
+from grids import knots, relator, symmetrized_sets
 from test_kernel_parity import (
     frontier_min_span,
     inverse_row,
@@ -106,14 +107,6 @@ def letter_shapes_are_pieces(R, pats):
                 if tuple(runs) in pats and piece_len[s] < L:
                     return False
     return True
-
-
-def grid_sets(size):
-    for m in range(1, size + 1):
-        for n in range(1, size + 1):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                yield knot, SymmetrizedSet(relator(knot.fraction).u)
 
 
 def lowered(R, rng, rate):
@@ -305,7 +298,7 @@ def test_piece_checks_match_oracles_on_grid():
     # on every knot of the 10x10 grid C(4) holds, C(5) fails and the
     # listed shapes are pieces, by check_C and shapes_are_pieces and by
     # their oracles
-    for knot, R in grid_sets(10):
+    for knot, R in symmetrized_sets(10):
         assert check_C(R, 4) is span_check_C(R, 4) is True, knot
         assert check_C(R, 5) is span_check_C(R, 5) is False, knot
         pats = _piece_patterns(knot)
@@ -315,7 +308,7 @@ def test_piece_checks_match_oracles_on_grid():
 def test_check_C_matches_span_oracle_on_lowered_rows():
     rng = random.Random(10)
     verdicts = set()
-    for knot, R in grid_sets(6):
+    for knot, R in symmetrized_sets(6):
         lowered(R, rng, 0.05)
         for p in (2, 3, 4, 5):
             verdict = check_C(R, p)
@@ -338,7 +331,7 @@ def test_check_C_rows_agree_element_by_element():
     # inverse has on R's row, and both rows give the verdict of check_C
     # and of span_check_C for p = 2..6
     rng = random.Random(13)
-    sets = [R for _, R in grid_sets(6)]
+    sets = [R for _, R in symmetrized_sets(6)]
     sets += [SymmetrizedSet(u) for u in random_relator_like_words(300, rng)]
     verdicts = set()
     for R in sets:
@@ -414,7 +407,7 @@ def test_verify_piece_prop_examples():
 def test_shapes_match_letter_scan_on_lowered_rows():
     rng = random.Random(11)
     verdicts = set()
-    for knot, R in grid_sets(6):
+    for knot, R in symmetrized_sets(6):
         pats = _piece_patterns(knot)
         lowered(R, rng, 0.2)
         verdict = shapes_are_pieces(R, pats)
@@ -452,7 +445,7 @@ def test_shapes_match_letter_scan_across_longest_shape():
     # offsets that the trie walk must decide
     rng = random.Random(14)
     verdicts = set()
-    for knot, R in grid_sets(6):
+    for knot, R in symmetrized_sets(6):
         pats = _piece_patterns(knot)
         longest = max(map(sum, pats))
         row = [min(x, longest + rng.randint(-2, 2)) if rng.random() < 0.3 else x for x in R.piece_len]
@@ -475,7 +468,7 @@ def test_shapes_reach_the_inverse_rotations_by_reversal():
     # shape (1, 2) still is.  Only the reversed shape on u's row sees it
     pats = {(1, 2)}
     found = 0
-    for _, R in grid_sets(4):
+    for _, R in symmetrized_sets(4):
         n, uu, real = R.n, R.word * 2, R.piece_len
         for t in range(n):
             if s_sequence(uu[t:t + 3]) != (2, 1) or real[t] < 3:
@@ -507,12 +500,9 @@ def test_count_cyclic_pattern_matches_the_term_loop():
     rng = random.Random(42)
     counts = set()
     cases = []
-    for m in range(1, 13):
-        for n in range(1, 13):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                runs = relator(knot.fraction).runs
-                cases += [(runs, part) for part in canonical_decomposition(knot)]
+    for knot in knots(12):
+        runs = relator(knot.fraction).runs
+        cases += [(runs, part) for part in canonical_decomposition(knot)]
     for _ in range(3000):
         cs = tuple(rng.choice([1, 2, 3, 300, 0x10FFFF]) for _ in range(rng.randint(0, 9)))
         length = rng.randint(0, len(cs) + 1)
@@ -633,26 +623,21 @@ def perturbed_shapes(s1, s2):
     )
 
 
-def test_shape_windows_match_run_start_scan_on_grid(monkeypatch):
+def test_shape_windows_match_run_start_scan_on_grid():
     # the runs of one period, four times, give the windows of the letter
-    # scan for every shape of the 24x24 grid, and with the letter scan in
-    # its place verify_three_piece_property gives the same verdicts
+    # scan for every shape of the 24x24 grid.  verify_three_piece_property
+    # reads only the windows of the true shapes, the first of
+    # perturbed_shapes, so with the letter scan in place of _shape_windows
+    # it gives the verdicts it gives here
     verdicts = set()
-    for m in range(1, 25):
-        for n in range(1, 25):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                rel = relator(knot.fraction)
-                true_shape = canonical_decomposition(knot)
-                for s1, s2 in perturbed_shapes(*true_shape):
-                    got = smallcancel._shape_windows(rel.runs, s1 + s2, s2 + s1)
-                    assert got == run_start_windows(rel.u, s1 + s2, s2 + s1), (knot, s1, s2)
-                    assert got or (s1, s2) != true_shape  # the true shapes occur
-                verdict = verify_three_piece_property(knot, rel)
-                with monkeypatch.context() as patch:
-                    patch.setattr(smallcancel, "_shape_windows", letter_scan_of(rel))
-                    assert verify_three_piece_property(knot, rel) == verdict, knot
-                verdicts.add(verdict)
+    for knot in knots(24):
+        rel = relator(knot.fraction)
+        true_shape = canonical_decomposition(knot)
+        for s1, s2 in perturbed_shapes(*true_shape):
+            got = smallcancel._shape_windows(rel.runs, s1 + s2, s2 + s1)
+            assert got == run_start_windows(rel.u, s1 + s2, s2 + s1), (knot, s1, s2)
+            assert got or (s1, s2) != true_shape  # the true shapes occur
+        verdicts.add(verify_three_piece_property(knot, rel))
     assert verdicts == {True}
 
 
@@ -663,22 +648,19 @@ def test_three_piece_matches_run_walk_on_perturbed_shapes(monkeypatch):
     # allow because no relator run is longer than the first and last
     # runs of S1
     verdicts = []
-    for m in range(1, 9):
-        for n in range(1, 9):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                rel = relator(knot.fraction)
-                s1, s2 = canonical_decomposition(knot)
-                assert max(cyclic_s_sequence(rel.u)) == s1[0] == s1[-1]
-                for shape in perturbed_shapes(s1, s2):
-                    monkeypatch.setattr(smallcancel, "canonical_decomposition",
-                                        lambda _knot, shape=shape: shape)
-                    verdict = verify_three_piece_property(knot, rel)
-                    assert verdict == walk_three_piece(knot, *shape), (knot, shape)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(smallcancel, "_shape_windows", letter_scan_of(rel))
-                        assert verify_three_piece_property(knot, rel) == verdict, (knot, shape)
-                    verdicts.append(verdict)
+    for knot in knots(8):
+        rel = relator(knot.fraction)
+        s1, s2 = canonical_decomposition(knot)
+        assert max(cyclic_s_sequence(rel.u)) == s1[0] == s1[-1]
+        for shape in perturbed_shapes(s1, s2):
+            monkeypatch.setattr(smallcancel, "canonical_decomposition",
+                                lambda _knot, shape=shape: shape)
+            verdict = verify_three_piece_property(knot, rel)
+            assert verdict == walk_three_piece(knot, *shape), (knot, shape)
+            with monkeypatch.context() as patch:
+                patch.setattr(smallcancel, "_shape_windows", letter_scan_of(rel))
+                assert verify_three_piece_property(knot, rel) == verdict, (knot, shape)
+            verdicts.append(verdict)
     assert len(verdicts) == 640 and True in verdicts and False in verdicts
 
 
@@ -713,13 +695,10 @@ def test_three_piece_against_brute_force():
 
 
 def test_battery_sweep_small():
-    for m in range(1, 3):
-        for n in range(1, 3):
-            for sign in (1, -1):
-                knot = GenusOneKnot(m, n, sign)
-                rel = relator(knot.fraction)
-                R = SymmetrizedSet(rel.u)
-                assert verify_piece_prop(knot, rel)
-                assert verify_three_piece_property(knot, rel)
-                assert check_C(R, 4)
-                assert check_T(R)
+    for knot in knots(2):
+        rel = relator(knot.fraction)
+        R = SymmetrizedSet(rel.u)
+        assert verify_piece_prop(knot, rel)
+        assert verify_three_piece_property(knot, rel)
+        assert check_C(R, 4)
+        assert check_T(R)
