@@ -199,12 +199,12 @@ def _cmd_freeness(args) -> int:
     if not 1 <= args.t <= MAX_T:
         raise ValueError(f"--t must be between 1 and {MAX_T}, got {args.t}")
     _check_scan_syllables(args.scan_syllables)
-    knot = _knot_from_args(args)
-    mw = meridians.long_meridian_words(knot)
+    ctx = CheckContext(_knot_from_args(args), args.scan_syllables)
+    knot = ctx.knot
     results = []
     all_ok = True
     for pattern in _sign_patterns(args.t):
-        ok = freeness.verify_alternating_cs(knot, pattern, mw)
+        ok = freeness.verify_alternating_cs(ctx.junction_verdicts, pattern)
         all_ok &= ok
         results.append({"pattern": [list(p) for p in pattern], "ok": ok})
     payload = {
@@ -216,11 +216,10 @@ def _cmd_freeness(args) -> int:
         "results": results,
     }
     if args.scan_syllables:
-        data = sl2_oracle.riley_polynomials(knot.fraction)
-        report = freeness.no_relation_scan(args.scan_syllables, mw, data)
+        report = ctx.scan_report
         (rep,) = report.roots
         # the float roots are margins only; the verdict rests on the exact scan
-        reps = sl2_oracle.numeric_reps(data)
+        reps = sl2_oracle.numeric_reps(ctx.riley)
         max_residual = max((r.residual for r in reps), default=None)
         payload["scan"] = {
             "max_syllables": report.max_syllables,
@@ -359,9 +358,9 @@ def _cmd_epi(args) -> int:
 
 class CheckContext:
     """What a check reads: the knot, the matrix-scan depth (0 for no scan)
-    and, each built on first use and then shared by the checks that run
-    on this context, the knot's relator, its symmetrized set and its long
-    meridian words."""
+    and, each built on first use and then shared by all that read it, the
+    knot's relator, symmetrized set, long meridian words, the verdicts of
+    their eight junction blocks, Riley polynomial and matrix scan."""
 
     def __init__(self, knot: GenusOneKnot, scan_syllables: int = 0):
         self.knot = knot
@@ -378,6 +377,18 @@ class CheckContext:
     @functools.cached_property
     def meridian_words(self) -> meridians.MeridianWords:
         return meridians.long_meridian_words(self.knot)
+
+    @functools.cached_property
+    def junction_verdicts(self) -> dict:
+        return freeness.junction_verdicts(self.knot, self.meridian_words)
+
+    @functools.cached_property
+    def riley(self) -> sl2_oracle.RileyData:
+        return sl2_oracle.riley_polynomials(self.knot.fraction)
+
+    @functools.cached_property
+    def scan_report(self) -> freeness.ScanReport:
+        return freeness.no_relation_scan(self.scan_syllables, self.meridian_words, self.riley)
 
 
 class Check(NamedTuple):
@@ -406,18 +417,11 @@ CHECKS = (
     # end, so the knot's eight blocks settle every pattern of every t
     Check(
         "alternating_cs",
-        lambda ctx: all(
-            block == freeness.closed_form_block(ctx.knot, 1 if f > 0 else -1)
-            for (_, f), block in ctx.meridian_words.junction_blocks.items()
-        ),
+        lambda ctx: all(c for c, _ in ctx.junction_verdicts.values()),
         # the torus knot [2,-2] has no closed form
         applies=lambda knot: knot.is_hyperbolic,
     ),
-    Check(
-        "alternating_bounds",
-        lambda ctx: all(freeness.forbidden_terms_ok(ctx.knot, block)
-                        for block in ctx.meridian_words.junction_blocks.values()),
-    ),
+    Check("alternating_bounds", lambda ctx: all(b for _, b in ctx.junction_verdicts.values())),
     Check(
         "dihedral_orders",
         # proper subgroups of orders 2m + 1 and 2m - 1
@@ -426,12 +430,7 @@ CHECKS = (
         # the slope 2m/(4m^2 - 1) of the standard arcs is that of [2m,-2m]
         applies=lambda knot: knot.sign == -1 and knot.m == knot.n >= 2,
     ),
-    Check(
-        "matrix_scan",
-        lambda ctx: freeness.no_relation_scan(
-            ctx.scan_syllables, ctx.meridian_words, sl2_oracle.riley_polynomials(ctx.knot.fraction),
-        ).clean,
-    ),
+    Check("matrix_scan", lambda ctx: ctx.scan_report.clean),
 )
 
 _PIECE_CHECKS = ("piece_prop", "three_piece", "C4", "T4")

@@ -14,8 +14,9 @@ by Burnside's lemma, never walked.
 
 The checks never build the word: its cyclic S-sequence is the pattern's
 junction blocks laid end to end (MeridianWords.junction_blocks), and
-each block has its own closed form (closed_form_block), so the eight
-blocks of a knot settle every pattern of every length t at once.
+each block has its own closed form (closed_form_block), so the verdicts
+on a knot's eight blocks (junction_verdicts) settle every pattern of
+every length t at once: a pattern passes when each of its junctions does.
 alternating_relation_word builds the whole word letter by letter and is
 the reference the blocks are tested against.
 """
@@ -131,25 +132,23 @@ def forbidden_terms_ok(knot: GenusOneKnot, cs) -> bool:
     return {2, 3, 4}.issuperset(cs)
 
 
-def verify_alternating_cs(knot: GenusOneKnot, sign_pairs, mw: MeridianWords) -> bool:
-    """The sign-pattern word's cyclic S-sequence vs its closed form,
-    literally, plus forbidden terms, block by block: each of the
-    pattern's 2t junction blocks (mw.junction_blocks, the cyclic junction
-    first) against closed_form_block of the factor it leads into.
+def junction_verdicts(knot: GenusOneKnot, mw: MeridianWords) -> dict:
+    """(closed_ok, bounds_ok) of each of the eight junction blocks of mw:
+    the block into a factor of exponent e is closed_form_block(knot, e),
+    closed[e > 0], and passes forbidden_terms_ok; closed_ok holds
+    vacuously on the (1, 1, -) slope, which has no closed form."""
+    closed = [closed_form_block(knot, e) for e in (-1, 1)] if knot.is_hyperbolic else None
+    return {(g, f): (not closed or block == closed[f > 0], forbidden_terms_ok(knot, block))
+            for (g, f), block in mw.junction_blocks.items()}
 
-    For the (1, 1, -) slope only the membership bound {2, 3, 4} applies.
-    """
+
+def verify_alternating_cs(verdicts: dict, sign_pairs) -> bool:
+    """The sign-pattern word's cyclic S-sequence vs its closed form,
+    literally, plus forbidden terms: each of the pattern's 2t junctions,
+    the cyclic one first, passes both in verdicts, its junction_verdicts."""
     signs = _checked_signs(sign_pairs)
-    blocks = mw.junction_blocks
-    factors = [(g * e, e) for ex, ey in signs for g, e in ((1, ex), (2, ey))]
-    closed = {e: closed_form_block(knot, e) for e in (1, -1)} if knot.is_hyperbolic else None
-    prev = factors[-1][0]
-    for f, e in factors:
-        block = blocks[prev, f]
-        if closed and block != closed[e] or not forbidden_terms_ok(knot, block):
-            return False
-        prev = f
-    return True
+    factors = [g * e for ex, ey in signs for g, e in ((1, ex), (2, ey))]
+    return all(all(verdicts[g, f]) for g, f in zip(factors[-1:] + factors[:-1], factors))
 
 
 class ScanReport(NamedTuple):

@@ -1069,14 +1069,92 @@ def test_verify_all_builds_the_junction_blocks_once(capsys, monkeypatch):
 
 
 def test_verify_all_builds_each_closed_form_once(capsys, monkeypatch):
-    # only alternating_cs compares with the closed forms, one block's
-    # closed form per junction block, and only on the hyperbolic knots;
-    # alternating_bounds tests the forbidden terms
+    # the junction verdicts build the two closed forms of a hyperbolic
+    # knot once, and alternating_cs and alternating_bounds read them
     calls = _count_calls(monkeypatch, cli.freeness, "closed_form_block")
     code, payload = run_json(capsys, "verify-all", "--m-max", "2", "--n-max", "2")
     assert code == cli.EXIT_PASS and len(payload["reports"]) == 8
     assert sorted(calls, key=repr) == sorted((
-        (knot, e) for knot in knots(2) if knot.is_hyperbolic for e in (1, -1) for _ in range(4)), key=repr)
+        (knot, e) for knot in knots(2) if knot.is_hyperbolic for e in (1, -1)), key=repr)
+
+
+@pytest.mark.parametrize("t", [2, 4])
+def test_freeness_builds_each_closed_form_once(capsys, monkeypatch, t):
+    # every sign pattern reads the one table of junction verdicts
+    calls = _count_calls(monkeypatch, cli.freeness, "closed_form_block")
+    code, payload = run_json(capsys, "freeness", "--m", "2", "--n", "3", "--sign", "-", "--t", str(t))
+    assert code == cli.EXIT_PASS and payload["patterns_checked"] == sum(4 ** k for k in range(1, t + 1))
+    knot = cli.GenusOneKnot(2, 3, -1)
+    assert sorted(calls) == [(knot, -1), (knot, 1)]
+
+
+def _longer_closed_form(monkeypatch):
+    """A wrong closed form: one more 2m-block in every block into x_l^-1
+    or y_l^-1."""
+    real = cli.freeness.closed_form_block
+    monkeypatch.setattr(cli.freeness, "closed_form_block",
+                        lambda knot, e: real(knot, e) + (2 * knot.m,) * (e == -1))
+
+
+def _stricter_bound(monkeypatch):
+    """A wrong forbidden-term fact: no term above 3, which fails every
+    block that holds a 4."""
+    real = cli.freeness.forbidden_terms_ok
+    monkeypatch.setattr(cli.freeness, "forbidden_terms_ok",
+                        lambda knot, cs: real(knot, cs) and max(cs) <= 3)
+
+
+def block_verdicts(knot):
+    """(closed form, bounds) of each junction block of knot, judged block
+    by block with the freeness rules as they stand."""
+    blocks = meridians.long_meridian_words(knot).junction_blocks
+    return [(knot.is_hyperbolic and block == cli.freeness.closed_form_block(knot, 1 if f > 0 else -1),
+             cli.freeness.forbidden_terms_ok(knot, block)) for (_, f), block in blocks.items()]
+
+
+def test_freeness_fails_every_pattern_a_wrong_closed_form_touches(capsys, monkeypatch):
+    # each pattern with a factor x_l^-1 or y_l^-1 leads into a wrong
+    # block, so only the two patterns of factors x_l and y_l pass
+    _longer_closed_form(monkeypatch)
+    code, payload = run_json(capsys, "freeness", "--m", "2", "--n", "2", "--sign", "+", "--t", "2")
+    assert code == cli.EXIT_FAIL and payload["all_ok"] is False
+    assert payload["patterns_checked"] == 20
+    assert [r["pattern"] for r in payload["results"] if r["ok"]] == [[[1, 1]], [[1, 1], [1, 1]]]
+
+
+@pytest.mark.parametrize("mutate,code", [(_longer_closed_form, cli.EXIT_PASS),
+                                         (_stricter_bound, cli.EXIT_FAIL)], ids=["closed", "bound"])
+def test_torus_knot_patterns_read_the_bounds_alone(capsys, monkeypatch, mutate, code):
+    # (1, 1, -) has no closed form, so only a wrong bound fails its patterns
+    mutate(monkeypatch)
+    got, payload = run_json(capsys, "freeness", "--m", "1", "--n", "1", "--sign", "-", "--t", "2")
+    assert got == code and payload["all_ok"] is (code == cli.EXIT_PASS)
+
+
+@pytest.mark.parametrize("mutate,row,moves", [
+    # a wrong closed form moves every hyperbolic knot; a wrong bound the
+    # torus knot and the knots with m = 2, whose blocks hold 2m = 4
+    (_longer_closed_form, 0, lambda knot: knot.is_hyperbolic),
+    (_stricter_bound, 1, lambda knot: knot.m == 2 or not knot.is_hyperbolic),
+], ids=["closed", "bound"])
+def test_verify_all_fails_a_wrong_rule_where_it_moves_a_verdict(capsys, monkeypatch, mutate, row,
+                                                                 moves):
+    # the mutated row fails on exactly the knots where the wrong rule
+    # changes a block's verdict, and the other row passes everywhere
+    before = {knot: block_verdicts(knot) for knot in knots(2)}
+    mutate(monkeypatch)
+    code, payload = run_json(capsys, "verify-all", "--m-max", "2", "--n-max", "2")
+    assert code == cli.EXIT_FAIL
+    moved = []
+    for knot, report in zip(knots(2), payload["reports"]):
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        expected = ["pass" if knot.is_hyperbolic else "unsupported", "pass"]
+        if any(b[row] != a[row] for b, a in zip(before[knot], block_verdicts(knot))):
+            expected[row] = "fail"
+            moved.append(knot)
+        assert [status["alternating_cs"], status["alternating_bounds"]] == expected, knot
+    assert payload["failures"] == len(moved)
+    assert moved == list(filter(moves, knots(2)))
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

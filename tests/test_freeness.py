@@ -12,6 +12,7 @@ from bridgeforge.freeness import (
     UnsupportedCaseError,
     alternating_cs_closed_form,
     alternating_relation_word,
+    junction_verdicts,
     no_relation_scan,
     relation_word,
     verify_alternating_cs,
@@ -121,7 +122,7 @@ def test_closed_form_matches_computed_sweep():
             else:
                 closed = alternating_cs_closed_form(knot, pattern)
                 assert cyclic_seq_eq(cs, closed)
-            assert verify_alternating_cs(knot, pattern, mw)
+            assert verify_alternating_cs(junction_verdicts(knot, mw), pattern)
 
 
 def composed_cs(pattern, mw):
@@ -295,7 +296,7 @@ def test_runs_reject_bad_signs():
     mw = long_meridian_words(knot)
     for pattern in ([], [(1, 2)], [(0, 1)]):
         with pytest.raises(ValueError):
-            verify_alternating_cs(knot, pattern, mw)
+            verify_alternating_cs(junction_verdicts(knot, mw), pattern)
 
 
 def test_forbidden_terms_by_case():

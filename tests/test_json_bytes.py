@@ -20,6 +20,15 @@ was computed on the tree of commit 06ba6fc, before the symmetrized set
 kept one piece row, with
 
     PYTHONPATH=<checkout of 06ba6fc>/src python tests/test_json_bytes.py --word
+
+FREENESS_DIGEST pins freeness at the other lengths t the same way as
+DIGEST: freeness --t 1, 3 and 4 on every 4x4 knot and --t 6 on [6,-4],
+with each call's exit code and --json stdout.  --scan-syllables is left
+out, for the float roots of its margins.  It was computed on the tree of
+commit b1fdc67, before each knot's junction blocks were judged once for
+all its sign patterns, with
+
+    PYTHONPATH=<checkout of b1fdc67>/src python tests/test_json_bytes.py --freeness
 """
 
 import contextlib
@@ -29,12 +38,14 @@ import random
 import sys
 
 from bridgeforge import cli
+from bridgeforge.slope import GenusOneKnot
 from bridgeforge.words import inverse, word_str
 
 from grids import knots, relator
 
 DIGEST = "8e0b5d0820ea37fb5bfbf65eeb8e1789c0b2b9c057950002f6af15454057b2db"
 WORD_DIGEST = "194408a1f9ea168c57a712b4bcb3525835cf6546a94b83456dbd285c6633038d"
+FREENESS_DIGEST = "906e15fbe6300c1c192be7f797c53f422099023b77ac9a7e817c5a3012c8587d"
 
 
 def knot_flags(knot):
@@ -53,10 +64,18 @@ def battery_argvs(size=6):
             yield ["orbifold", "--m", str(knot.m)]
 
 
-def json_digest() -> str:
-    """sha256 over each call's argv, exit code and --json stdout, in order."""
+def freeness_argvs(size=4):
+    for t in (1, 3, 4):
+        for knot in knots(size):
+            yield ["freeness", *knot_flags(knot), "--t", str(t)]
+    yield ["freeness", *knot_flags(GenusOneKnot(3, 2, -1)), "--t", "6"]
+
+
+def json_digest(argvs=None) -> str:
+    """sha256 over each call's argv, exit code and --json stdout, in
+    order, for the argvs given or else battery_argvs()."""
     digest = hashlib.sha256()
-    for argv in battery_argvs():
+    for argv in argvs or battery_argvs():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main([*argv, "--json"])
@@ -100,5 +119,11 @@ def test_pieces_word_json_bytes_are_unchanged():
     assert word_digest() == WORD_DIGEST
 
 
+def test_freeness_json_bytes_are_unchanged():
+    assert json_digest(freeness_argvs()) == FREENESS_DIGEST
+
+
 if __name__ == "__main__":
-    print(word_digest() if sys.argv[1:] == ["--word"] else json_digest())
+    flags = sys.argv[1:]
+    print(word_digest() if flags == ["--word"] else
+          json_digest(freeness_argvs()) if flags == ["--freeness"] else json_digest())

@@ -585,14 +585,20 @@ def walk_three_piece(knot, s1, s2):
     return True
 
 
-def run_start_windows(u, head, tail):
-    """smallcancel._shape_windows by scanning the 4n letters of four
-    periods for run starts, which handles a run across a period seam."""
+def letter_runs(u):
+    """The run starts of four periods of u, found by scanning its 4n
+    letters, which handles a run across a period seam, and the run
+    lengths between them."""
     letters4 = u * 4
     total = len(letters4)
     starts = [0, *(i for i in range(1, total)
                    if (letters4[i] > 0) != (letters4[i - 1] > 0)), total]
-    lens = list(map(operator.sub, starts[1:], starts[:-1]))
+    return starts, list(map(operator.sub, starts[1:], starts[:-1]))
+
+
+def run_start_windows(runs, head, tail):
+    """smallcancel._shape_windows on the letter_runs of a relator."""
+    starts, lens = runs
     head, tail = list(head), list(tail)
     k = len(head)
     windows = []
@@ -603,12 +609,6 @@ def run_start_windows(u, head, tail):
         if shape == head:
             windows.append((starts[j], starts[j + k] + 1))
     return windows
-
-
-def letter_scan_of(rel):
-    """run_start_windows on the letters of rel, in place of
-    smallcancel._shape_windows on its runs."""
-    return lambda runs, head, tail: run_start_windows(rel.u, head, tail)
 
 
 def perturbed_shapes(s1, s2):
@@ -626,27 +626,29 @@ def perturbed_shapes(s1, s2):
 def test_shape_windows_match_run_start_scan_on_grid():
     # the runs of one period, four times, give the windows of the letter
     # scan for every shape of the 24x24 grid.  verify_three_piece_property
-    # reads only the windows of the true shapes, the first of
-    # perturbed_shapes, so with the letter scan in place of _shape_windows
-    # it gives the verdicts it gives here
+    # reads the relator's runs only through these windows, so with the
+    # letter scan in place of _shape_windows it gives the verdicts it gives
+    # here and, on every perturbed shape, those of the 8x8 run walk below
     verdicts = set()
     for knot in knots(24):
         rel = relator(knot.fraction)
+        runs = letter_runs(rel.u)
         true_shape = canonical_decomposition(knot)
         for s1, s2 in perturbed_shapes(*true_shape):
             got = smallcancel._shape_windows(rel.runs, s1 + s2, s2 + s1)
-            assert got == run_start_windows(rel.u, s1 + s2, s2 + s1), (knot, s1, s2)
+            assert got == run_start_windows(runs, s1 + s2, s2 + s1), (knot, s1, s2)
             assert got or (s1, s2) != true_shape  # the true shapes occur
         verdicts.add(verify_three_piece_property(knot, rel))
     assert verdicts == {True}
 
 
 def test_three_piece_matches_run_walk_on_perturbed_shapes(monkeypatch):
-    # the perturbed shapes on the 8x8 grid: the one-pass check, the same
-    # check on the windows of the letter scan, and the run walk give the
-    # same verdicts.  All read whole runs only, which the true shapes
-    # allow because no relator run is longer than the first and last
-    # runs of S1
+    # the perturbed shapes on the 8x8 grid: the one-pass check and the run
+    # walk give the same verdicts.  Both read whole runs only, which the
+    # true shapes allow because no relator run is longer than the first
+    # and last runs of S1.  The check on the windows of the letter scan
+    # gives them too: test_shape_windows_match_run_start_scan_on_grid
+    # finds the same windows for every perturbed shape of 24x24
     verdicts = []
     for knot in knots(8):
         rel = relator(knot.fraction)
@@ -657,9 +659,6 @@ def test_three_piece_matches_run_walk_on_perturbed_shapes(monkeypatch):
                                 lambda _knot, shape=shape: shape)
             verdict = verify_three_piece_property(knot, rel)
             assert verdict == walk_three_piece(knot, *shape), (knot, shape)
-            with monkeypatch.context() as patch:
-                patch.setattr(smallcancel, "_shape_windows", letter_scan_of(rel))
-                assert verify_three_piece_property(knot, rel) == verdict, (knot, shape)
             verdicts.append(verdict)
     assert len(verdicts) == 640 and True in verdicts and False in verdicts
 
