@@ -1,6 +1,6 @@
 """Command-line front end and the batch verification battery.
 
-Every subcommand accepts --json for machine-readable output under the
+Every subcommand accepts --json: one line of sorted-key JSON under the
 versioned "bridge-forge/1" schema.  Exit codes: 0 all checks pass, 1 any
 check failed or a check could not run (a RuntimeError, such as a matrix
 scan finding no simple root of the Riley polynomial mod any prime tried,
@@ -53,10 +53,10 @@ MAX_T = 6
 
 
 def _emit(payload: dict, as_json: bool, human_lines: Callable[[], list[str]]) -> None:
-    """Print the payload as JSON, or else the lines human_lines() returns;
-    under --json the lines are never built."""
+    """Print the payload as one line of sorted-key JSON (C encoder), or
+    else the lines human_lines() returns, which --json never builds."""
     if as_json:
-        print(json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True))
+        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
     else:
         for line in human_lines():
             print(line)

@@ -996,7 +996,7 @@ def test_verify_cell_builds_the_relator_once(monkeypatch):
     assert len(relators) == 1 and len(sets) == 3
 
 
-@pytest.mark.parametrize("argv", [
+FRONT_DOORS = [
     ["relator", "--p", "9", "--q", "2"],
     ["meridians", "--m", "2", "--n", "1", "--sign", "-"],
     ["pieces", "--m", "2", "--n", "1", "--sign", "-"],
@@ -1008,7 +1008,10 @@ def test_verify_cell_builds_the_relator_once(monkeypatch):
     ["epi", "--source", "3/5", "--target", "2/5"],
     ["epi", "--source", "3/7", "--target", "2/5"],
     ["verify-all", "--m-max", "1", "--n-max", "1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", FRONT_DOORS)
 def test_text_lines_are_built_only_without_json(capsys, monkeypatch, argv):
     # built: calls of the lines callable.  formatted: text-only values
     # formatted, the knot's name, each root and each slope put in an
@@ -1048,6 +1051,27 @@ def test_text_lines_are_built_only_without_json(capsys, monkeypatch, argv):
     assert cli.main(argv) == cli.EXIT_PASS
     assert capsys.readouterr().out.strip()
     assert built == [False]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    *FRONT_DOORS,
+    ["freeness", "--m", "2", "--n", "1", "--sign", "-", "--scan-syllables", "3"],
+    ["pieces", "--m", "2", "--n", "2", "--sign", "+", "--word", "abAB"],
+])
+def test_json_is_one_canonical_line_of_strict_json(capsys, argv):
+    # the payload is one line, and re-encoding it compactly with sorted
+    # keys gives it back; NaN and Infinity, which json.dumps writes for
+    # non-finite floats, would make it no JSON at all
+    assert cli.main([*argv, "--json"]) == cli.EXIT_PASS
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    assert payload["schema"] == cli.SCHEMA
 
 
 def test_verify_all_builds_the_junction_blocks_once(capsys, monkeypatch):

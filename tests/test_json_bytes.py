@@ -29,11 +29,24 @@ commit b1fdc67, before each knot's junction blocks were judged once for
 all its sign patterns, with
 
     PYTHONPATH=<checkout of b1fdc67>/src python tests/test_json_bytes.py --freeness
+
+The front doors print each --json payload as one line of sorted-key
+JSON, and the tests assert that each non-empty stdout equals its own
+canonical re-encoding, json.dumps(json.loads(out), sort_keys=True) +
+"\n".  The digests hash it re-indented, json.dumps(json.loads(out),
+indent=2) + "\n", the layout the front doors printed when the three
+digests were taken, so they pin every key and value but not the
+layout; an empty stdout, such as that of a bad letter in pieces --word,
+is hashed as it is.  The commands above skip the one-line assertion,
+so they print the same digest on a checkout that indents its payloads
+and on one that prints one line: run them on any two checkouts to
+compare their payloads.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import random
 import sys
 
@@ -71,16 +84,29 @@ def freeness_argvs(size=4):
     yield ["freeness", *knot_flags(GenusOneKnot(3, 2, -1)), "--t", "6"]
 
 
-def json_digest(argvs=None) -> str:
-    """sha256 over each call's argv, exit code and --json stdout, in
-    order, for the argvs given or else battery_argvs()."""
+def pinned_bytes(out: str, one_line=True) -> bytes:
+    """The bytes a digest takes for one --json stdout: an empty one as it
+    is, any other re-indented by two.  With one_line, first assert that
+    out is one canonical line of sorted-key JSON."""
+    if not out:
+        return b""
+    payload = json.loads(out)
+    if one_line:
+        assert out == json.dumps(payload, sort_keys=True) + "\n", out
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def json_digest(argvs=None, one_line=True) -> str:
+    """sha256 over each call's argv, exit code and --json stdout (as
+    pinned_bytes gives it), in order, for the argvs given or else
+    battery_argvs()."""
     digest = hashlib.sha256()
     for argv in argvs or battery_argvs():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main([*argv, "--json"])
         digest.update(f"{' '.join(argv)} -> {code}\n".encode())
-        digest.update(out.getvalue().encode())
+        digest.update(pinned_bytes(out.getvalue(), one_line))
     return digest.hexdigest()
 
 
@@ -97,16 +123,16 @@ def word_argvs(size=6):
             yield ["pieces", *knot_flags(knot), "--word", word]
 
 
-def word_digest() -> str:
+def word_digest(one_line=True) -> str:
     """sha256 over each pieces --word call's argv, exit code, --json
-    stdout and stderr, in order."""
+    stdout (as pinned_bytes gives it) and stderr, in order."""
     digest = hashlib.sha256()
     for argv in word_argvs():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([*argv, "--json"])
         digest.update(f"{' '.join(argv)} -> {code}\n".encode())
-        digest.update(out.getvalue().encode())
+        digest.update(pinned_bytes(out.getvalue(), one_line))
         digest.update(err.getvalue().encode())
     return digest.hexdigest()
 
@@ -124,6 +150,8 @@ def test_freeness_json_bytes_are_unchanged():
 
 
 if __name__ == "__main__":
+    # one_line=False: the tool also reads a checkout that indents
     flags = sys.argv[1:]
-    print(word_digest() if flags == ["--word"] else
-          json_digest(freeness_argvs()) if flags == ["--freeness"] else json_digest())
+    print(word_digest(False) if flags == ["--word"] else
+          json_digest(freeness_argvs(), False) if flags == ["--freeness"] else
+          json_digest(one_line=False))

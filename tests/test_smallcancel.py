@@ -534,12 +534,13 @@ def linear_runs(letters):
     return runs
 
 
-def walk_three_piece(knot, s1, s2):
-    """verify_three_piece_property for the shapes (s1, s2), by a walk
-    over the runs of four periods that matches each run index against
-    both shapes and takes the earliest window end from every start by a
-    suffix minimum over all 4n positions; the reach tables come from the
-    quadratic oracle."""
+def three_piece_walker(knot):
+    """walk(s1, s2): verify_three_piece_property for the shapes (s1, s2),
+    by a walk over the runs of four periods that matches each run index
+    against both shapes and takes the earliest window end from every
+    start by a suffix minimum over all 4n positions.  The relator, its
+    runs and the reach tables, from the quadratic oracle, depend on the
+    knot alone and are built once here."""
     u = relator(knot.fraction).u
     R = SymmetrizedSet(u)
     n = R.n
@@ -550,39 +551,42 @@ def walk_three_piece(knot, s1, s2):
     runs = linear_runs(letters4)
     lens = [ln for _, ln in runs]
     starts = [st for st, _ in runs]
+    total = len(letters4)
 
     def run_match(j, pattern):
         if j + len(pattern) >= len(runs):
             return False
         return all(lens[j + i] == pattern[i] for i in range(len(pattern)))
 
-    head = s1 + s2
-    tail = s2 + s1
-    match_ends = []
-    for j in range(1, len(runs) - 1):
-        if run_match(j, head):
-            match_ends.append((starts[j], starts[j + len(head)] + 1))
-        if run_match(j, tail):
-            ms = starts[j] - 1
-            me = starts[j + len(tail) - 1] + lens[j + len(tail) - 1]
-            match_ends.append((ms, me))
+    def walk(s1, s2):
+        head = s1 + s2
+        tail = s2 + s1
+        match_ends = []
+        for j in range(1, len(runs) - 1):
+            if run_match(j, head):
+                match_ends.append((starts[j], starts[j + len(head)] + 1))
+            if run_match(j, tail):
+                ms = starts[j] - 1
+                me = starts[j + len(tail) - 1] + lens[j + len(tail) - 1]
+                match_ends.append((ms, me))
 
-    total = len(letters4)
-    best_end = [total + 1] * (total + 1)
-    ends_at = {}
-    for ms, me in match_ends:
-        if me < ends_at.get(ms, total + 1):
-            ends_at[ms] = me
-    for x in range(total - 1, -1, -1):
-        best_end[x] = min(best_end[x + 1], ends_at.get(x, total + 1))
+        best_end = [total + 1] * (total + 1)
+        ends_at = {}
+        for ms, me in match_ends:
+            if me < ends_at.get(ms, total + 1):
+                ends_at[ms] = me
+        for x in range(total - 1, -1, -1):
+            best_end[x] = min(best_end[x + 1], ends_at.get(x, total + 1))
 
-    for s in range(n):
-        lo = r2[s] + 1
-        if lo > r3[s] or lo > n:
-            continue
-        if best_end[s + n] > s + n + lo:
-            return False
-    return True
+        for s in range(n):
+            lo = r2[s] + 1
+            if lo > r3[s] or lo > n:
+                continue
+            if best_end[s + n] > s + n + lo:
+                return False
+        return True
+
+    return walk
 
 
 def letter_runs(u):
@@ -654,11 +658,12 @@ def test_three_piece_matches_run_walk_on_perturbed_shapes(monkeypatch):
         rel = relator(knot.fraction)
         s1, s2 = canonical_decomposition(knot)
         assert max(cyclic_s_sequence(rel.u)) == s1[0] == s1[-1]
+        walk = three_piece_walker(knot)
         for shape in perturbed_shapes(s1, s2):
             monkeypatch.setattr(smallcancel, "canonical_decomposition",
                                 lambda _knot, shape=shape: shape)
             verdict = verify_three_piece_property(knot, rel)
-            assert verdict == walk_three_piece(knot, *shape), (knot, shape)
+            assert verdict == walk(*shape), (knot, shape)
             verdicts.append(verdict)
     assert len(verdicts) == 640 and True in verdicts and False in verdicts
 
