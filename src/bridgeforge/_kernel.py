@@ -92,13 +92,9 @@ def max_piece_table(letters):
 
 def _require_suffix_closed(piece_len):
     """Raise ValueError unless piece_len[(i+1) % n] >= piece_len[i] - 1
-    for every i, as on every max_piece_table row."""
-    n = len(piece_len)
-    # a over one period and the wrap to the next
-    a = [i + x for i, x in enumerate(piece_len)]
-    if n:
-        a.append(n + piece_len[0])
-    if not all(map(operator.le, a, a[1:])):
+    for every i, as on every max_piece_table row: one pass over the
+    drops piece_len[i] - piece_len[(i+1) % n]."""
+    if piece_len and max(map(operator.sub, piece_len, piece_len[1:] + piece_len[:1])) > 1:
         raise ValueError("piece table is not suffix-closed")
 
 

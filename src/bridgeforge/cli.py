@@ -249,7 +249,8 @@ def _cmd_freeness(args) -> int:
                 f"  matrix scan: {report.words_checked} words in {report.classes_checked} classes "
                 f"at w = {rep.alpha} mod {rep.modulus}, "
                 f"{report.words_nontrivial} proven nontrivial, hits: {len(report.hits)}",
-                f"  float margins: {len(reps)} roots, max relator residual "
+                f"  float margins: {len(reps)} roots, {len(reps.dropped)} dropped, "
+                "max relator residual "
                 + ("none" if max_residual is None else f"{max_residual:.3e}"),
             ]
         return out
@@ -280,6 +281,8 @@ def _cmd_reps(args) -> int:
         + ":",
         f"  defining polynomial coefficients (low->high): {list(data.poly)}",
         *(f"  omega = {rep.omega:.12g}   relator residual {rep.residual:.3e}" for rep in reps),
+        *(f"  dropped omega = {z:.12g}   relator residual {r:.3e}" for z, r in reps.dropped),
+        *([] if reps else [f"  no root met --tol {args.tol:g}"]),
     ])
     return EXIT_PASS if reps else EXIT_FAIL
 

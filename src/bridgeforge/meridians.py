@@ -83,11 +83,13 @@ def long_meridian_raw(knot: GenusOneKnot, d0: Word, d1: Word) -> Word:
 class MeridianWords:
     """The long meridian pair (x_l, y_l) of a knot and its conjugators
     (w_x, w_y), with the words derived from them built on first read.
-    x_l and y_l must be alternating (so reduced), of two runs or more, and
-    end in letters of different generators: junction_blocks relies on it."""
+    runs holds the S-sequences of x_l and y_l, split once here.  x_l and
+    y_l must be alternating (so reduced), of two runs or more, and end in
+    letters of different generators: junction_blocks relies on it."""
 
     def __init__(self, knot: GenusOneKnot, w_x: Word, w_y: Word, x_l: Word, y_l: Word):
-        if not all(w and is_alternating(w) and len(s_sequence(w)) >= 2 for w in (x_l, y_l)) \
+        self.runs = tuple(s_sequence(w) if w else () for w in (x_l, y_l))
+        if not all(is_alternating(w) and len(r) >= 2 for w, r in zip((x_l, y_l), self.runs)) \
                 or {abs(x_l[0]), abs(x_l[-1])} & {abs(y_l[0]), abs(y_l[-1])}:
             raise AssertionError("sign-pattern word failed to be alternating")
         self.knot = knot
@@ -112,12 +114,11 @@ class MeridianWords:
         letters share a sign.  The constructor's checks make every junction
         join letters of different generators, so no run spans two
         junctions, and the cyclic S-sequence of any pattern is its blocks
-        laid end to end, the cyclic junction first.  Only x_l and y_l are
-        walked: inversion reverses a word's runs and turns its ends (f, l)
-        into (-l, -f)."""
+        laid end to end, the cyclic junction first.  Only the runs of x_l
+        and y_l are read: inversion reverses a word's runs and turns its
+        ends (f, l) into (-l, -f)."""
         ends = {}
-        for g, w in ((1, self.x_l), (2, self.y_l)):
-            runs = s_sequence(w)
+        for g, w, runs in zip((1, 2), (self.x_l, self.y_l), self.runs):
             ends[g], ends[-g] = (w[0], w[-1], runs), (-w[-1], -w[0], runs[::-1])
         blocks = {}
         for g, (_, last, g_runs) in ends.items():
@@ -168,7 +169,8 @@ def long_meridian_words(knot: GenusOneKnot) -> MeridianWords:
     w_x is its image under the a -> b^-1, b -> a^-1 symmetry.  The long
     meridians are x_l = w_x a w_x^-1 and y_l = w_y b^-1 w_y^-1, which are
     validated to be alternating (by MeridianWords), to swap under the
-    symmetry, and to have the tabulated S-sequences for x_l^((-1)^n).
+    symmetry, and to have the tabulated S-sequences for x_l^((-1)^n):
+    inversion reverses runs, so for odd n their runs read it backwards.
     """
     runs = _conjugator_runs(knot)
     wy_initial = 2 if knot.sign > 0 else -1
@@ -178,13 +180,11 @@ def long_meridian_words(knot: GenusOneKnot) -> MeridianWords:
     y_l = concat(w_y, _BI, inverse(w_y))
     if apply_f(y_l) != x_l:
         raise AssertionError("meridian pair does not swap under the symmetry")
-    eps = 1 if knot.n % 2 == 0 else -1
-    table = _power_s_table(knot)
-    x_pow = x_l if eps == 1 else inverse(x_l)
-    y_pow = y_l if eps == 1 else inverse(y_l)
-    if s_sequence(x_pow) != table or s_sequence(y_pow) != table:
+    mw = MeridianWords(knot, w_x, w_y, x_l, y_l)
+    table = _power_s_table(knot)[::(-1) ** knot.n]
+    if mw.runs != (table, table):
         raise AssertionError("meridian S-sequence table mismatch")
-    return MeridianWords(knot, w_x, w_y, x_l, y_l)
+    return mw
 
 
 def verify_meridian_forms(knot: GenusOneKnot, mw: MeridianWords) -> bool:

@@ -181,6 +181,33 @@ def test_reps_lists_dropped_roots(capsys, monkeypatch):
     assert payload["dropped_roots"] == [["(nan+0j)", None], ["(inf+0j)", None]]
 
 
+def test_reps_text_lines_say_why_no_root_was_kept(capsys):
+    # 2/5 has one conjugate pair, residual 1.1e-16: --tol 1e-300 drops it
+    with pytest.warns(UserWarning, match="no representation root"), \
+            pytest.warns(UserWarning, match="dropping root"):
+        code, out = run_cli(capsys, "reps", "--p", "5", "--q", "2", "--tol", "1e-300")
+    assert code == cli.EXIT_FAIL
+    assert out.splitlines()[2:] == ["  dropped omega = -0.5+0.866025403784j   relator residual 1.110e-16",
+                                    "  no root met --tol 1e-300"]
+
+
+def test_text_lines_count_dropped_roots(capsys, monkeypatch):
+    code, out = run_cli(capsys, "reps", "--p", "7", "--q", "2")
+    assert code == cli.EXIT_PASS and "dropped" not in out and "no root met" not in out
+    _with_bad_iterates(monkeypatch)
+    with pytest.warns(UserWarning, match="dropping root"):
+        code, out = run_cli(capsys, "reps", "--p", "7", "--q", "2")
+    assert code == cli.EXIT_PASS and "no root met" not in out
+    assert [line for line in out.splitlines() if "dropped" in line] == [
+        "  dropped omega = nan+0j   relator residual nan",
+        "  dropped omega = inf+0j   relator residual nan",
+    ]
+    with pytest.warns(UserWarning, match="dropping root"):
+        code, out = run_cli(capsys, "freeness", "--m", "2", "--n", "1", "--sign", "+", "--t", "1",
+                            "--scan-syllables", "3")
+    assert code == cli.EXIT_PASS and "  float margins: 4 roots, 2 dropped, max relator residual " in out
+
+
 def test_freeness_scan_payload_counts_roots(capsys, monkeypatch):
     argv = ("freeness", "--m", "2", "--n", "1", "--sign", "+", "--t", "1", "--scan-syllables", "3")
     code, payload = run_json(capsys, *argv)
@@ -1100,6 +1127,27 @@ def test_verify_all_builds_each_closed_form_once(capsys, monkeypatch):
     assert code == cli.EXIT_PASS and len(payload["reports"]) == 8
     assert sorted(calls, key=repr) == sorted((
         (knot, e) for knot in knots(2) if knot.is_hyperbolic for e in (1, -1)), key=repr)
+
+
+@pytest.mark.parametrize("argv,splits,inversions", [
+    (("freeness", "--m", "3", "--n", "3", "--sign", "-", "--t", "2"), 2, 2),
+    (("meridians", "--m", "3", "--n", "3", "--sign", "-"), 8, 6),
+    (("verify-all", "--m-max", "6", "--n-max", "6"), 216, 504),
+])
+def test_meridian_runs_are_split_once_per_knot(capsys, monkeypatch, argv, splits, inversions):
+    # MeridianWords splits x_l and y_l into runs once; the table check and
+    # the junction blocks read those runs, and x_l^-1, y_l^-1 are never
+    # built.  On (3, 3, -) freeness splits x_l and y_l and inverts w_x and
+    # w_y; meridians also splits its six payload words and inverts four
+    # words in verify_meridian_forms
+    mw = meridians.long_meridian_words(cli.GenusOneKnot(3, 3, -1))
+    splits_seen = _count_calls(monkeypatch, cli.meridians, "s_sequence")
+    inversions_seen = _count_calls(monkeypatch, cli.meridians, "inverse")
+    code, _ = run_json(capsys, *argv)
+    assert code == cli.EXIT_PASS
+    assert (len(splits_seen), len(inversions_seen)) == (splits, inversions)
+    if argv[0] != "verify-all":
+        assert not {mw.x_l, mw.y_l} & {word for word, in inversions_seen}
 
 
 @pytest.mark.parametrize("t", [2, 4])

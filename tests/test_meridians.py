@@ -95,6 +95,31 @@ def test_symmetry_and_shared_s_sequence():
         assert len(mw.x_l) == 2 * len(mw.w_x) + 1
 
 
+def test_kept_runs_match_the_words_and_the_power_table():
+    # MeridianWords.runs is the S-sequence pair of (x_l, y_l), and the
+    # table of x_l^((-1)^n) is that of the built power word
+    for knot in knots(6):
+        mw = long_meridian_words(knot)
+        assert mw.runs == (s_sequence(mw.x_l), s_sequence(mw.y_l))
+        for w in (mw.x_l, mw.y_l):
+            power = w if knot.n % 2 == 0 else inverse(w)
+            assert s_sequence(power) == meridians._power_s_table(knot)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_table_check_refuses_a_reversed_table(monkeypatch, parity):
+    # no table is a palindrome (its middle pair is (m, m +- 1), the 3 sits
+    # off centre for m = 1 with sign -, and (1, 1, -) reads (1, 2)), so a
+    # table read the wrong way round must be refused for both parities of
+    # n: the check reverses the kept runs for odd n, and only then
+    real = meridians._power_s_table
+    monkeypatch.setattr(meridians, "_power_s_table", lambda knot: real(knot)[::-1])
+    for knot in knots(4):
+        if knot.n % 2 == parity:
+            with pytest.raises(AssertionError, match="meridian S-sequence table mismatch"):
+                long_meridian_words(knot)
+
+
 def test_power_cancellation():
     mw = long_meridian_words(GenusOneKnot(2, 2, -1))
     for k in range(-4, 5):
