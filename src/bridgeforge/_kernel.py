@@ -33,7 +33,8 @@ minus its first letter), so piece_len[(i+1) % n] >= piece_len[i] - 1:
 every row is suffix-closed, a never decreases, and the maximum is at
 the last cut.  Each level is one pass, a whole table O(kmax n).
 min_pieces_span walks the same recurrence from one offset, one cut per
-piece, O(pieces).  Both refuse a row that is not suffix-closed.
+piece, O(pieces), and trusts its row to be suffix-closed; reach_table,
+which runs once per table built, refuses a row that is not.
 """
 
 import operator
@@ -90,14 +91,6 @@ def max_piece_table(letters):
     return best[:n]
 
 
-def _require_suffix_closed(piece_len):
-    """Raise ValueError unless piece_len[(i+1) % n] >= piece_len[i] - 1
-    for every i, as on every max_piece_table row: one pass over the
-    drops piece_len[i] - piece_len[(i+1) % n]."""
-    if piece_len and max(map(operator.sub, piece_len, piece_len[1:] + piece_len[:1])) > 1:
-        raise ValueError("piece table is not suffix-closed")
-
-
 def min_pieces_span(piece_len, start, length):
     """Minimal number of pieces covering the cyclic span [start, start+length).
 
@@ -106,9 +99,9 @@ def min_pieces_span(piece_len, start, length):
     r += piece_len[(start + r) % n], one step per piece, until r covers
     the span.  Returns -1 when the span is not a product of pieces at
     all: the walk meets a cut where no piece starts, and no earlier cut
-    reaches past it.  A row that is not suffix-closed raises ValueError.
+    reaches past it.  The row is not checked: on one that is not
+    suffix-closed the walk may miss a shorter cover.
     """
-    _require_suffix_closed(piece_len)
     n = len(piece_len)
     if not 0 <= length <= n:
         raise ValueError("span length must be between 0 and len(piece_len)")
@@ -131,7 +124,9 @@ def reach_table(piece_len, kmax):
     so the last cut i = s + r gives the largest reach.  A row that is not
     suffix-closed (no max_piece_table row) raises ValueError.
     """
-    _require_suffix_closed(piece_len)
+    # one pass over the drops piece_len[i] - piece_len[(i+1) % n]
+    if piece_len and max(map(operator.sub, piece_len, piece_len[1:] + piece_len[:1])) > 1:
+        raise ValueError("piece table is not suffix-closed")
     n = len(piece_len)
     tables = [[0] * n]
     if kmax >= 1:

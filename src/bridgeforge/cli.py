@@ -118,12 +118,13 @@ def _cmd_meridians(args) -> int:
         "w_x": mw.w_x, "w_y": mw.w_y,
         "x_l": mw.x_l, "y_l": mw.y_l,
     }
+    kept = dict(zip(("x_l", "y_l"), mw.runs))  # split once by MeridianWords
     payload = {
         "command": "meridians",
         "m": knot.m, "n": knot.n, "sign": knot.sign,
         "slope": str(knot.fraction),
         "words": {k: word_str(v) for k, v in fields.items()},
-        "s_sequences": {k: list(s_sequence(v)) for k, v in fields.items()},
+        "s_sequences": {k: list(kept[k] if k in kept else s_sequence(v)) for k, v in fields.items()},
         "verified": meridians.verify_meridian_forms(knot, mw),
     }
     _emit(payload, args.json, lambda: [

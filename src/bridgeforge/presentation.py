@@ -71,17 +71,12 @@ def relator(f: Frac) -> Relator:
     return Relator(eps, u_hat, u, s_sequence(u))
 
 
-class CanonicalDecomposition(NamedTuple):
-    S1: tuple[int, ...]
-    S2: tuple[int, ...]
-
-
-def canonical_decomposition(knot: GenusOneKnot) -> CanonicalDecomposition:
-    """The closed-form S1, S2 with CS(u) = ((S1, S2, S1, S2))."""
+def canonical_decomposition(knot: GenusOneKnot) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The closed-form pair (S1, S2) with CS(u) = ((S1, S2, S1, S2))."""
     m, n = knot.m, knot.n
     if knot.sign > 0:
-        return CanonicalDecomposition((2 * m + 1,), (2 * m,) * (2 * n - 1))
-    return CanonicalDecomposition((2 * m,) * (2 * n - 1), (2 * m - 1,))
+        return (2 * m + 1,), (2 * m,) * (2 * n - 1)
+    return (2 * m,) * (2 * n - 1), (2 * m - 1,)
 
 
 def verify_cs_closed_form(knot: GenusOneKnot, rel: Relator) -> bool:

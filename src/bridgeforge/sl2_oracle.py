@@ -34,7 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-import warnings
 from typing import NamedTuple
 
 from .presentation import Relator, relator
@@ -289,14 +288,14 @@ def numeric_reps(data: RileyData, tol: float = 1e-9) -> NumericReps:
     _PAIR_TOL of a u already gated.  Every other u is gated once by its
     relator residual, the largest entry of |rho(u) - I| by _float_image,
     and nan when an entry is not finite.  A root whose residual is not at
-    most tol (nan included) is dropped with a warning and listed, as the
-    iterate z, in the result's dropped.  A kept non-real u is kept with
-    its exact conjugate and the same residual, so a root the iteration
-    found in one half-plane only (at 32/1025 one is) comes back in both.
-    The roots are ordered by (real, imag).
+    most tol (nan included) is dropped: it is listed, as the iterate z,
+    in the result's dropped, and nowhere else.  A kept non-real u is kept
+    with its exact conjugate and the same residual, so a root the
+    iteration found in one half-plane only (at 32/1025 one is) comes back
+    in both.  The roots are ordered by (real, imag).  A constant
+    polynomial has no roots, and gives an empty result.
     """
     if len(data.poly) < 2:
-        warnings.warn(f"slope {data.fraction} has a constant defining polynomial; no roots")
         return NumericReps()
     rel = data.relator
     reps = NumericReps()
@@ -315,15 +314,12 @@ def numeric_reps(data: RileyData, tol: float = 1e-9) -> NumericReps:
         else:
             residual = math.nan
         if not residual <= tol:
-            warnings.warn(f"dropping root {z} with relator residual {residual:.3e}")
             reps.dropped.append((z, residual))
             continue
         reps.append(NumericRep(u, residual))
         if u.imag:
             reps.append(NumericRep(u.conjugate(), residual))
     reps.sort(key=lambda rep: (rep.omega.real, rep.omega.imag))
-    if not reps:
-        warnings.warn(f"no representation root of {data.fraction} met tolerance {tol}")
     return reps
 
 
